@@ -4,6 +4,7 @@ table writer behind the command-line interface."""
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -189,13 +190,18 @@ def write_comparison(records, out_path, json_path=None):
 def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=None):
     """Run every spec and write the comparison table.
 
-    Specs may run in parallel (they share no state); rows are written in
-    spec order regardless of completion order. Returns the records.
+    Specs may run in parallel (they share no state) on at most
+    min(parallel, number of specs, CPU count) worker processes; rows are
+    written in spec order regardless of completion order. Returns the
+    records.
     """
-    if parallel > 1 and len(specs) > 1:
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
+    workers = min(parallel, len(specs), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_for_pool, [(s, scan_cap) for s in specs]))
     else:
         records = [run_experiment(s, scan_cap) for s in specs]
@@ -209,25 +215,30 @@ _SPEC_KEYS = {"gate", "T", "L", "order", "s_granularity", "initial_controls",
               "sine_amplitude"}
 _CFG_KEYS = {"s_max", "abs_tol", "rel_tol", "j_stop", "h_init", "h_min",
              "max_rhs_evals"}
+_FLOAT_KEYS = {"T", "s_granularity", "sine_amplitude", "s_max", "abs_tol", "rel_tol",
+               "j_stop", "h_init", "h_min"}
 
 
 def _convert(key, value, where):
     """Convert a raw config value (string or JSON scalar) for its key."""
     try:
-        if key in ("T", "s_granularity", "sine_amplitude", "s_max", "abs_tol",
-                   "rel_tol", "j_stop", "h_init", "h_min"):
-            return float(value)
-        if key in ("L", "max_rhs_evals"):
+        if key in _FLOAT_KEYS:
+            number = float(value)
+        elif key in ("L", "max_rhs_evals"):
             if isinstance(value, float) and not value.is_integer():
                 raise ValueError
             return int(value)
-        if key == "order":
+        elif key == "order":
             if isinstance(value, str):
                 return value if value == "exact" else int(value)
             return int(value)
+        else:
+            return str(value)
     except (TypeError, ValueError):
         raise ValueError(f"{where}: {key} must be a number, got {value!r}") from None
-    return str(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: {key} must be finite, got {value!r}")
+    return number
 
 
 def _spec_from_mapping(entries, where):

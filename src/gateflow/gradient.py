@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger
+from .linalg import dagger, from_real_embedding, real_embedding
 from .system import (UNITARY_TOL, propagate, slice_hamiltonian, slice_hamiltonians,
                      unitarity_defect)
 
@@ -118,43 +118,26 @@ def interval_average_exact(sys, grid, l, k):
     return control_average_exact(slice_hamiltonian(sys, grid, l), sys.controls[k], grid.dt)
 
 
-def _series_averages(hams, controls, dt, order):
-    """Series slice averages for every (control, slice) pair, batched."""
-    n = controls.shape[0]
-    out = np.empty((n,) + hams.shape, dtype=complex)
-    ih = 1j * hams
-    for k in range(n):
-        cur = controls[k]
-        acc = np.broadcast_to(cur, hams.shape)
-        for j in range(1, order + 1):
-            cur = ih @ cur - cur @ ih
-            acc = acc + (dt**j / math.factorial(j + 1)) * cur
-        out[k] = acc
-    return out
-
-
-def _exact_averages(lam, vecs, controls, dt):
-    """Exact slice averages for every (control, slice) pair, batched over
-    the already-computed slice eigensystems."""
-    vh = vecs.conj().transpose(0, 2, 1)
-    gaps = lam[:, :, None] - lam[:, None, :]
-    phases = phi1(1j * gaps * dt)
-    out = np.empty((controls.shape[0],) + vecs.shape, dtype=complex)
-    for k in range(controls.shape[0]):
-        b = vh @ controls[k] @ vecs
-        out[k] = vecs @ (b * phases) @ vh
-    return out
-
-
 def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
                     exact_reference=False):
     """One propagation pass: flow velocities and the objective value.
 
     Entry (k, l) of the velocities is Im Tr[W_l M_k^l] / (2N) with
     W_l = P_{l-1} (target^dagger P_L) P_{l-1}^dagger and M_k^l the slice
-    average of control k (series-truncated or exact, per order). With
-    check_unitarity the prefixes are verified against UNITARY_TOL and the
-    measured defect is reported; with exact_reference the exact-average
+    average of control k (series-truncated or exact, per order). The
+    averages are never formed per control; each slice's average operator
+    is moved onto W_l instead, giving one W~_l per slice that is then
+    contracted with every control at once:
+
+    - series: Tr[W ad_X^j(H_k)] = Tr[(-ad_X)^j(W) H_k] with X = i H_l, so
+      W~_l = sum_j dt^j/(j+1)! (-ad_X)^j(W_l);
+    - exact: in the eigenbasis V_l of H_l the average multiplies entry
+      (a, b) by phi1(i (lam_a - lam_b) dt), so
+      W~_l = V_l ((V_l^dagger W_l V_l) o phi1(i (lam_b - lam_a) dt)) V_l^dagger.
+
+    All the products run on the real embeddings of the propagation cache.
+    With check_unitarity the prefixes are verified against UNITARY_TOL and
+    the measured defect is reported; with exact_reference the exact-average
     velocities come along for descent diagnostics, reusing the same
     eigensystems.
     """
@@ -168,30 +151,38 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
                 f"propagator prefixes drifted off the unitary group: "
                 f"max|P^dagger P - I| = {defect:.3e}"
             )
-    n_slices, dim = grid.n_slices, sys.dim
+    dim, dt = sys.dim, grid.dt
     a = dagger(target.matrix) @ cache.total
     j_value = 0.5 - np.trace(a).real / (2 * dim)
-    p = cache.prefixes[:n_slices]
-    w = p @ a @ p.conj().transpose(0, 2, 1)
+    p = cache.embedded[:-1]
+    w = p @ real_embedding(a) @ p.transpose(0, 2, 1)
+    # Tr[real_embedding(Y) real_embedding(-i H_k)] = 2 Im Tr[Y H_k].
+    probes = real_embedding(-1j * sys.controls)
 
-    def trace_values(avgs):
-        return np.einsum("lij,klji->kl", w, avgs).imag / (2 * dim)
+    def velocities(w_avg):
+        return np.einsum("lab,kba->kl", w_avg, probes) / (4 * dim)
 
+    exact_values = None
+    if order == EXACT or exact_reference:
+        v = real_embedding(cache.eigvecs)
+        vt = v.transpose(0, 2, 1)
+        lam = cache.eigvals
+        phases = phi1(1j * dt * (lam[:, None, :] - lam[:, :, None]))
+        w_eig = from_real_embedding(vt @ w @ v) * phases
+        exact_values = velocities(v @ real_embedding(w_eig) @ vt)
     if order == EXACT:
-        values = trace_values(_exact_averages(cache.eigvals, cache.eigvecs,
-                                              sys.controls, grid.dt))
-        exact_values = values if exact_reference else None
+        values = exact_values
     else:
-        hams = slice_hamiltonians(sys, grid)
-        values = trace_values(_series_averages(hams, sys.controls, grid.dt, order))
-        exact_values = None
-        if exact_reference:
-            exact_values = trace_values(_exact_averages(cache.eigvals, cache.eigvecs,
-                                                        sys.controls, grid.dt))
+        x = real_embedding(1j * slice_hamiltonians(sys, grid))
+        cur = w_avg = w
+        for j in range(1, order + 1):
+            cur = cur @ x - x @ cur
+            w_avg = w_avg + (dt**j / math.factorial(j + 1)) * cur
+        values = velocities(w_avg)
     return RhsEvaluation(rhs=FlowRhs(values=values, evaluations=1),
                          objective=j_value,
                          unitarity_defect=defect,
-                         exact_rhs=exact_values)
+                         exact_rhs=exact_values if exact_reference else None)
 
 
 def rhs_corrected(sys, grid, target, order=1):

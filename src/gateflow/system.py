@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, expm_hermitian_generator, is_unitary, require_hermitian
+from .linalg import (dagger, expm_hermitian_generator, from_real_embedding, is_unitary,
+                     real_embedding, require_hermitian)
 
 # Tolerance for unitarity of propagator prefixes. Rounding in the
 # eigendecomposition-based exponentials stays orders of magnitude below
@@ -20,7 +21,13 @@ def _readonly(a):
 
 @dataclass(frozen=True, eq=False)
 class QuantumSystem:
-    """Drift Hamiltonian plus n control Hamiltonians, all N x N Hermitian."""
+    """Drift Hamiltonian plus n control Hamiltonians, all N x N Hermitian.
+
+    When every entry has zero imaginary part the matrices are stored real,
+    so slice Hamiltonians and their eigensystems come out real and the
+    batched eigh takes its cheaper real-symmetric route. Everything
+    downstream is dtype-generic: real and complex systems run the same code.
+    """
 
     h0: np.ndarray
     controls: np.ndarray  # shape (n, N, N)
@@ -37,6 +44,8 @@ class QuantumSystem:
         require_hermitian(h0, "h0")
         for k, hk in enumerate(controls):
             require_hermitian(hk, f"controls[{k}]")
+        if not (h0.imag.any() or controls.imag.any()):
+            h0, controls = h0.real.copy(), controls.real.copy()
         object.__setattr__(self, "h0", _readonly(h0))
         object.__setattr__(self, "controls", _readonly(controls))
 
@@ -108,12 +117,14 @@ class GateTarget:
 
 @dataclass(frozen=True, eq=False)
 class PropagationCache:
-    """Prefix propagators P_l = U(t_l, 0) together with the slice
-    eigensystems that produced them (reused by the gradient engine)."""
+    """Prefix propagators P_l = U(t_l, 0), also in real-embedded form,
+    together with the slice eigensystems that produced them (both reused
+    by the gradient engine)."""
 
     prefixes: np.ndarray  # (L+1, N, N), prefixes[0] = I
     eigvals: np.ndarray   # (L, N), eigenvalues of each slice Hamiltonian
     eigvecs: np.ndarray   # (L, N, N)
+    embedded: np.ndarray  # (L+1, 2N, 2N), real_embedding(prefixes)
 
     @property
     def total(self):
@@ -149,20 +160,29 @@ def step_propagator(sys, grid, l):
 def propagate(sys, grid, check_unitarity=False):
     """All prefix propagators P_0..P_L, with later slices applied on the left.
 
-    One batched eigendecomposition covers every slice; the eigensystems are
-    kept in the cache because the gradient engine reuses them for the exact
-    slice averages.
+    One batched eigendecomposition covers every slice (a real-symmetric one
+    when the system is real); the eigensystems are kept in the cache because
+    the gradient engine reuses them for the exact slice averages. The step
+    propagators V e^{-i dt lam} V^dagger and their products are formed on
+    real 2N x 2N embeddings (see real_embedding), the products by a
+    Hillis-Steele doubling scan over [I, step_1, ..., step_L]: the pass
+    with offset d = 1, 2, 4, ... multiplies every entry l >= d by entry
+    l - d from the right, after which entry l holds the product of
+    entries max(0, l - 2d + 1)..l. Once 2d >= L every entry covers steps
+    1..l, so ceil(log2 L) batched matmuls replace L sequential ones.
     """
-    hams = slice_hamiltonians(sys, grid)
-    lam, vecs = np.linalg.eigh(hams)
-    vh = vecs.conj().transpose(0, 2, 1)
-    steps = (vecs * np.exp(-1j * grid.dt * lam)[:, None, :]) @ vh
-    n_slices, dim = grid.n_slices, sys.dim
-    prefixes = np.empty((n_slices + 1, dim, dim), dtype=complex)
-    prefixes[0] = np.eye(dim)
-    for l in range(n_slices):
-        prefixes[l + 1] = steps[l] @ prefixes[l]
-    cache = PropagationCache(prefixes=prefixes, eigvals=lam, eigvecs=vecs)
+    lam, vecs = np.linalg.eigh(slice_hamiltonians(sys, grid))
+    v = real_embedding(vecs)
+    phased = real_embedding(vecs * np.exp(-1j * grid.dt * lam)[:, None, :])
+    scan = np.empty((grid.n_slices + 1,) + v.shape[1:])
+    scan[0] = np.eye(v.shape[-1])
+    np.matmul(phased, v.transpose(0, 2, 1), out=scan[1:])
+    d = 1
+    while d < grid.n_slices:
+        scan[d:] = scan[d:] @ scan[:-d]
+        d *= 2
+    cache = PropagationCache(prefixes=from_real_embedding(scan), eigvals=lam,
+                             eigvecs=vecs, embedded=scan)
     if check_unitarity:
         defect = unitarity_defect(cache)
         if defect > UNITARY_TOL:

@@ -79,6 +79,26 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "unknown key 'slices'" in captured.err
 
 
+def test_non_finite_config_value_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 50\ns_max: inf\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "exp.cfg line 4: s_max must be finite" in captured.err
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_non_positive_parallel_exits_one(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, TINY)
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"),
+                 "--parallel", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: parallel must be at least 1, got {value}\n"
+    assert captured.out == ""
+
+
 def test_bad_order_override_exits_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY)
     code = main(["run", str(cfg), "--order-override", "fast"])

@@ -1,6 +1,7 @@
 """Experiment specs, config parsing, the scan runner and the comparison
 table writer."""
 
+import concurrent.futures
 import csv
 import json
 
@@ -172,6 +173,26 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="T must be a number"):
             load_experiment(path)
 
+    def test_non_finite_values_name_the_line(self, tmp_path):
+        # Every float key; the offending key sits on line 4.
+        for key in ("T", "s_granularity", "sine_amplitude", "s_max", "abs_tol",
+                    "rel_tol", "j_stop", "h_init", "h_min"):
+            for value in ("inf", "-inf", "nan"):
+                lines = [("gate", "cnot"), ("L", "150"), ("order", "1"), (key, value)]
+                if key != "T":
+                    lines.append(("T", "5"))
+                text = "".join(f"{k}: {v}\n" for k, v in lines)
+                path = write_cfg(tmp_path, text)
+                with pytest.raises(ValueError,
+                                   match=f"exp.cfg line 4: {key} must be finite"):
+                    load_experiment(path)
+
+    def test_json_non_finite_value(self, tmp_path):
+        entry = {"gate": "cnot", "T": float("inf"), "L": 150}
+        path = write_cfg(tmp_path, json.dumps([entry]), name="inf.json")
+        with pytest.raises(ValueError, match="entry 1: T must be finite"):
+            load_experiment(path)
+
     def test_fractional_slice_count(self, tmp_path):
         path = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 2.5\n")
         with pytest.raises(ValueError, match="L must be a number"):
@@ -338,6 +359,42 @@ class TestComparisonTable:
         wall = CSV_COLUMNS.index("wall_time_s")
         for row in read_rows(first)[1:]:
             assert float(row[wall]) > 0
+
+    def test_parallel_must_be_positive(self, tmp_path):
+        out = tmp_path / "out.csv"
+        for parallel in (0, -1):
+            with pytest.raises(ValueError, match="parallel must be at least 1"):
+                compare_methods([fast_spec()], out, parallel=parallel)
+        assert not out.exists()
+
+    def test_parallel_pool_is_clamped(self, tmp_path, monkeypatch):
+        # A stand-in pool records its size and runs in-process, so no
+        # worker is ever started here.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        specs = [fast_spec(order=0), fast_spec(order=1)]
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 1)
+        compare_methods(specs, out, parallel=2, scan_cap=50.0)
+        compare_methods(specs[:1], out, parallel=2, scan_cap=50.0)
+        assert sizes == []
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        compare_methods(specs, out, parallel=2, scan_cap=50.0)
+        assert sizes == [2]
 
     def test_parallel_matches_sequential(self, tmp_path):
         specs = [fast_spec(order=0), fast_spec(order=1)]

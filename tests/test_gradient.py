@@ -9,7 +9,12 @@ from gateflow import (ControlGrid, EXACT, GateTarget, MAX_SERIES_ORDER, QuantumS
                       descent_rate, expm_hermitian_generator, finite_difference_gradient,
                       flow_evaluation, gate_target, interval_average_exact,
                       normalize_order, objective, phi1, propagate, rhs_corrected,
-                      rhs_original, slice_hamiltonian)
+                      rhs_original, slice_hamiltonian, step_propagator)
+
+# Grid lengths for the oracle comparisons: the doubling scan's edge cases
+# (one slice, powers of two and their neighbours) plus a benchmark length.
+ORACLE_LENGTHS = (1, 2, 3, 7, 150)
+ALL_ORDERS = (*range(MAX_SERIES_ORDER + 1), EXACT)
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -34,16 +39,23 @@ def random_instance(seed, dim=2, n_controls=1, n_slices=4, t_final=1.0):
 
 
 def naive_rhs(sys, grid, target, order):
-    """Straightforward per-slice loop used as an oracle for the batched path."""
-    cache = propagate(sys, grid)
-    a = dagger(target.matrix) @ cache.total
+    """Straightforward per-slice, per-control loop over the single-slice
+    kernels, used as an oracle for the batched path. Its prefixes come
+    from a sequential product of step propagators, not from propagate."""
+    prefixes = [np.eye(sys.dim, dtype=complex)]
+    for l in range(1, grid.n_slices + 1):
+        prefixes.append(step_propagator(sys, grid, l) @ prefixes[-1])
+    a = dagger(target.matrix) @ prefixes[-1]
     out = np.empty((grid.n_controls, grid.n_slices))
     for l in range(1, grid.n_slices + 1):
-        p = cache.prefixes[l - 1]
+        p = prefixes[l - 1]
         w = p @ a @ dagger(p)
         h = slice_hamiltonian(sys, grid, l)
         for k in range(grid.n_controls):
-            m = control_average_series(h, sys.controls[k], grid.dt, order)
+            if order == EXACT:
+                m = control_average_exact(h, sys.controls[k], grid.dt)
+            else:
+                m = control_average_series(h, sys.controls[k], grid.dt, order)
             out[k, l - 1] = np.trace(w @ m).imag / (2 * sys.dim)
     return out
 
@@ -226,13 +238,22 @@ class TestFlowRhs:
         assert np.array_equal(a.values, b.values)
         assert a.evaluations == 1
 
-    def test_batched_matches_naive_loop(self):
-        for order in (0, 1, 2):
-            sys, grid, target = random_instance(41 + order, dim=4,
-                                                n_controls=2, n_slices=5)
-            got = rhs_corrected(sys, grid, target, order=order).values
-            assert np.allclose(got, naive_rhs(sys, grid, target, order),
-                               rtol=1e-12, atol=1e-14)
+    def test_batched_matches_naive_loop(self, benchmark_system, cnot):
+        # The real two-spin system at the benchmark's dt = 1/30 and a
+        # complex random one, at every order; max-abs normalised error.
+        for n_slices in ORACLE_LENGTHS:
+            rng = np.random.default_rng(41 + n_slices)
+            two_spin = ControlGrid(t_final=n_slices / 30,
+                                   amplitudes=rng.uniform(-1, 1, (2, n_slices)))
+            cases = [(benchmark_system, two_spin, cnot),
+                     random_instance(41 + n_slices, dim=4, n_controls=2,
+                                     n_slices=n_slices, t_final=n_slices / 10)]
+            for sys, grid, target in cases:
+                for order in ALL_ORDERS:
+                    got = rhs_corrected(sys, grid, target, order=order).values
+                    want = naive_rhs(sys, grid, target, order)
+                    err = np.abs(got - want).max() / np.abs(want).max()
+                    assert err <= 1e-12, (n_slices, order, err)
 
     def test_zero_at_exact_optimum(self):
         # When the target is the propagator itself the overlap is the

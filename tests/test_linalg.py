@@ -6,6 +6,7 @@ import pytest
 
 from gateflow import (commutator, dagger, expm_hermitian_generator, is_hermitian,
                       is_unitary, kron, nested_commutator, overlap_trace)
+from gateflow.linalg import from_real_embedding, real_embedding
 from gateflow.twospin import I2, SX, SY, SZ
 
 
@@ -196,3 +197,33 @@ def test_overlap_trace_shape_mismatch():
 def test_dagger():
     a = np.array([[1, 2j], [3, 4]], dtype=complex)
     assert np.array_equal(dagger(a), a.conj().T)
+
+
+def test_real_embedding_layout_and_round_trip():
+    z = np.array([[1 + 2j, 3 - 4j], [5j, 6]])
+    expected = np.array([[1, 3, -2, 4],
+                         [0, 6, -5, 0],
+                         [2, -4, 1, 3],
+                         [5, 0, 0, 6]], dtype=float)
+    assert np.array_equal(real_embedding(z), expected)
+    assert np.array_equal(from_real_embedding(real_embedding(z)), z)
+
+
+def test_real_embedding_of_real_input_is_block_diagonal():
+    a = np.arange(4.0).reshape(2, 2)
+    e = real_embedding(a)
+    assert np.array_equal(e[:2, :2], a) and np.array_equal(e[2:, 2:], a)
+    assert not e[:2, 2:].any() and not e[2:, :2].any()
+
+
+def test_real_embedding_maps_products_and_daggers():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    b = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    ea, eb = real_embedding(a), real_embedding(b)
+    assert ea.shape == (5, 6, 6)
+    assert np.abs(from_real_embedding(ea @ eb) - a @ b).max() <= 1e-14
+    assert np.array_equal(real_embedding(a.conj().transpose(0, 2, 1)),
+                          ea.transpose(0, 2, 1))
+    # The trace of an embedding is twice the real part of the trace.
+    assert abs(np.trace(ea[0]) - 2 * np.trace(a[0]).real) <= 1e-14

@@ -9,6 +9,7 @@ from gateflow import (ControlGrid, GateTarget, QuantumSystem, backward_propagato
                       expm_hermitian_generator, gate_target, propagate,
                       slice_hamiltonian, slice_hamiltonians, step_propagator,
                       unitarity_defect)
+from gateflow.linalg import from_real_embedding
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -117,6 +118,17 @@ class TestValidation:
     def test_non_unitary_target_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
             GateTarget(matrix=2.0 * np.eye(2), label="scaled")
+
+    def test_real_input_is_stored_real(self, benchmark_system):
+        # Zero imaginary parts put a system on the real eigh path; any
+        # nonzero imaginary part keeps it complex.
+        assert benchmark_system.h0.dtype == float
+        assert benchmark_system.controls.dtype == float
+        sys, _ = two_level_system(24)
+        assert sys.h0.dtype == complex and sys.controls.dtype == complex
+        mixed = QuantumSystem(h0=np.eye(2, dtype=complex),
+                              controls=np.stack([np.array([[0, -1j], [1j, 0]])]))
+        assert mixed.h0.dtype == complex
 
     def test_grid_amplitudes_read_only(self):
         grid = ControlGrid(t_final=1.0, amplitudes=np.zeros((1, 4)))
@@ -237,12 +249,18 @@ class TestPropagation:
         assert np.abs(cache.total - u).max() <= 1e-8
 
     def test_prefix_chain_consistency(self, benchmark_system):
-        rng = np.random.default_rng(17)
-        grid = ControlGrid(t_final=1.5, amplitudes=rng.uniform(-1, 1, (2, 6)))
-        cache = propagate(benchmark_system, grid)
-        for l in range(1, 7):
-            step = step_propagator(benchmark_system, grid, l)
-            assert np.abs(cache.prefixes[l] - step @ cache.prefixes[l - 1]).max() <= 1e-12
+        # The real two-spin system and a complex one, at lengths around
+        # the doubling scan's powers of two.
+        complex_sys, rng = two_level_system(17)
+        for sys in (benchmark_system, complex_sys):
+            for n_slices in (1, 2, 3, 6, 7, 150):
+                amps = rng.uniform(-1, 1, (sys.n_controls, n_slices))
+                grid = ControlGrid(t_final=n_slices / 4, amplitudes=amps)
+                p = propagate(sys, grid).prefixes
+                assert np.array_equal(p[0], np.eye(sys.dim))
+                for l in range(1, n_slices + 1):
+                    step = step_propagator(sys, grid, l)
+                    assert np.abs(p[l] - step @ p[l - 1]).max() <= 1e-12
 
     def test_unitarity_defect_small_on_long_grid(self, benchmark_system):
         rng = np.random.default_rng(18)
@@ -254,6 +272,8 @@ class TestPropagation:
         grid = ControlGrid(t_final=1.0, amplitudes=np.zeros((2, 5)))
         cache = propagate(benchmark_system, grid)
         assert cache.prefixes.shape == (6, 4, 4)
+        assert cache.embedded.shape == (6, 8, 8)
+        assert np.array_equal(from_real_embedding(cache.embedded), cache.prefixes)
         assert cache.eigvals.shape == (5, 4)
         assert cache.eigvecs.shape == (5, 4, 4)
         assert cache.n_slices == 5
