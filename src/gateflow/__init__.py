@@ -3,23 +3,19 @@ corrected descent directions and a benchmark harness comparing correction
 orders."""
 
 from .experiments import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP,
-                          ExperimentSpec, RunRecord, build_initial_grid,
+                          MAX_SLICES, ExperimentSpec, RunRecord, build_initial_grid,
                           compare_methods, execute_experiment, load_experiment,
                           run_experiment, write_comparison)
 from .flow import (FlowConfig, FlowResult, NonFiniteRhsError, dormand_prince_step,
                    error_tolerance_check, integrate_adaptive, integrate_flow)
-from .gradient import (EXACT, MAX_SERIES_ORDER, FlowRhs, RhsEvaluation,
-                       control_average_exact, control_average_series, descent_rate,
-                       finite_difference_gradient, flow_evaluation,
-                       interval_average_exact, normalize_order, objective, phi1,
-                       rhs_corrected, rhs_original)
-from .linalg import (HERMITIAN_RTOL, commutator, dagger, expm_hermitian_generator,
-                     is_hermitian, is_unitary, kron, nested_commutator,
-                     overlap_trace, require_hermitian)
+from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, control_average_exact,
+                       control_average_series, descent_rate, finite_difference_gradient,
+                       flow_evaluation, normalize_order, objective, phi1, rhs_corrected)
+from .linalg import (HERMITIAN_RTOL, dagger, expm_hermitian_generator, is_unitary,
+                     require_hermitian)
 from .system import (UNITARY_TOL, ControlGrid, GateTarget, PropagationCache,
-                     QuantumSystem, backward_propagator, propagate,
-                     slice_hamiltonian, slice_hamiltonians, step_propagator,
-                     unitarity_defect)
+                     QuantumSystem, propagate, slice_hamiltonian, slice_hamiltonians,
+                     step_propagator, unitarity_defect)
 from .twospin import I2, SX, SY, SZ, build_gate_targets, build_two_spin_benchmark, gate_target
 
 __version__ = "0.1.0"

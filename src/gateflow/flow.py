@@ -199,8 +199,8 @@ def integrate_flow(sys, grid0, target, order, cfg):
             defect_box[0] = max(defect_box[0], ev.unitarity_defect)
         rate = None
         if cfg.track_descent:
-            rate = descent_rate(grid, ev.exact_rhs, ev.rhs.values)
-        return ev.rhs.values.ravel(), (ev.objective, rate)
+            rate = descent_rate(grid, ev.exact_rhs, ev.values)
+        return ev.values.ravel(), (ev.objective, rate)
 
     try:
         y, accepted, reason, s_stop, evals, n_acc, n_rej = integrate_adaptive(

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, from_real_embedding, real_embedding
-from .system import (UNITARY_TOL, propagate, slice_hamiltonian, slice_hamiltonians,
-                     unitarity_defect)
+from .system import UNITARY_TOL, propagate, slice_hamiltonians, unitarity_defect
 
 # Truncation orders past this are a sign of misuse: the factorial
 # denominators push the extra terms below rounding while the nested
@@ -38,20 +37,12 @@ def normalize_order(order):
 
 
 @dataclass
-class FlowRhs:
-    """Flow velocities deps/ds, one row per control, plus the number of
-    propagation passes spent computing them."""
+class RhsEvaluation:
+    """Everything one propagation pass yields: the flow velocities deps/ds
+    (one row per control), the objective, and the optional diagnostics the
+    integrator can ask for."""
 
     values: np.ndarray  # shape (n, L)
-    evaluations: int = 1
-
-
-@dataclass
-class RhsEvaluation:
-    """Everything one propagation pass yields: velocities, the objective,
-    and the optional diagnostics the integrator can ask for."""
-
-    rhs: FlowRhs
     objective: float
     unitarity_defect: float | None = None
     exact_rhs: np.ndarray | None = None
@@ -108,14 +99,6 @@ def control_average_exact(h_slice, h_control, dt):
     b = v.conj().T @ np.asarray(h_control) @ v
     gaps = lam[:, None] - lam[None, :]
     return v @ (b * phi1(1j * gaps * dt)) @ v.conj().T
-
-
-def interval_average_exact(sys, grid, l, k):
-    """Exact average of U^dagger(tau) H_k U(tau) over slice l (1-based);
-    k is the 0-based control index."""
-    if not 0 <= k < sys.n_controls:
-        raise IndexError(f"control index {k} out of range 0..{sys.n_controls - 1}")
-    return control_average_exact(slice_hamiltonian(sys, grid, l), sys.controls[k], grid.dt)
 
 
 def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
@@ -179,21 +162,14 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
             cur = cur @ x - x @ cur
             w_avg = w_avg + (dt**j / math.factorial(j + 1)) * cur
         values = velocities(w_avg)
-    return RhsEvaluation(rhs=FlowRhs(values=values, evaluations=1),
-                         objective=j_value,
-                         unitarity_defect=defect,
+    return RhsEvaluation(values=values, objective=j_value, unitarity_defect=defect,
                          exact_rhs=exact_values if exact_reference else None)
 
 
 def rhs_corrected(sys, grid, target, order=1):
-    """Flow velocities with the commutator-series correction at the given
-    order (or the exact slice average for order='exact')."""
-    return flow_evaluation(sys, grid, target, order).rhs
-
-
-def rhs_original(sys, grid, target):
-    """Uncorrected flow velocities; identical to rhs_corrected at order 0."""
-    return rhs_corrected(sys, grid, target, order=0)
+    """The evaluation at the given commutator-series correction order (or
+    the exact slice average for order='exact'); .values are the velocities."""
+    return flow_evaluation(sys, grid, target, order)
 
 
 def descent_rate(grid, exact_rhs, followed_rhs):

@@ -1,5 +1,5 @@
-"""Dense complex matrix kernels: Kronecker products, commutators,
-Hermitian-generated exponentials and trace inner products.
+"""Dense complex matrix kernels: Hermiticity and unitarity checks,
+Hermitian-generated exponentials and the real embedding of complex matrices.
 
 Everything here is a pure function of numpy arrays. Matrices are dense
 complex128 and stay small (N <= 64), so there is no sparse or structured
@@ -19,12 +19,6 @@ def dagger(a):
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a, tol):
-    """True iff max|A - A^dagger| <= tol elementwise."""
-    a = np.asarray(a)
-    return bool(np.abs(a - a.conj().T).max() <= tol)
-
-
 def is_unitary(a, tol):
     """True iff max|A^dagger A - I| <= tol elementwise."""
     a = np.asarray(a)
@@ -42,26 +36,6 @@ def require_hermitian(a, name="matrix"):
         raise ValueError(
             f"{name} is not Hermitian: max|A - A^dagger| = {dev:.3e} exceeds {bound:.3e}"
         )
-
-
-def kron(a, b):
-    """Kronecker product with block layout (a kron b)[i*db+p, j*db+q] = a[i,j] b[p,q]."""
-    return np.kron(a, b)
-
-
-def commutator(a, b):
-    """ab - ba."""
-    return a @ b - b @ a
-
-
-def nested_commutator(x, b, j):
-    """Apply ad_x = [x, .] j times to b; j = 0 returns a copy of b."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    out = np.array(b, dtype=complex)
-    for _ in range(j):
-        out = x @ out - out @ x
-    return out
 
 
 def real_embedding(z):
@@ -97,10 +71,3 @@ def expm_hermitian_generator(h, theta):
     require_hermitian(h, "generator")
     lam, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * theta * lam)) @ v.conj().T
-
-
-def overlap_trace(a, b):
-    """Tr(a^dagger b) as a complex number."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (dagger, expm_hermitian_generator, from_real_embedding, is_unitary,
+from .linalg import (expm_hermitian_generator, from_real_embedding, is_unitary,
                      real_embedding, require_hermitian)
 
 # Tolerance for unitarity of propagator prefixes. Rounding in the
@@ -136,11 +136,6 @@ class PropagationCache:
         return self.prefixes.shape[0] - 1
 
 
-def _check_slice(n_slices, l):
-    if not 1 <= l <= n_slices:
-        raise IndexError(f"slice index {l} out of range 1..{n_slices}")
-
-
 def slice_hamiltonians(sys, grid):
     """All L slice Hamiltonians at once, shape (L, N, N)."""
     return sys.h0[None, :, :] + np.einsum("kl,kab->lab", grid.amplitudes, sys.controls)
@@ -148,7 +143,8 @@ def slice_hamiltonians(sys, grid):
 
 def slice_hamiltonian(sys, grid, l):
     """Hamiltonian on slice l (1-based): h0 + sum_k eps[k][l] H_k."""
-    _check_slice(grid.n_slices, l)
+    if not 1 <= l <= grid.n_slices:
+        raise IndexError(f"slice index {l} out of range 1..{grid.n_slices}")
     return sys.h0 + np.tensordot(grid.amplitudes[:, l - 1], sys.controls, axes=1)
 
 
@@ -157,7 +153,7 @@ def step_propagator(sys, grid, l):
     return expm_hermitian_generator(slice_hamiltonian(sys, grid, l), grid.dt)
 
 
-def propagate(sys, grid, check_unitarity=False):
+def propagate(sys, grid):
     """All prefix propagators P_0..P_L, with later slices applied on the left.
 
     One batched eigendecomposition covers every slice (a real-symmetric one
@@ -181,16 +177,8 @@ def propagate(sys, grid, check_unitarity=False):
     while d < grid.n_slices:
         scan[d:] = scan[d:] @ scan[:-d]
         d *= 2
-    cache = PropagationCache(prefixes=from_real_embedding(scan), eigvals=lam,
-                             eigvecs=vecs, embedded=scan)
-    if check_unitarity:
-        defect = unitarity_defect(cache)
-        if defect > UNITARY_TOL:
-            raise RuntimeError(
-                f"propagator prefixes drifted off the unitary group: "
-                f"max|P^dagger P - I| = {defect:.3e}"
-            )
-    return cache
+    return PropagationCache(prefixes=from_real_embedding(scan), eigvals=lam,
+                            eigvecs=vecs, embedded=scan)
 
 
 def unitarity_defect(cache):
@@ -198,9 +186,3 @@ def unitarity_defect(cache):
     p = cache.prefixes
     gram = p.conj().transpose(0, 2, 1) @ p
     return float(np.abs(gram - np.eye(p.shape[-1])).max())
-
-
-def backward_propagator(cache, l):
-    """U(T, t_{l-1}) = P_L P_{l-1}^dagger, valid because prefixes are unitary."""
-    _check_slice(cache.n_slices, l)
-    return cache.total @ dagger(cache.prefixes[l - 1])

@@ -3,7 +3,6 @@ gate targets used by the comparison runs."""
 
 import numpy as np
 
-from .linalg import kron
 from .system import GateTarget, QuantumSystem
 
 # Spin-1/2 matrices scaled so that S_i = sigma_i / sqrt(2). The coupling
@@ -22,13 +21,13 @@ def build_two_spin_benchmark(omega1=20.0, omega2=30.0, cx=110.0, cy=120.0, cz=13
     factor, so the row/column index is 2*q1 + q2.
     """
     h0 = (
-        omega1 * kron(SZ, I2)
-        + omega2 * kron(I2, SZ)
-        + cx * kron(SX, SX)
-        + cy * kron(SY, SY)
-        + cz * kron(SZ, SZ)
+        omega1 * np.kron(SZ, I2)
+        + omega2 * np.kron(I2, SZ)
+        + cx * np.kron(SX, SX)
+        + cy * np.kron(SY, SY)
+        + cz * np.kron(SZ, SZ)
     )
-    controls = np.stack([kron(SX, I2), kron(I2, SX)])
+    controls = np.stack([np.kron(SX, I2), np.kron(I2, SX)])
     return QuantumSystem(h0=h0, controls=controls)
 
 

@@ -88,6 +88,17 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_scan_cap_exits_one(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, TINY)
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"),
+                 "--scan-cap", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: scan cap must be finite, got {value}\n"
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_non_positive_parallel_exits_one(tmp_path, capsys, value):
     cfg = write_cfg(tmp_path, TINY)

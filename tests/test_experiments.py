@@ -8,10 +8,10 @@ import json
 import numpy as np
 import pytest
 
-from gateflow import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP,
+from gateflow import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP, MAX_SLICES,
                       ExperimentSpec, FlowConfig, RunRecord, build_initial_grid,
                       compare_methods, execute_experiment, gate_target,
-                      load_experiment, rhs_corrected, run_experiment,
+                      integrate_flow, load_experiment, rhs_corrected, run_experiment,
                       write_comparison)
 
 
@@ -64,6 +64,9 @@ class TestExperimentSpec:
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=0)
         with pytest.raises(ValueError, match="L must be a positive integer"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=2.5)
+        ExperimentSpec(gate="cnot", t_final=5.0, n_slices=MAX_SLICES)
+        with pytest.raises(ValueError, match=f"at most {MAX_SLICES}, got {MAX_SLICES + 1}"):
+            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=MAX_SLICES + 1)
         with pytest.raises(ValueError, match="correction order"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=9)
         with pytest.raises(ValueError, match="initial_controls"):
@@ -202,6 +205,10 @@ class TestConfigParsing:
         path = write_cfg(tmp_path, "gate: toffoli\nT: 5\nL: 150\n")
         with pytest.raises(ValueError, match=r"line 1: unknown gate 'toffoli'"):
             load_experiment(path)
+        path = write_cfg(tmp_path, f"# big\ngate: cnot\nT: 5\nL: {MAX_SLICES + 1}\n")
+        with pytest.raises(ValueError, match=f"exp.cfg line 2: L must be a positive "
+                                             f"integer of at most {MAX_SLICES}"):
+            load_experiment(path)
 
     def test_empty_file(self, tmp_path):
         path = write_cfg(tmp_path, "# nothing here\n")
@@ -268,16 +275,25 @@ class TestRunner:
         assert record.wall_time_s > 0
         assert record.gate == "cnot" and record.order == 1
 
-    def test_scan_extends_horizon_until_convergence(self):
-        # The run converges near s = 354, so a horizon of 300 forces one
-        # scan extension; the report quotes the same granularity multiple
-        # either way.
+    def test_scan_extends_horizon_until_convergence(self, monkeypatch):
+        # The run converges near s = 354, past its horizon of 300, so the
+        # scan pushes the horizon out to the cap and integrates once; the
+        # report quotes the granularity multiple above s_stop.
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1].s_max)
+            return integrate_flow(*args)
+
+        monkeypatch.setattr("gateflow.experiments.integrate_flow", counting)
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,
                               cfg=FlowConfig(s_max=300.0))
         record, result = execute_experiment(spec, scan_cap=600.0)
         assert record.stop_reason == "j_reached"
         assert record.s_reported == 400.0
         assert 300.0 < result.s_stop <= 400.0
+        assert calls == [600.0]
+        assert record.rhs_evals == result.rhs_evals
 
     def test_scan_cap_limits_extension(self):
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,

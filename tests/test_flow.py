@@ -4,7 +4,7 @@ tolerance behavior and determinism of full flow runs."""
 import numpy as np
 import pytest
 
-from gateflow import (ControlGrid, FlowConfig, FlowResult, FlowRhs, GateTarget,
+from gateflow import (ControlGrid, FlowConfig, FlowResult, GateTarget,
                       NonFiniteRhsError, QuantumSystem, RhsEvaluation,
                       build_two_spin_benchmark, dormand_prince_step,
                       error_tolerance_check, gate_target, integrate_adaptive,
@@ -216,7 +216,7 @@ class TestFlowRuns:
                  exact_reference=False):
             values = np.zeros((2, 5))
             values[1, 2] = np.nan
-            return RhsEvaluation(rhs=FlowRhs(values=values), objective=0.4)
+            return RhsEvaluation(values=values, objective=0.4)
 
         monkeypatch.setattr("gateflow.flow.flow_evaluation", stub)
         sys = build_two_spin_benchmark()

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from gateflow import (ControlGrid, EXACT, GateTarget, MAX_SERIES_ORDER, QuantumSystem,
-                      control_average_exact, control_average_series, dagger,
-                      descent_rate, expm_hermitian_generator, finite_difference_gradient,
-                      flow_evaluation, gate_target, interval_average_exact,
+                      UNITARY_TOL, control_average_exact, control_average_series,
+                      dagger, descent_rate, expm_hermitian_generator,
+                      finite_difference_gradient, flow_evaluation, gate_target,
                       normalize_order, objective, phi1, propagate, rhs_corrected,
-                      rhs_original, slice_hamiltonian, step_propagator)
+                      slice_hamiltonian, step_propagator)
 
 # Grid lengths for the oracle comparisons: the doubling scan's edge cases
 # (one slice, powers of two and their neighbours) plus a benchmark length.
@@ -217,27 +217,8 @@ class TestSliceAverages:
         avg = control_average_exact(h, hk, 1e-6)
         assert np.abs(avg - hk).max() <= 1e-9
 
-    def test_interval_average_indexing(self, benchmark_system):
-        rng = np.random.default_rng(38)
-        grid = ControlGrid(t_final=1.0, amplitudes=rng.uniform(-1, 1, (2, 3)))
-        got = interval_average_exact(benchmark_system, grid, 2, 1)
-        expected = control_average_exact(slice_hamiltonian(benchmark_system, grid, 2),
-                                         benchmark_system.controls[1], grid.dt)
-        assert np.array_equal(got, expected)
-        with pytest.raises(IndexError, match="control index"):
-            interval_average_exact(benchmark_system, grid, 1, 2)
-        with pytest.raises(IndexError, match="slice index"):
-            interval_average_exact(benchmark_system, grid, 4, 0)
-
 
 class TestFlowRhs:
-    def test_order_zero_matches_original(self):
-        sys, grid, target = random_instance(40, dim=4, n_controls=2)
-        a = rhs_original(sys, grid, target)
-        b = rhs_corrected(sys, grid, target, order=0)
-        assert np.array_equal(a.values, b.values)
-        assert a.evaluations == 1
-
     def test_batched_matches_naive_loop(self, benchmark_system, cnot):
         # The real two-spin system at the benchmark's dt = 1/30 and a
         # complex random one, at every order; max-abs normalised error.
@@ -281,7 +262,6 @@ class TestFlowRhs:
         ev = flow_evaluation(sys, grid, target, order=1)
         expected = objective(propagate(sys, grid).total, target)
         assert abs(ev.objective - expected) <= 1e-15
-        assert ev.rhs.evaluations == 1
         assert ev.unitarity_defect is None
         assert ev.exact_rhs is None
 
@@ -292,15 +272,23 @@ class TestFlowRhs:
         assert ev.unitarity_defect is not None
         assert ev.unitarity_defect <= 1e-10
         assert ev.exact_rhs is not None
-        assert ev.exact_rhs.shape == ev.rhs.values.shape
-        assert not np.array_equal(ev.exact_rhs, ev.rhs.values)
+        assert ev.exact_rhs.shape == ev.values.shape
+        assert not np.array_equal(ev.exact_rhs, ev.values)
         exact_direct = rhs_corrected(sys, grid, target, order=EXACT).values
         assert np.allclose(ev.exact_rhs, exact_direct, rtol=1e-12, atol=1e-15)
+
+    def test_unitarity_check_raises_on_drift(self, monkeypatch):
+        sys, grid, target = random_instance(53)
+        monkeypatch.setattr("gateflow.gradient.unitarity_defect",
+                            lambda cache: 2 * UNITARY_TOL)
+        flow_evaluation(sys, grid, target, order=1)
+        with pytest.raises(RuntimeError, match="drifted off the unitary group"):
+            flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
 
     def test_exact_reference_reuses_exact_values(self):
         sys, grid, target = random_instance(47)
         ev = flow_evaluation(sys, grid, target, order=EXACT, exact_reference=True)
-        assert np.array_equal(ev.exact_rhs, ev.rhs.values)
+        assert np.array_equal(ev.exact_rhs, ev.values)
 
 
 class TestFiniteDifference:

@@ -4,103 +4,13 @@ property tests on random matrices."""
 import numpy as np
 import pytest
 
-from gateflow import (commutator, dagger, expm_hermitian_generator, is_hermitian,
-                      is_unitary, kron, nested_commutator, overlap_trace)
+from gateflow import dagger, expm_hermitian_generator, is_unitary
 from gateflow.linalg import from_real_embedding, real_embedding
-from gateflow.twospin import I2, SX, SY, SZ
 
 
 def random_hermitian(rng, n, scale=1.0):
     a = rng.uniform(-scale, scale, (n, n)) + 1j * rng.uniform(-scale, scale, (n, n))
     return (a + a.conj().T) / 2
-
-
-def random_unitary(rng, n):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_sz_with_identity():
-    expected = np.diag([1, 1, -1, -1]) / np.sqrt(2)
-    assert np.array_equal(kron(SZ, I2), expected)
-
-
-def test_kron_sx_sx_is_half_antidiagonal():
-    expected = 0.5 * np.fliplr(np.eye(4))
-    assert np.allclose(kron(SX, SX), expected, atol=1e-16)
-
-
-def test_kron_associative_exactly():
-    # Integer entries keep every product exact in floating point, so the
-    # two groupings must agree bit for bit.
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a, b, c = (rng.integers(-2, 3, (2, 2)) + 1j * rng.integers(-2, 3, (2, 2))
-                   for _ in range(3))
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-
-def test_commutator_with_self_is_zero():
-    rng = np.random.default_rng(0)
-    a = random_hermitian(rng, 3)
-    assert np.array_equal(commutator(a, a), np.zeros((3, 3)))
-
-
-def test_commutator_with_identity_is_zero():
-    rng = np.random.default_rng(1)
-    b = random_hermitian(rng, 4)
-    assert np.allclose(commutator(np.eye(4), b), 0.0, atol=1e-16)
-
-
-def test_commutator_spin_xy():
-    assert np.allclose(commutator(SX, SY), 1j * np.sqrt(2) * SZ, atol=1e-15)
-
-
-def test_commutator_antisymmetric_exactly():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        a = random_hermitian(rng, 4)
-        b = random_hermitian(rng, 4)
-        assert np.array_equal(commutator(a, b), -commutator(b, a))
-
-
-def test_jacobi_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a, b, c = (random_hermitian(rng, 4) for _ in range(3))
-        total = (commutator(a, commutator(b, c))
-                 + commutator(b, commutator(c, a))
-                 + commutator(c, commutator(a, b)))
-        assert np.abs(total).max() <= 1e-12
-
-
-def test_nested_commutator_order_zero_returns_copy():
-    rng = np.random.default_rng(4)
-    b = random_hermitian(rng, 3)
-    out = nested_commutator(np.eye(3), b, 0)
-    assert np.array_equal(out, b)
-    out[0, 0] = 99.0
-    assert b[0, 0] != 99.0
-
-
-def test_nested_commutator_order_one_matches_commutator():
-    rng = np.random.default_rng(6)
-    x = random_hermitian(rng, 4)
-    b = random_hermitian(rng, 4)
-    assert np.array_equal(nested_commutator(x, b, 1), commutator(x, b))
-
-
-def test_nested_commutator_spin_zx_twice():
-    assert np.allclose(nested_commutator(SZ, SX, 2), 2 * SX, atol=1e-15)
-
-
-def test_nested_commutator_rejects_negative_order():
-    with pytest.raises(ValueError):
-        nested_commutator(np.eye(2), np.eye(2), -1)
 
 
 def test_expm_zero_angle_is_identity():
@@ -154,44 +64,6 @@ def test_expm_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="not Hermitian"):
         expm_hermitian_generator(bad, 1.0)
-
-
-def test_hermitian_predicate_tolerance():
-    nearly = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]], dtype=complex)
-    assert is_hermitian(nearly, 1e-10)
-    assert not is_hermitian(nearly, 1e-14)
-
-
-def test_overlap_trace_of_unitary_with_itself():
-    rng = np.random.default_rng(10)
-    u = random_unitary(rng, 4)
-    assert abs(overlap_trace(u, u) - 4.0) <= 1e-12
-
-
-def test_overlap_trace_traceless_pair():
-    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert overlap_trace(np.eye(2, dtype=complex), sigma_x) == 0.0
-
-
-def test_overlap_trace_pulls_out_phase():
-    rng = np.random.default_rng(11)
-    u = random_unitary(rng, 4)
-    phi = 0.83
-    got = overlap_trace(np.exp(1j * phi) * u, u)
-    assert abs(got - 4.0 * np.exp(-1j * phi)) <= 1e-12
-
-
-def test_overlap_trace_conjugate_symmetry():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert overlap_trace(a, b) == np.conj(overlap_trace(b, a))
-
-
-def test_overlap_trace_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        overlap_trace(np.eye(2), np.eye(3))
 
 
 def test_dagger():

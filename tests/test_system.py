@@ -4,7 +4,7 @@ Hamiltonians, unitarity of the prefix chain, and an ODE cross-check."""
 import numpy as np
 import pytest
 
-from gateflow import (ControlGrid, GateTarget, QuantumSystem, backward_propagator,
+from gateflow import (ControlGrid, GateTarget, QuantumSystem,
                       build_gate_targets, build_two_spin_benchmark, dagger,
                       expm_hermitian_generator, gate_target, propagate,
                       slice_hamiltonian, slice_hamiltonians, step_propagator,
@@ -265,7 +265,7 @@ class TestPropagation:
     def test_unitarity_defect_small_on_long_grid(self, benchmark_system):
         rng = np.random.default_rng(18)
         grid = ControlGrid(t_final=5.0, amplitudes=rng.uniform(-1, 1, (2, 300)))
-        cache = propagate(benchmark_system, grid, check_unitarity=True)
+        cache = propagate(benchmark_system, grid)
         assert unitarity_defect(cache) <= 1e-10
 
     def test_cache_shapes(self, benchmark_system):
@@ -277,34 +277,3 @@ class TestPropagation:
         assert cache.eigvals.shape == (5, 4)
         assert cache.eigvecs.shape == (5, 4, 4)
         assert cache.n_slices == 5
-
-
-class TestBackwardPropagator:
-    def test_first_slice_gives_total(self, benchmark_system):
-        rng = np.random.default_rng(19)
-        grid = ControlGrid(t_final=1.0, amplitudes=rng.uniform(-1, 1, (2, 5)))
-        cache = propagate(benchmark_system, grid)
-        assert np.allclose(backward_propagator(cache, 1), cache.total, atol=1e-14)
-
-    def test_last_slice_gives_final_step(self, benchmark_system):
-        rng = np.random.default_rng(20)
-        grid = ControlGrid(t_final=1.0, amplitudes=rng.uniform(-1, 1, (2, 5)))
-        cache = propagate(benchmark_system, grid)
-        step = step_propagator(benchmark_system, grid, 5)
-        assert np.abs(backward_propagator(cache, 5) - step).max() <= 1e-12
-
-    def test_reconstructs_total_from_any_slice(self, benchmark_system):
-        rng = np.random.default_rng(22)
-        grid = ControlGrid(t_final=2.0, amplitudes=rng.uniform(-1, 1, (2, 8)))
-        cache = propagate(benchmark_system, grid)
-        for l in range(1, 9):
-            rebuilt = backward_propagator(cache, l) @ cache.prefixes[l - 1]
-            assert np.abs(rebuilt - cache.total).max() <= 1e-12
-
-    def test_slice_bounds(self, benchmark_system):
-        grid = ControlGrid(t_final=1.0, amplitudes=np.zeros((2, 3)))
-        cache = propagate(benchmark_system, grid)
-        with pytest.raises(IndexError):
-            backward_propagator(cache, 0)
-        with pytest.raises(IndexError):
-            backward_propagator(cache, 4)
