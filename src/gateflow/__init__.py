@@ -7,10 +7,10 @@ from .experiments import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP,
                           compare_methods, execute_experiment, load_experiment,
                           run_experiment, write_comparison)
 from .flow import (FlowConfig, FlowResult, NonFiniteRhsError, dormand_prince_step,
-                   error_tolerance_check, integrate_adaptive, integrate_flow)
+                   integrate_adaptive, integrate_flow)
 from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, control_average_exact,
                        control_average_series, descent_rate, finite_difference_gradient,
-                       flow_evaluation, normalize_order, objective, phi1, rhs_corrected)
+                       flow_evaluation, normalize_order, objective, phi1)
 from .linalg import (HERMITIAN_RTOL, dagger, expm_hermitian_generator, is_unitary,
                      require_hermitian)
 from .system import (UNITARY_TOL, ControlGrid, GateTarget, PropagationCache,

@@ -2,19 +2,16 @@
 write the comparison table.
 
 Exit codes: 0 when every run reached the objective target, 2 when some
-run stopped on its horizon or budget instead, 1 on configuration or I/O
-errors.
+run stopped on its horizon or budget instead, 1 on configuration, usage
+or I/O errors.
 """
 
 import argparse
 import sys
 from dataclasses import replace
 
-from .experiments import DEFAULT_SCAN_CAP, compare_methods, load_experiment
-
-
-def _parse_order(text):
-    return text if text == "exact" else int(text)
+from .experiments import (DEFAULT_SCAN_CAP, compare_methods, load_experiment,
+                          parse_config_value)
 
 
 def build_parser():
@@ -39,11 +36,14 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 1 if exc.code else 0  # argparse printed its usage; bad flags exit 1
     try:
         specs = load_experiment(args.config)
         if args.order_override is not None:
-            order = _parse_order(args.order_override)
+            order = parse_config_value("order", args.order_override, "--order-override")
             specs = [replace(spec, order=order) for spec in specs]
         records = compare_methods(specs, args.out, json_path=args.json,
                                   parallel=args.parallel, scan_cap=args.scan_cap)

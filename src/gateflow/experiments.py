@@ -2,17 +2,18 @@
 table writer behind the command-line interface."""
 
 import csv
+import functools
 import json
 import math
 import os
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .flow import FlowConfig, integrate_flow
-from .gradient import normalize_order
+from .gradient import EXACT, normalize_order
 from .system import ControlGrid
 from .twospin import build_two_spin_benchmark, gate_target
 
@@ -103,6 +104,18 @@ def build_initial_grid(spec):
     return ControlGrid(t_final=spec.t_final, amplitudes=amps)
 
 
+def _effective_horizon(spec, scan_cap):
+    """s_max pushed out by whole s_granularity steps while it stays within
+    scan_cap (None means DEFAULT_SCAN_CAP)."""
+    cap = DEFAULT_SCAN_CAP if scan_cap is None else float(scan_cap)
+    if not math.isfinite(cap):
+        raise ValueError(f"scan cap must be finite, got {cap}")
+    s_max, step = spec.cfg.s_max, spec.s_granularity
+    if not math.isfinite(max(cap, s_max) / step):
+        raise ValueError(f"s_granularity {step!r} is too small for horizon {max(cap, s_max):g}")
+    return s_max + max(0, math.floor((cap - s_max) / step)) * step
+
+
 def execute_experiment(spec, scan_cap=None):
     """Run one spec and return (RunRecord, FlowResult).
 
@@ -114,13 +127,7 @@ def execute_experiment(spec, scan_cap=None):
     trajectory up to its own end. S_reported is s_stop rounded up to the
     granularity.
     """
-    cap = DEFAULT_SCAN_CAP if scan_cap is None else float(scan_cap)
-    if not math.isfinite(cap):
-        raise ValueError(f"scan cap must be finite, got {cap}")
-    cfg = spec.cfg
-    if cap > cfg.s_max:
-        pushes = math.floor((cap - cfg.s_max) / spec.s_granularity)
-        cfg = replace(cfg, s_max=cfg.s_max + pushes * spec.s_granularity)
+    cfg = replace(spec.cfg, s_max=_effective_horizon(spec, scan_cap))
     started = time.perf_counter()
     result = integrate_flow(build_two_spin_benchmark(), build_initial_grid(spec),
                             gate_target(spec.gate), spec.order, cfg)
@@ -143,11 +150,6 @@ def execute_experiment(spec, scan_cap=None):
 def run_experiment(spec, scan_cap=None):
     """Run one spec and return its RunRecord."""
     return execute_experiment(spec, scan_cap)[0]
-
-
-def _run_for_pool(args):
-    spec, scan_cap = args
-    return run_experiment(spec, scan_cap)
 
 
 def write_comparison(records, out_path, json_path=None):
@@ -175,81 +177,89 @@ def write_comparison(records, out_path, json_path=None):
 def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=None):
     """Run every spec and write the comparison table.
 
-    Specs may run in parallel (they share no state) on at most
-    min(parallel, number of specs, CPU count) worker processes; rows are
-    written in spec order regardless of completion order. Returns the
-    records.
+    Every spec's horizon is checked before any run starts. Specs may run
+    in parallel (they share no state) on at most min(parallel, number of
+    specs, CPU count) worker processes; rows are written in spec order
+    regardless of completion order. Returns the records.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
+    for spec in specs:
+        _effective_horizon(spec, scan_cap)
+    run = functools.partial(run_experiment, scan_cap=scan_cap)
     workers = min(parallel, len(specs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_for_pool, [(s, scan_cap) for s in specs]))
+            records = list(pool.map(run, specs))
     else:
-        records = [run_experiment(s, scan_cap) for s in specs]
+        records = [run(spec) for spec in specs]
     write_comparison(records, out_path, json_path)
     return records
 
 
-# Keys recognized in config files. Everything else is rejected so typos
-# fail loudly instead of silently running defaults.
-_SPEC_KEYS = {"gate", "T", "L", "order", "s_granularity", "initial_controls",
-              "sine_amplitude"}
-_CFG_KEYS = {"s_max", "abs_tol", "rel_tol", "j_stop", "h_init", "h_min",
-             "max_rhs_evals"}
-_FLOAT_KEYS = {"T", "s_granularity", "sine_amplitude", "s_max", "abs_tol", "rel_tol",
-               "j_stop", "h_init", "h_min"}
+def _real(value):
+    if isinstance(value, bool):
+        raise TypeError("booleans are not numbers")
+    return float(value)
 
 
-def _convert(key, value, where):
-    """Convert a raw config value (string or JSON scalar) for its key."""
+def _count(value):
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError("not an integer")
+    return int(value)
+
+
+def _order(value):
+    return EXACT if value == EXACT else _count(value)
+
+
+def _lowercase(value):
+    return str(value).lower()
+
+
+# Config keys: the ExperimentSpec or FlowConfig field each one sets and the
+# parser of its raw value (a string, or a JSON scalar). Any other key is
+# rejected so typos fail loudly instead of silently running defaults.
+_KEYS = {
+    "gate": ("gate", _lowercase), "initial_controls": ("initial_controls", str),
+    "T": ("t_final", _real), "L": ("n_slices", _count), "order": ("order", _order),
+    "max_rhs_evals": ("max_rhs_evals", _count),
+    **{key: (key, _real) for key in ("s_granularity", "sine_amplitude", "s_max", "abs_tol",
+                                     "rel_tol", "j_stop", "h_init", "h_min")},
+}
+_FLOW_FIELDS = {f.name for f in fields(FlowConfig)}
+
+
+def parse_config_value(key, value, where):
+    """Parse one raw value of a known config key; errors name where."""
+    parse = _KEYS[key][1]
     try:
-        if key in _FLOAT_KEYS:
-            number = float(value)
-        elif key in ("L", "max_rhs_evals"):
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError
-            return int(value)
-        elif key == "order":
-            if isinstance(value, str):
-                return value if value == "exact" else int(value)
-            return int(value)
-        else:
-            return str(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: {key} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
+        parsed = parse(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = f"an integer or '{EXACT}'" if parse is _order else "a number"
+        raise ValueError(f"{where}: {key} must be {expected}, got {value!r}") from None
+    if isinstance(parsed, float) and not math.isfinite(parsed):
         raise ValueError(f"{where}: {key} must be finite, got {value!r}")
-    return number
+    return parsed
 
 
 def _spec_from_mapping(entries, where):
-    """Build one ExperimentSpec from {key: (value, where)} entries."""
-    values = {}
+    """Build one ExperimentSpec from {key: (value, where)} entries; keys
+    left out take the dataclass defaults."""
+    spec_kwargs, cfg_kwargs = {}, {}
     for key, (raw, item_where) in entries.items():
-        if key not in _SPEC_KEYS | _CFG_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"{item_where}: unknown key '{key}'")
-        values[key] = _convert(key, raw, item_where)
+        name = _KEYS[key][0]
+        kwargs = cfg_kwargs if name in _FLOW_FIELDS else spec_kwargs
+        kwargs[name] = parse_config_value(key, raw, item_where)
     for required in ("gate", "T", "L"):
-        if required not in values:
+        if required not in entries:
             raise ValueError(f"{where}: missing required key '{required}'")
-    cfg_kwargs = {k: values[k] for k in _CFG_KEYS if k in values}
-    cfg_kwargs.setdefault("s_max", DEFAULT_SCAN_CAP)
     try:
-        cfg = FlowConfig(**cfg_kwargs)
-        return ExperimentSpec(
-            gate=str(values["gate"]).lower(),
-            t_final=values["T"],
-            n_slices=values["L"],
-            order=values.get("order", 1),
-            s_granularity=values.get("s_granularity", DEFAULT_GRANULARITY),
-            cfg=cfg,
-            initial_controls=values.get("initial_controls"),
-            sine_amplitude=values.get("sine_amplitude", 1e-5),
-        )
+        return ExperimentSpec(cfg=replace(_default_cfg(), **cfg_kwargs), **spec_kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -263,9 +273,12 @@ def load_experiment(path):
     with the same keys, or a single object for one spec.
     """
     path = Path(path)
-    text = path.read_text()
-    if text.lstrip()[:1] in ("[", "{"):
-        data = json.loads(text)
+    try:
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text) if text.lstrip()[:1] in ("[", "{") else None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+        raise ValueError(f"{path.name}: {exc}") from None
+    if data is not None:
         items = data if isinstance(data, list) else [data]
         specs = []
         for i, item in enumerate(items):

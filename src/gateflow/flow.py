@@ -8,12 +8,11 @@ import numpy as np
 from .gradient import descent_rate, flow_evaluation, normalize_order
 from .system import ControlGrid
 
-# Dormand-Prince 5(4) tableau: stage nodes C, stage matrix A, propagation
-# weights B (fifth order) and embedded error weights E = B - B_hat. The
-# seventh stage sits at the fifth-order solution, so its evaluation is the
-# first stage of the next step (FSAL). The flow is autonomous, so the
-# nodes are listed only to complete the tableau.
-DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau: stage matrix A and embedded error weights
+# E = B - B_hat. The last row of A doubles as the fifth-order propagation
+# weights B, so the seventh stage sits at the fifth-order solution and its
+# evaluation is the first stage of the next step (FSAL). The flow is
+# autonomous, so the stage nodes C are not needed.
 DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -23,7 +22,6 @@ DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 SAFETY = 0.9
@@ -88,11 +86,10 @@ class FlowResult:
     descent_trace: np.ndarray | None = None
 
 
-def _stages(f, y, h, k1):
-    """One embedded step: returns (y5, error vector, last stage).
-
-    The last stage is f at y5 and doubles as k1 of the next step.
-    """
+def dormand_prince_step(f, y, h, k1):
+    """One embedded step of dy/ds = f(y) from y with k1 = f(y): returns
+    (y5, error vector, f(y5)); pass f(y5) back as k1 to chain steps
+    without re-evaluating."""
     k = np.empty((7,) + y.shape)
     k[0] = k1
     for i in range(1, 6):
@@ -101,18 +98,6 @@ def _stages(f, y, h, k1):
     k[6] = f(y5)
     err = h * np.tensordot(DP_E, k, axes=1)
     return y5, err, k[6]
-
-
-def dormand_prince_step(f, y, h, k1=None):
-    """Single step of the embedded pair for a plain f(y) -> dy/ds.
-
-    Returns (y_new, error_vector, f_at_y_new); pass f_at_y_new back as k1
-    to chain steps without re-evaluating.
-    """
-    y = np.asarray(y, dtype=float)
-    if k1 is None:
-        k1 = f(y)
-    return _stages(f, y, h, np.asarray(k1, dtype=float))
 
 
 def integrate_adaptive(f, y0, cfg):
@@ -156,7 +141,7 @@ def integrate_adaptive(f, y0, cfg):
         if remaining <= cfg.h_min:
             return y, accepted, STOP_HORIZON, min(s, cfg.s_max), evals, n_acc, n_rej
         h = min(h, remaining)
-        y_new, err, k_last = _stages(fr, y, h, k1)
+        y_new, err, k_last = dormand_prince_step(fr, y, h, k1)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.abs(err / scale).max()) if y.size else 0.0
         if err_norm <= 1.0:
@@ -227,24 +212,3 @@ def integrate_flow(sys, grid0, target, order, cfg):
         max_unitarity_defect=defect_box[0] if cfg.check_unitarity else None,
         descent_trace=descent,
     )
-
-
-def error_tolerance_check(result, cfg):
-    """True iff the run hit the objective target, s strictly increases and
-    J never rises by more than 10 * abs_tol between accepted steps.
-
-    The last condition is a property of runs whose followed direction
-    keeps descending, which includes every order='exact' run; it is not an
-    invariant of truncated-series runs, whose direction can point uphill
-    at large dt * ||H|| (the benchmark runs swap T=5 and cnot T=10 at
-    order 0, and cnot T=10 at order 1, climb by up to 3.7e-2 in one step).
-    """
-    trace = np.asarray(result.j_trace)
-    if trace[-1, 1] > cfg.j_stop:
-        return False
-    if len(trace) > 1:
-        if not (np.diff(trace[:, 0]) > 0).all():
-            return False
-        if not (np.diff(trace[:, 1]) <= 10 * cfg.abs_tol).all():
-            return False
-    return True

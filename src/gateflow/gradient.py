@@ -57,7 +57,7 @@ def objective(u_final, target):
     if target.matrix.shape != u_final.shape:
         raise ValueError(f"shape mismatch: {target.matrix.shape} vs {u_final.shape}")
     n = u_final.shape[0]
-    return 0.5 - np.vdot(target.matrix, u_final).real / (2 * n)
+    return 0.5 - np.trace(dagger(target.matrix) @ u_final).real / (2 * n)
 
 
 def phi1(z):
@@ -135,8 +135,8 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
                 f"max|P^dagger P - I| = {defect:.3e}"
             )
     dim, dt = sys.dim, grid.dt
+    j_value = objective(cache.total, target)
     a = dagger(target.matrix) @ cache.total
-    j_value = 0.5 - np.trace(a).real / (2 * dim)
     p = cache.embedded[:-1]
     w = p @ real_embedding(a) @ p.transpose(0, 2, 1)
     # Tr[real_embedding(Y) real_embedding(-i H_k)] = 2 Im Tr[Y H_k].
@@ -164,12 +164,6 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
         values = velocities(w_avg)
     return RhsEvaluation(values=values, objective=j_value, unitarity_defect=defect,
                          exact_rhs=exact_values if exact_reference else None)
-
-
-def rhs_corrected(sys, grid, target, order=1):
-    """The evaluation at the given commutator-series correction order (or
-    the exact slice average for order='exact'); .values are the velocities."""
-    return flow_evaluation(sys, grid, target, order)
 
 
 def descent_rate(grid, exact_rhs, followed_rhs):

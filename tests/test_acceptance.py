@@ -14,7 +14,7 @@ import numpy as np
 
 from gateflow import (ControlGrid, EXACT, GateTarget, QuantumSystem,
                       control_average_exact, control_average_series,
-                      finite_difference_gradient, rhs_corrected,
+                      finite_difference_gradient, flow_evaluation,
                       slice_hamiltonian)
 from gateflow.cli import main as cli_main
 
@@ -67,7 +67,7 @@ def test_criterion_1_gradient_identity():
     smallest_gradient = np.inf
     for sys, grid, target in instances():
         fd = finite_difference_gradient(sys, grid, target, delta=1e-5)
-        vel = rhs_corrected(sys, grid, target, order=EXACT).values
+        vel = flow_evaluation(sys, grid, target, order=EXACT).values
         rel = np.abs(fd + grid.dt * vel).max() / np.abs(fd).max()
         worst = max(worst, rel)
         smallest_gradient = min(smallest_gradient, np.abs(fd).max())

@@ -115,7 +115,33 @@ def test_bad_order_override_exits_one(tmp_path, capsys):
     code = main(["run", str(cfg), "--order-override", "fast"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error: --order-override: order must be")
+
+
+def test_tiny_granularity_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY + "s_granularity: 5e-324\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: s_granularity 5e-324 is too small")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--scan-cap", "abc"], ["--parallel", "x"], ["--bogus"]],
+                         ids=["scan_cap", "parallel", "unknown"])
+def test_usage_errors_exit_one(tmp_path, capsys, flags):
+    cfg = write_cfg(tmp_path, TINY)
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("usage: qoc")
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_help_exits_zero(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "--scan-cap" in capsys.readouterr().out
 
 
 def test_order_override(tmp_path):

@@ -1,0 +1,73 @@
+"""Config loader fuzz: any native text or JSON document either loads or
+raises a ValueError whose message starts with the file name."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gateflow import ExperimentSpec, load_experiment
+
+KEYS = ("gate", "T", "L", "order", "s_granularity", "initial_controls",
+        "sine_amplitude", "s_max", "abs_tol", "rel_tol", "j_stop", "h_init", "h_min",
+        "max_rhs_evals")
+ALPHABET = "cnotswapexT L:#.-+e0123456789_[{}]\"',\n\t\r\x00\u2028é"
+WORDS = ("cnot", "swap", "exact", "zero", "sine_seed", "inf", "nan", "1e400", "5e-324",
+         "true", "1.5", "150", "5", "0", "-1", "")
+
+FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
+native_line = st.one_of(
+    st.tuples(st.sampled_from(KEYS + ("slices", "")),
+              st.sampled_from(WORDS) | st.text(ALPHABET, max_size=8))
+    .map(lambda kv: f"{kv[0]}: {kv[1]}"),
+    st.text(ALPHABET, max_size=16),
+)
+native_text = st.one_of(st.text(ALPHABET, max_size=120),
+                        st.lists(native_line, max_size=20).map("\n".join))
+
+scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.sampled_from(WORDS) | st.text(ALPHABET, max_size=6))
+entries = st.fixed_dictionaries(
+    {"gate": st.sampled_from(("cnot", "swap", "CNOT", "toffoli")),
+     "T": st.floats(0.5, 20) | scalars, "L": st.integers(1, 300) | scalars},
+    optional={key: scalars for key in KEYS[3:]})
+json_keys = st.sampled_from(KEYS) | st.text(ALPHABET, max_size=4)
+json_docs = st.recursive(
+    scalars | entries,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(json_keys, children, max_size=5)),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def loads_or_names_the_file(path):
+    try:
+        specs = load_experiment(path)
+    except ValueError as exc:
+        assert str(exc).startswith((f"{path.name}:", f"{path.name} line ",
+                                    f"{path.name} entry ")), str(exc)
+    else:
+        assert all(isinstance(spec, ExperimentSpec) for spec in specs)
+
+
+@FUZZ
+@given(text=native_text)
+def test_native_text_loads_or_names_the_file(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    loads_or_names_the_file(path)
+
+
+@FUZZ
+@given(doc=json_docs)
+def test_json_document_loads_or_names_the_file(fuzz_dir, doc):
+    path = fuzz_dir / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    loads_or_names_the_file(path)

@@ -10,8 +10,8 @@ import pytest
 
 from gateflow import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP, MAX_SLICES,
                       ExperimentSpec, FlowConfig, RunRecord, build_initial_grid,
-                      compare_methods, execute_experiment, gate_target,
-                      integrate_flow, load_experiment, rhs_corrected, run_experiment,
+                      compare_methods, execute_experiment, flow_evaluation,
+                      gate_target, integrate_flow, load_experiment, run_experiment,
                       write_comparison)
 
 
@@ -24,6 +24,29 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 def fast_spec(order=1, s_max=50.0, n_slices=50):
     return ExperimentSpec(gate="cnot", t_final=5.0, n_slices=n_slices, order=order,
                           cfg=FlowConfig(s_max=s_max))
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by an in-process stand-in and return the
+    list of pool sizes it was built with, so no worker is ever started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 def read_rows(path):
@@ -100,20 +123,20 @@ class TestInitialGrid:
         spec = ExperimentSpec(gate="swap", t_final=5.0, n_slices=40,
                               initial_controls="zero")
         grid = build_initial_grid(spec)
-        values = rhs_corrected(benchmark_system, grid, gate_target("swap"),
-                               order=1).values
+        values = flow_evaluation(benchmark_system, grid, gate_target("swap"),
+                                 order=1).values
         assert np.all(values == 0.0)
         seeded = build_initial_grid(ExperimentSpec(gate="swap", t_final=5.0,
                                                    n_slices=40))
-        values = rhs_corrected(benchmark_system, seeded, gate_target("swap"),
-                               order=1).values
+        values = flow_evaluation(benchmark_system, seeded, gate_target("swap"),
+                                 order=1).values
         assert np.abs(values).max() > 0.0
 
     def test_cnot_zero_grid_is_not_stationary(self, benchmark_system):
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=40)
         grid = build_initial_grid(spec)
-        values = rhs_corrected(benchmark_system, grid, gate_target("cnot"),
-                               order=1).values
+        values = flow_evaluation(benchmark_system, grid, gate_target("cnot"),
+                                 order=1).values
         assert np.abs(values).max() > 1e-3
 
 
@@ -247,6 +270,28 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="L must be a number"):
             load_experiment(path)
 
+    @pytest.mark.parametrize("entry", [
+        {"gate": "cnot", "T": True, "L": 150},
+        {"gate": "cnot", "T": 5, "L": True},
+        {"gate": "cnot", "T": 5, "L": 150, "order": 1.5},
+        {"gate": "cnot", "T": 10**400, "L": 150},
+    ], ids=["bool_T", "bool_L", "fractional_order", "huge_T"])
+    def test_json_values_that_are_not_numbers(self, tmp_path, entry):
+        path = write_cfg(tmp_path, json.dumps([entry]), name="bad.json")
+        with pytest.raises(ValueError, match=r"^bad\.json entry 1: (T|L|order) must be"):
+            load_experiment(path)
+
+    @pytest.mark.parametrize("content", [
+        b'[{"gate":"cnot",',
+        b"gate: cnot\nT: \xff\xfe5\nL: 150\n",
+        b"[" * 100_000,
+    ], ids=["malformed_json", "not_utf8", "deep_json"])
+    def test_unreadable_file_names_the_file(self, tmp_path, content):
+        path = tmp_path / "broken.cfg"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=r"^broken\.cfg: "):
+            load_experiment(path)
+
     def test_shipped_comparison_grid(self):
         specs = load_experiment("configs/table1.cfg")
         assert [(s.gate, s.t_final, s.n_slices, s.order) for s in specs] == [
@@ -302,6 +347,12 @@ class TestRunner:
         assert record.stop_reason == "horizon"
         assert record.s_reported == 300.0
         assert record.final_j > 1e-7
+
+    def test_granularity_too_small_for_the_horizon(self):
+        spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=50, s_granularity=5e-324,
+                              cfg=FlowConfig(s_max=50.0))
+        with pytest.raises(ValueError, match="s_granularity 5e-324 is too small"):
+            execute_experiment(spec)
 
     def test_reported_horizon_is_granularity_multiple(self):
         spec = fast_spec(s_max=50.0)
@@ -383,34 +434,25 @@ class TestComparisonTable:
                 compare_methods([fast_spec()], out, parallel=parallel)
         assert not out.exists()
 
-    def test_parallel_pool_is_clamped(self, tmp_path, monkeypatch):
-        # A stand-in pool records its size and runs in-process, so no
-        # worker is ever started here.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_parallel_pool_is_clamped(self, tmp_path, monkeypatch, recording_pool):
         specs = [fast_spec(order=0), fast_spec(order=1)]
         out = tmp_path / "out.csv"
         monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 1)
         compare_methods(specs, out, parallel=2, scan_cap=50.0)
         compare_methods(specs[:1], out, parallel=2, scan_cap=50.0)
-        assert sizes == []
+        assert recording_pool == []
         monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
         compare_methods(specs, out, parallel=2, scan_cap=50.0)
-        assert sizes == [2]
+        assert recording_pool == [2]
+
+    def test_scan_cap_checked_before_the_pool(self, tmp_path, monkeypatch, recording_pool):
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="scan cap must be finite"):
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out, parallel=2,
+                            scan_cap=float("inf"))
+        assert recording_pool == []
+        assert not out.exists()
 
     def test_parallel_matches_sequential(self, tmp_path):
         specs = [fast_spec(order=0), fast_spec(order=1)]

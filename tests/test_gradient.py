@@ -8,7 +8,7 @@ from gateflow import (ControlGrid, EXACT, GateTarget, MAX_SERIES_ORDER, QuantumS
                       UNITARY_TOL, control_average_exact, control_average_series,
                       dagger, descent_rate, expm_hermitian_generator,
                       finite_difference_gradient, flow_evaluation, gate_target,
-                      normalize_order, objective, phi1, propagate, rhs_corrected,
+                      normalize_order, objective, phi1, propagate,
                       slice_hamiltonian, step_propagator)
 
 # Grid lengths for the oracle comparisons: the doubling scan's edge cases
@@ -231,7 +231,7 @@ class TestFlowRhs:
                                      n_slices=n_slices, t_final=n_slices / 10)]
             for sys, grid, target in cases:
                 for order in ALL_ORDERS:
-                    got = rhs_corrected(sys, grid, target, order=order).values
+                    got = flow_evaluation(sys, grid, target, order=order).values
                     want = naive_rhs(sys, grid, target, order)
                     err = np.abs(got - want).max() / np.abs(want).max()
                     assert err <= 1e-12, (n_slices, order, err)
@@ -242,7 +242,7 @@ class TestFlowRhs:
         sys, grid, _ = random_instance(44, dim=4, n_controls=2)
         target = GateTarget(matrix=propagate(sys, grid).total, label="self")
         for order in (0, 1, EXACT):
-            values = rhs_corrected(sys, grid, target, order=order).values
+            values = flow_evaluation(sys, grid, target, order=order).values
             assert np.abs(values).max() <= 1e-13
 
     def test_zero_in_commuting_frame(self):
@@ -254,7 +254,7 @@ class TestFlowRhs:
         hams = [slice_hamiltonian(sys, grid, l) for l in range(1, 5)]
         total = expm_hermitian_generator(sum(hams) / 4, 1.0)
         target = GateTarget(matrix=total, label="diag")
-        values = rhs_corrected(sys, grid, target, order=EXACT).values
+        values = flow_evaluation(sys, grid, target, order=EXACT).values
         assert np.abs(values).max() <= 1e-13
 
     def test_flow_evaluation_reports_objective(self):
@@ -274,7 +274,7 @@ class TestFlowRhs:
         assert ev.exact_rhs is not None
         assert ev.exact_rhs.shape == ev.values.shape
         assert not np.array_equal(ev.exact_rhs, ev.values)
-        exact_direct = rhs_corrected(sys, grid, target, order=EXACT).values
+        exact_direct = flow_evaluation(sys, grid, target, order=EXACT).values
         assert np.allclose(ev.exact_rhs, exact_direct, rtol=1e-12, atol=1e-15)
 
     def test_unitarity_check_raises_on_drift(self, monkeypatch):
@@ -297,7 +297,7 @@ class TestFiniteDifference:
         # identity of the discretized dynamics, not just to O(dt).
         sys, grid, target = random_instance(48, dim=4, n_controls=2, n_slices=4)
         fd = finite_difference_gradient(sys, grid, target, delta=1e-5)
-        exact = rhs_corrected(sys, grid, target, order=EXACT).values
+        exact = flow_evaluation(sys, grid, target, order=EXACT).values
         rel = np.abs(fd + grid.dt * exact).max() / np.abs(fd).max()
         assert rel <= 1e-6
 
@@ -305,7 +305,7 @@ class TestFiniteDifference:
         # Central differences converge at second order in delta, so halving
         # delta should shrink the error by about four.
         sys, grid, target = random_instance(49, dim=2, n_controls=1, n_slices=4)
-        exact = -grid.dt * rhs_corrected(sys, grid, target, order=EXACT).values
+        exact = -grid.dt * flow_evaluation(sys, grid, target, order=EXACT).values
         err = {d: np.abs(finite_difference_gradient(sys, grid, target, d) - exact).max()
                for d in (1e-3, 5e-4)}
         ratio = err[1e-3] / err[5e-4]
@@ -316,7 +316,7 @@ class TestFiniteDifference:
         # -dt * sum of squared velocities, the ideal descent rate.
         sys, grid, target = random_instance(50, dim=4, n_controls=2, n_slices=4)
         fd = finite_difference_gradient(sys, grid, target, delta=1e-5)
-        exact = rhs_corrected(sys, grid, target, order=EXACT).values
+        exact = flow_evaluation(sys, grid, target, order=EXACT).values
         paired = float(np.sum(fd * exact))
         ideal = -grid.dt * float(np.sum(exact * exact))
         assert paired < 0
@@ -324,7 +324,7 @@ class TestFiniteDifference:
 
     def test_descent_rate_helper(self):
         sys, grid, target = random_instance(51, dim=4, n_controls=2)
-        exact = rhs_corrected(sys, grid, target, order=EXACT).values
+        exact = flow_evaluation(sys, grid, target, order=EXACT).values
         rate = descent_rate(grid, exact, exact)
         assert rate == -grid.dt * float(np.sum(exact * exact))
         assert rate <= 0
