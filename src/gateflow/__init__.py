@@ -8,14 +8,11 @@ from .experiments import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP,
                           run_experiment, write_comparison)
 from .flow import (FlowConfig, FlowResult, NonFiniteRhsError, dormand_prince_step,
                    integrate_adaptive, integrate_flow)
-from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, control_average_exact,
-                       control_average_series, descent_rate, finite_difference_gradient,
+from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, descent_rate,
                        flow_evaluation, normalize_order, objective, phi1)
-from .linalg import (HERMITIAN_RTOL, dagger, expm_hermitian_generator, is_unitary,
-                     require_hermitian)
+from .linalg import HERMITIAN_RTOL, dagger, require_hermitian
 from .system import (UNITARY_TOL, ControlGrid, GateTarget, PropagationCache,
-                     QuantumSystem, propagate, slice_hamiltonian, slice_hamiltonians,
-                     step_propagator, unitarity_defect)
+                     QuantumSystem, propagate, slice_hamiltonians, unitarity_defect)
 from .twospin import I2, SX, SY, SZ, build_gate_targets, build_two_spin_benchmark, gate_target
 
 __version__ = "0.1.0"

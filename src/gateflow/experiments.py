@@ -15,7 +15,7 @@ import numpy as np
 from .flow import FlowConfig, integrate_flow
 from .gradient import EXACT, normalize_order
 from .system import ControlGrid
-from .twospin import build_two_spin_benchmark, gate_target
+from .twospin import GATES, build_two_spin_benchmark, gate_target
 
 DEFAULT_SCAN_CAP = 5000.0
 DEFAULT_GRANULARITY = 100.0
@@ -27,7 +27,6 @@ MAX_SLICES = 10_000
 CSV_COLUMNS = ("gate", "T", "L", "order", "S_reported", "final_J",
                "rhs_evals", "wall_time_s", "stop_reason")
 
-GATES = ("cnot", "swap")
 SEED_MODES = ("zero", "sine_seed")
 
 
@@ -105,9 +104,8 @@ def build_initial_grid(spec):
 
 
 def _effective_horizon(spec, scan_cap):
-    """s_max pushed out by whole s_granularity steps while it stays within
-    scan_cap (None means DEFAULT_SCAN_CAP)."""
-    cap = DEFAULT_SCAN_CAP if scan_cap is None else float(scan_cap)
+    """s_max pushed out by whole s_granularity steps while within scan_cap."""
+    cap = float(scan_cap)
     if not math.isfinite(cap):
         raise ValueError(f"scan cap must be finite, got {cap}")
     s_max, step = spec.cfg.s_max, spec.s_granularity
@@ -116,7 +114,7 @@ def _effective_horizon(spec, scan_cap):
     return s_max + max(0, math.floor((cap - s_max) / step)) * step
 
 
-def execute_experiment(spec, scan_cap=None):
+def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
     """Run one spec and return (RunRecord, FlowResult).
 
     The horizon scan quotes the smallest horizon multiple that converges:
@@ -147,45 +145,54 @@ def execute_experiment(spec, scan_cap=None):
     return record, result
 
 
-def run_experiment(spec, scan_cap=None):
+def run_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
     """Run one spec and return its RunRecord."""
     return execute_experiment(spec, scan_cap)[0]
 
 
+def _output_paths(out_path, json_path):
+    """(CSV path, JSON mirror path), checked to be two different files."""
+    out_path = Path(out_path)
+    json_path = out_path.with_suffix(".json") if json_path is None else Path(json_path)
+    if json_path.resolve() == out_path.resolve():
+        raise ValueError(f"{json_path}: the JSON mirror would overwrite the CSV output")
+    return out_path, json_path
+
+
 def write_comparison(records, out_path, json_path=None):
     """Write records as CSV plus a JSON mirror (out path with .json suffix
-    unless given explicitly).
+    unless given explicitly; a mirror path naming the CSV file is an error).
 
     Both carry the same rows; the CSV writes floats as %.17g, which
     round-trips them exactly.
     """
     rows = [dict(zip(CSV_COLUMNS, astuple(r))) for r in records]
-    out_path = Path(out_path)
+    out_path, json_path = _output_paths(out_path, json_path)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
                              for v in row.values()])
-    if json_path is None:
-        json_path = out_path.with_suffix(".json")
     with open(json_path, "w") as fh:
         json.dump(rows, fh, indent=2)
         fh.write("\n")
 
 
-def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=None):
+def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAULT_SCAN_CAP):
     """Run every spec and write the comparison table.
 
-    Every spec's horizon is checked before any run starts. Specs may run
-    in parallel (they share no state) on at most min(parallel, number of
-    specs, CPU count) worker processes; rows are written in spec order
-    regardless of completion order. Returns the records.
+    Every spec's horizon and the two output paths are checked before any
+    run starts. Specs may run in parallel (they share no state) on at most
+    min(parallel, number of specs, CPU count) worker processes; rows are
+    written in spec order regardless of completion order. Returns the
+    records.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
     for spec in specs:
         _effective_horizon(spec, scan_cap)
+    _output_paths(out_path, json_path)
     run = functools.partial(run_experiment, scan_cap=scan_cap)
     workers = min(parallel, len(specs), os.cpu_count() or 1)
     if workers > 1:
@@ -270,7 +277,8 @@ def load_experiment(path):
     The native format is blocks of 'key: value' lines separated by blank
     lines, with '#' starting a comment. A file whose first non-space
     character is '[' or '{' is read as JSON instead: a list of objects
-    with the same keys, or a single object for one spec.
+    with the same keys, or a single object for one spec. A file of either
+    format that holds no experiment is an error.
     """
     path = Path(path)
     try:
@@ -278,40 +286,34 @@ def load_experiment(path):
         data = json.loads(text) if text.lstrip()[:1] in ("[", "{") else None
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
         raise ValueError(f"{path.name}: {exc}") from None
+    specs = []
     if data is not None:
-        items = data if isinstance(data, list) else [data]
-        specs = []
-        for i, item in enumerate(items):
+        for i, item in enumerate(data if isinstance(data, list) else [data]):
             where = f"{path.name} entry {i + 1}"
             if not isinstance(item, dict):
                 raise ValueError(f"{where}: expected an object of key/value pairs")
             entries = {k: (v, where) for k, v in item.items()}
             specs.append(_spec_from_mapping(entries, where))
-        return specs
-
-    specs = []
-    block = {}
-    block_line = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if block:
-                specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
-                block = {}
-                block_line = None
-            continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"{path.name} line {lineno}: expected 'key: value'")
-        if key in block:
-            raise ValueError(f"{path.name} line {lineno}: duplicate key '{key}'")
-        if block_line is None:
-            block_line = lineno
-        block[key] = (value, f"{path.name} line {lineno}")
-    if block:
-        specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
+    else:
+        block, block_line = {}, None
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                if block:
+                    specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
+                    block, block_line = {}, None
+                continue
+            key, sep, value = line.partition(":")
+            key, value = key.strip(), value.strip()
+            if not sep or not key or not value:
+                raise ValueError(f"{path.name} line {lineno}: expected 'key: value'")
+            if key in block:
+                raise ValueError(f"{path.name} line {lineno}: duplicate key '{key}'")
+            if block_line is None:
+                block_line = lineno
+            block[key] = (value, f"{path.name} line {lineno}")
+        if block:
+            specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
     if not specs:
         raise ValueError(f"{path.name}: no experiments found")
     return specs

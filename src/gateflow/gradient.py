@@ -74,33 +74,6 @@ def phi1(z):
     return np.where(small, series, closed)
 
 
-def control_average_series(h_slice, h_control, dt, order):
-    """Commutator-series approximation of the slice average of
-    U^dagger(tau) H_k U(tau): sum_{j=0}^{order} dt^j/(j+1)! ad_{iH}^j(H_k)."""
-    order = normalize_order(order)
-    if order == EXACT:
-        return control_average_exact(h_slice, h_control, dt)
-    ih = 1j * np.asarray(h_slice)
-    cur = np.asarray(h_control, dtype=complex)
-    acc = cur
-    for j in range(1, order + 1):
-        cur = ih @ cur - cur @ ih
-        acc = acc + (dt**j / math.factorial(j + 1)) * cur
-    return acc
-
-
-def control_average_exact(h_slice, h_control, dt):
-    """Exact slice average (1/dt) integral of U^dagger(tau) H_k U(tau).
-
-    In the eigenbasis of the slice Hamiltonian the integrand is diagonal in
-    phase: entry (a, b) picks up phi1(i (lam_a - lam_b) dt).
-    """
-    lam, v = np.linalg.eigh(np.asarray(h_slice))
-    b = v.conj().T @ np.asarray(h_control) @ v
-    gaps = lam[:, None] - lam[None, :]
-    return v @ (b * phi1(1j * gaps * dt)) @ v.conj().T
-
-
 def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
                     exact_reference=False):
     """One propagation pass: flow velocities and the objective value.
@@ -128,7 +101,7 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
     cache = propagate(sys, grid)
     defect = None
     if check_unitarity:
-        defect = unitarity_defect(cache)
+        defect = unitarity_defect(cache.prefixes)
         if defect > UNITARY_TOL:
             raise RuntimeError(
                 f"propagator prefixes drifted off the unitary group: "
@@ -171,25 +144,3 @@ def descent_rate(grid, exact_rhs, followed_rhs):
     velocities) contracted with the velocities actually followed.
     Negative as long as the truncated direction still descends."""
     return float(-grid.dt * np.sum(exact_rhs * followed_rhs))
-
-
-def finite_difference_gradient(sys, grid, target, delta):
-    """Central-difference dJ/deps, one propagation per perturbation.
-
-    Matches -dt times the exact-order velocities; series velocities differ
-    from that by their O(dt^(m+1)) truncation error.
-    """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    amps = grid.amplitudes
-    out = np.empty_like(amps)
-    for k in range(amps.shape[0]):
-        for l in range(amps.shape[1]):
-            plus = amps.copy()
-            plus[k, l] += delta
-            minus = amps.copy()
-            minus[k, l] -= delta
-            j_plus = objective(propagate(sys, grid.with_amplitudes(plus)).total, target)
-            j_minus = objective(propagate(sys, grid.with_amplitudes(minus)).total, target)
-            out[k, l] = (j_plus - j_minus) / (2 * delta)
-    return out

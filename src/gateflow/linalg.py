@@ -1,5 +1,5 @@
-"""Dense complex matrix kernels: Hermiticity and unitarity checks,
-Hermitian-generated exponentials and the real embedding of complex matrices.
+"""Dense complex matrix kernels: the conjugate transpose, the Hermiticity
+check and the real embedding of complex matrices.
 
 Everything here is a pure function of numpy arrays. Matrices are dense
 complex128 and stay small (N <= 64), so there is no sparse or structured
@@ -17,13 +17,6 @@ HERMITIAN_RTOL = 1e-10
 def dagger(a):
     """Conjugate transpose."""
     return np.asarray(a).conj().T
-
-
-def is_unitary(a, tol):
-    """True iff max|A^dagger A - I| <= tol elementwise."""
-    a = np.asarray(a)
-    gram = a.conj().T @ a
-    return bool(np.abs(gram - np.eye(a.shape[0])).max() <= tol)
 
 
 def require_hermitian(a, name="matrix"):
@@ -58,16 +51,3 @@ def from_real_embedding(e):
     """The complex matrix (or stack) whose real_embedding is e."""
     n = e.shape[-1] // 2
     return e[..., :n, :n] + 1j * e[..., n:, :n]
-
-
-def expm_hermitian_generator(h, theta):
-    """exp(-i * theta * h) for Hermitian h, via eigendecomposition.
-
-    The eigendecomposition route keeps the result unitary to rounding,
-    which is what keeps long products of step propagators on the unitary
-    group. Non-Hermitian input is rejected.
-    """
-    h = np.asarray(h, dtype=complex)
-    require_hermitian(h, "generator")
-    lam, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * theta * lam)) @ v.conj().T

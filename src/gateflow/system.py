@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (expm_hermitian_generator, from_real_embedding, is_unitary,
-                     real_embedding, require_hermitian)
+from .linalg import from_real_embedding, real_embedding, require_hermitian
 
 # Tolerance for unitarity of propagator prefixes. Rounding in the
 # eigendecomposition-based exponentials stays orders of magnitude below
@@ -106,7 +105,7 @@ class GateTarget:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("target must be a square matrix")
-        if not is_unitary(m, UNITARY_TOL):
+        if not unitarity_defect(m) <= UNITARY_TOL:
             raise ValueError(f"target '{self.label}' is not unitary to {UNITARY_TOL:g}")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -117,40 +116,32 @@ class GateTarget:
 
 @dataclass(frozen=True, eq=False)
 class PropagationCache:
-    """Prefix propagators P_l = U(t_l, 0), also in real-embedded form,
-    together with the slice eigensystems that produced them (both reused
-    by the gradient engine)."""
+    """Prefix propagators P_l = U(t_l, 0) in real-embedded form, together
+    with the slice eigensystems that produced them (both reused by the
+    gradient engine)."""
 
-    prefixes: np.ndarray  # (L+1, N, N), prefixes[0] = I
     eigvals: np.ndarray   # (L, N), eigenvalues of each slice Hamiltonian
     eigvecs: np.ndarray   # (L, N, N)
-    embedded: np.ndarray  # (L+1, 2N, 2N), real_embedding(prefixes)
+    embedded: np.ndarray  # (L+1, 2N, 2N), real_embedding(P_l), embedded[0] = I
+
+    @property
+    def prefixes(self):
+        """The complex prefixes P_0..P_L, shape (L+1, N, N)."""
+        return from_real_embedding(self.embedded)
 
     @property
     def total(self):
         """U(T, 0)."""
-        return self.prefixes[-1]
+        return from_real_embedding(self.embedded[-1])
 
     @property
     def n_slices(self):
-        return self.prefixes.shape[0] - 1
+        return self.embedded.shape[0] - 1
 
 
 def slice_hamiltonians(sys, grid):
     """All L slice Hamiltonians at once, shape (L, N, N)."""
     return sys.h0[None, :, :] + np.einsum("kl,kab->lab", grid.amplitudes, sys.controls)
-
-
-def slice_hamiltonian(sys, grid, l):
-    """Hamiltonian on slice l (1-based): h0 + sum_k eps[k][l] H_k."""
-    if not 1 <= l <= grid.n_slices:
-        raise IndexError(f"slice index {l} out of range 1..{grid.n_slices}")
-    return sys.h0 + np.tensordot(grid.amplitudes[:, l - 1], sys.controls, axes=1)
-
-
-def step_propagator(sys, grid, l):
-    """exp(-i * dt * H_l) for slice l (1-based)."""
-    return expm_hermitian_generator(slice_hamiltonian(sys, grid, l), grid.dt)
 
 
 def propagate(sys, grid):
@@ -177,12 +168,10 @@ def propagate(sys, grid):
     while d < grid.n_slices:
         scan[d:] = scan[d:] @ scan[:-d]
         d *= 2
-    return PropagationCache(prefixes=from_real_embedding(scan), eigvals=lam,
-                            eigvecs=vecs, embedded=scan)
+    return PropagationCache(eigvals=lam, eigvecs=vecs, embedded=scan)
 
 
-def unitarity_defect(cache):
-    """max over all prefixes of max|P^dagger P - I|."""
-    p = cache.prefixes
-    gram = p.conj().transpose(0, 2, 1) @ p
+def unitarity_defect(p):
+    """max|P^dagger P - I| over a matrix P, or over every matrix of a stack."""
+    gram = np.swapaxes(p.conj(), -1, -2) @ p
     return float(np.abs(gram - np.eye(p.shape[-1])).max())

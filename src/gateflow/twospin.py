@@ -12,6 +12,7 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex) / np.sqrt(2)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex) / np.sqrt(2)
 
 I2 = np.eye(2, dtype=complex)
+GATES = ("cnot", "swap")  # labels of build_gate_targets, in order
 
 
 def build_two_spin_benchmark(omega1=20.0, omega2=30.0, cx=110.0, cy=120.0, cz=130.0):
@@ -62,4 +63,4 @@ def gate_target(name):
     try:
         return targets[name.lower()]
     except KeyError:
-        raise ValueError(f"unknown gate '{name}', expected one of: cnot, swap") from None
+        raise ValueError(f"unknown gate '{name}', expected one of: {', '.join(GATES)}") from None

@@ -1,11 +1,18 @@
 """Shared fixtures: the benchmark system, the comparison runs reused by
-several acceptance checks, and a registry that prints one PASS/FAIL line
-per acceptance criterion at the end of the session."""
+several acceptance checks, a registry that prints one PASS/FAIL line per
+acceptance criterion at the end of the session, and the hypothesis
+profile every property test runs under."""
 
 import pytest
+from hypothesis import settings
 
 from gateflow import (ExperimentSpec, FlowConfig, build_two_spin_benchmark,
                       execute_experiment, gate_target)
+
+# Derandomized, so reruns see the same examples; no example database, so
+# nothing a previous run found changes what the next one checks.
+settings.register_profile("gateflow", derandomize=True, deadline=None, database=None)
+settings.load_profile("gateflow")
 
 # criterion number -> (label, passed, detail)
 _ACCEPTANCE = {}

@@ -12,13 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from gateflow import (ControlGrid, EXACT, GateTarget, QuantumSystem,
-                      control_average_exact, control_average_series,
-                      finite_difference_gradient, flow_evaluation,
-                      slice_hamiltonian)
+from gateflow import ControlGrid, EXACT, GateTarget, QuantumSystem, flow_evaluation
 from gateflow.cli import main as cli_main
 
 from conftest import check_criterion
+from oracles import (control_average_exact, control_average_series,
+                     finite_difference_gradient, slice_hamiltonian)
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -144,6 +144,29 @@ def test_help_exits_zero(capsys):
     assert "--scan-cap" in capsys.readouterr().out
 
 
+def test_empty_json_config_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[]\n", name="exp.json")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: exp.json: no experiments found\n"
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--out", "r.json"], ["--out", "r.csv", "--json", "r.csv"]],
+                         ids=["json_suffix_out", "json_equals_out"])
+def test_json_mirror_on_the_csv_exits_one(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, TINY)
+    code = main(["run", str(cfg)] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"error: {flags[-1]}: the JSON mirror would overwrite "
+                            f"the CSV output\n")
+    assert captured.out == ""
+    assert not (tmp_path / flags[1]).exists()
+
+
 def test_order_override(tmp_path):
     cfg = write_cfg(tmp_path, TINY)
     out = tmp_path / "results.csv"

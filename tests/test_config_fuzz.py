@@ -16,7 +16,7 @@ ALPHABET = "cnotswapexT L:#.-+e0123456789_[{}]\"',\n\t\r\x00\u2028é"
 WORDS = ("cnot", "swap", "exact", "zero", "sine_seed", "inf", "nan", "1e400", "5e-324",
          "true", "1.5", "150", "5", "0", "-1", "")
 
-FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+FUZZ = settings(max_examples=200)  # on top of the conftest profile
 
 native_line = st.one_of(
     st.tuples(st.sampled_from(KEYS + ("slices", "")),

@@ -4,6 +4,7 @@ table writer."""
 import concurrent.futures
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="no experiments found"):
             load_experiment(path)
 
+    def test_json_empty_list(self, tmp_path):
+        path = write_cfg(tmp_path, "[]", name="empty.json")
+        with pytest.raises(ValueError, match="^empty.json: no experiments found$"):
+            load_experiment(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_experiment(tmp_path / "absent.cfg")
@@ -452,6 +458,25 @@ class TestComparisonTable:
             compare_methods([fast_spec(order=0), fast_spec(order=1)], out, parallel=2,
                             scan_cap=float("inf"))
         assert recording_pool == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out_name, json_name", [("r.json", None), ("r.csv", "r.csv"),
+                                                     ("r.csv", "sub/../r.csv")],
+                             ids=["json_suffix_out", "same_path", "same_file"])
+    def test_json_mirror_must_not_be_the_csv(self, tmp_path, monkeypatch, recording_pool,
+                                              out_name, json_name):
+        # Checked before any run or pool starts, like the horizon.
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / out_name
+        mirror = None if json_name is None else tmp_path / json_name
+        with pytest.raises(ValueError, match="the JSON mirror would overwrite the CSV output"):
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
+                            json_path=mirror, parallel=2, scan_cap=50.0)
+        assert recording_pool == []
+        assert not out.exists()
+        with pytest.raises(ValueError, match="^" + re.escape(str(mirror or out))):
+            write_comparison(self.sample_records(), out, json_path=mirror)
         assert not out.exists()
 
     def test_parallel_matches_sequential(self, tmp_path):

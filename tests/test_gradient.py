@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from gateflow import (ControlGrid, EXACT, GateTarget, MAX_SERIES_ORDER, QuantumSystem,
-                      UNITARY_TOL, control_average_exact, control_average_series,
-                      dagger, descent_rate, expm_hermitian_generator,
-                      finite_difference_gradient, flow_evaluation, gate_target,
-                      normalize_order, objective, phi1, propagate,
-                      slice_hamiltonian, step_propagator)
+                      UNITARY_TOL, dagger, descent_rate, flow_evaluation, gate_target,
+                      normalize_order, objective, phi1, propagate)
+from oracles import (control_average_exact, control_average_series,
+                     expm_hermitian_generator, finite_difference_gradient,
+                     slice_hamiltonian, step_propagator)
 
 # Grid lengths for the oracle comparisons: the doubling scan's edge cases
 # (one slice, powers of two and their neighbours) plus a benchmark length.

@@ -6,10 +6,9 @@ import pytest
 
 from gateflow import (ControlGrid, GateTarget, QuantumSystem,
                       build_gate_targets, build_two_spin_benchmark, dagger,
-                      expm_hermitian_generator, gate_target, propagate,
-                      slice_hamiltonian, slice_hamiltonians, step_propagator,
-                      unitarity_defect)
+                      gate_target, propagate, slice_hamiltonians, unitarity_defect)
 from gateflow.linalg import from_real_embedding
+from oracles import expm_hermitian_generator, slice_hamiltonian, step_propagator
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -118,6 +117,10 @@ class TestValidation:
     def test_non_unitary_target_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
             GateTarget(matrix=2.0 * np.eye(2), label="scaled")
+
+    def test_non_finite_target_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            GateTarget(matrix=np.full((2, 2), np.nan), label="nan")
 
     def test_real_input_is_stored_real(self, benchmark_system):
         # Zero imaginary parts put a system on the real eigh path; any
@@ -266,7 +269,15 @@ class TestPropagation:
         rng = np.random.default_rng(18)
         grid = ControlGrid(t_final=5.0, amplitudes=rng.uniform(-1, 1, (2, 300)))
         cache = propagate(benchmark_system, grid)
-        assert unitarity_defect(cache) <= 1e-10
+        assert unitarity_defect(cache.prefixes) <= 1e-10
+
+    def test_unitarity_defect_of_a_matrix_and_a_stack(self):
+        # A scaled identity is off by |c|^2 - 1 on the diagonal; a stack
+        # reports its worst member.
+        assert unitarity_defect(np.eye(3)) == 0.0
+        assert unitarity_defect(1.5j * np.eye(2)) == 1.25
+        stack = np.stack([np.eye(2), 0.5 * np.eye(2), np.eye(2)])
+        assert unitarity_defect(stack) == 0.75
 
     def test_cache_shapes(self, benchmark_system):
         grid = ControlGrid(t_final=1.0, amplitudes=np.zeros((2, 5)))
