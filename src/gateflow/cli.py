@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from .experiments import (DEFAULT_SCAN_CAP, compare_methods, load_experiment,
                           parse_config_value)
+from .flow import STOP_J_REACHED
 
 
 def build_parser():
@@ -54,7 +55,7 @@ def main(argv=None):
         print(f"{r.gate} T={r.t_final:g} L={r.n_slices} order={r.order}: "
               f"S={r.s_reported:g} J={r.final_j:.3e} ({r.stop_reason})")
     print(f"wrote {args.out}")
-    return 0 if all(r.stop_reason == "j_reached" for r in records) else 2
+    return 0 if all(r.stop_reason == STOP_J_REACHED for r in records) else 2
 
 
 if __name__ == "__main__":

@@ -61,7 +61,8 @@ class ExperimentSpec:
                 and 1 <= self.n_slices <= MAX_SLICES):
             raise ValueError(f"L must be a positive integer of at most {MAX_SLICES}, "
                              f"got {self.n_slices!r}")
-        normalize_order(self.order)
+        object.__setattr__(self, "n_slices", int(self.n_slices))
+        object.__setattr__(self, "order", normalize_order(self.order))
         if not self.s_granularity > 0:
             raise ValueError("s_granularity must be positive")
         if self.initial_controls is None:
@@ -151,9 +152,13 @@ def run_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
 
 
 def _output_paths(out_path, json_path):
-    """(CSV path, JSON mirror path), checked to be two different files."""
+    """(CSV path, JSON mirror path), checked to be two different files
+    in existing directories."""
     out_path = Path(out_path)
     json_path = out_path.with_suffix(".json") if json_path is None else Path(json_path)
+    for path in (out_path, json_path):
+        if not path.parent.is_dir():
+            raise ValueError(f"{path}: {path.parent} is not an existing directory")
     if json_path.resolve() == out_path.resolve():
         raise ValueError(f"{json_path}: the JSON mirror would overwrite the CSV output")
     return out_path, json_path
@@ -182,11 +187,11 @@ def write_comparison(records, out_path, json_path=None):
 def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAULT_SCAN_CAP):
     """Run every spec and write the comparison table.
 
-    Every spec's horizon and the two output paths are checked before any
-    run starts. Specs may run in parallel (they share no state) on at most
-    min(parallel, number of specs, CPU count) worker processes; rows are
-    written in spec order regardless of completion order. Returns the
-    records.
+    Every spec's horizon and the two output paths (distinct files in
+    existing directories) are checked before any run starts. Specs may
+    run in parallel (they share no state) on at most min(parallel, number
+    of specs, CPU count) worker processes; rows are written in spec order
+    regardless of completion order. Returns the records.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
@@ -275,10 +280,11 @@ def load_experiment(path):
     """Parse a config file into a list of ExperimentSpec.
 
     The native format is blocks of 'key: value' lines separated by blank
-    lines, with '#' starting a comment. A file whose first non-space
-    character is '[' or '{' is read as JSON instead: a list of objects
-    with the same keys, or a single object for one spec. A file of either
-    format that holds no experiment is an error.
+    lines, with '#' starting a comment; a comment-only line does not end a
+    block. A file whose first non-space character is '[' or '{' is read as
+    JSON instead: a list of objects with the same keys, or a single object
+    for one spec. A file of either format that holds no experiment is an
+    error.
     """
     path = Path(path)
     try:
@@ -298,8 +304,8 @@ def load_experiment(path):
         block, block_line = {}, None
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                if block:
+            if not line:  # only a blank line ends a block; comment lines do not
+                if block and not raw.strip():
                     specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
                     block, block_line = {}, None
                 continue

@@ -35,11 +35,11 @@ STOP_BUDGET = "eval_budget"
 
 
 class NonFiniteRhsError(ValueError):
-    """The right-hand side produced a non-finite entry."""
+    """The right-hand side produced a non-finite entry at position index."""
 
-    def __init__(self, flat_index, message):
-        super().__init__(message)
-        self.flat_index = flat_index
+    def __init__(self, index):
+        super().__init__(f"right-hand side not finite at index {index}")
+        self.index = index
 
 
 @dataclass
@@ -103,112 +103,94 @@ def dormand_prince_step(f, y, h, k1):
 def integrate_adaptive(f, y0, cfg):
     """Drive dy/ds = f(y) from s = 0 until a stop condition fires.
 
-    f returns (dy, aux) where aux is a tuple whose first entry is the
-    objective value used by the stop rule; aux of each accepted point is
-    kept. Stop conditions are checked in priority order: objective at or
-    below j_stop, horizon reached, step size underflow, evaluation budget
-    exhausted.
+    The state may have any shape. f returns (dy, aux): dy shaped like the
+    state, aux a tuple led by the objective value the stop rule reads; aux
+    of each accepted point is kept. A non-finite entry of dy raises
+    NonFiniteRhsError, whose index is its position. Stops, in priority
+    order: objective at or below j_stop, horizon reached, evaluation
+    budget exhausted, step size underflow.
 
     Returns (y, accepted, stop_reason, s_stop, evals, n_accepted, n_rejected)
-    where accepted is a list of (s, aux) starting with the initial point.
+    where accepted is a list of (s, aux) starting with the initial point
+    and s_stop, where integration ended, never exceeds s_max.
     """
     y = np.array(y0, dtype=float)
-    evals = 0
-    aux_box = [None]
+    evals, aux = 0, None
 
     def fr(state):
-        nonlocal evals
+        nonlocal evals, aux
         dy, aux = f(state)
         dy = np.asarray(dy, dtype=float)
         bad = ~np.isfinite(dy)
         if bad.any():
-            idx = int(np.flatnonzero(bad)[0])
-            raise NonFiniteRhsError(idx, f"right-hand side not finite at flat index {idx}")
+            raise NonFiniteRhsError(tuple(int(i) for i in np.argwhere(bad)[0]))
         evals += 1
-        aux_box[0] = aux
         return dy
 
     k1 = fr(y)
-    accepted = [(0.0, aux_box[0])]
-    s = 0.0
-    n_acc = n_rej = 0
-    if accepted[0][1][0] <= cfg.j_stop:
-        return y, accepted, STOP_J_REACHED, s, evals, n_acc, n_rej
-
-    h = cfg.h_init
-    while True:
-        remaining = cfg.s_max - s
-        if remaining <= cfg.h_min:
-            return y, accepted, STOP_HORIZON, min(s, cfg.s_max), evals, n_acc, n_rej
-        h = min(h, remaining)
+    accepted = [(0.0, aux)]
+    s, h, n_acc, n_rej = 0.0, cfg.h_init, 0, 0
+    reason = STOP_J_REACHED if aux[0] <= cfg.j_stop else None
+    while reason is None:
+        h = min(h, cfg.s_max - s)
         y_new, err, k_last = dormand_prince_step(fr, y, h, k1)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.abs(err / scale).max()) if y.size else 0.0
         if err_norm <= 1.0:
             s += h
-            y = y_new
-            k1 = k_last
+            y, k1 = y_new, k_last
             n_acc += 1
-            aux = aux_box[0]
             accepted.append((s, aux))
-            if aux[0] <= cfg.j_stop:
-                return y, accepted, STOP_J_REACHED, s, evals, n_acc, n_rej
-            if s >= cfg.s_max:
-                return y, accepted, STOP_HORIZON, min(s, cfg.s_max), evals, n_acc, n_rej
-            if evals >= cfg.max_rhs_evals:
-                return y, accepted, STOP_BUDGET, s, evals, n_acc, n_rej
         else:
             n_rej += 1
-            if evals >= cfg.max_rhs_evals:
-                return y, accepted, STOP_BUDGET, s, evals, n_acc, n_rej
         factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
         h *= min(MAX_GROW, max(MIN_SHRINK, factor))
-        if h < cfg.h_min:
-            return y, accepted, STOP_UNDERFLOW, s, evals, n_acc, n_rej
+        # A rejected step leaves accepted[-1], whose J is above j_stop.
+        if accepted[-1][1][0] <= cfg.j_stop:
+            reason = STOP_J_REACHED
+        elif cfg.s_max - s <= cfg.h_min:
+            reason = STOP_HORIZON
+        elif evals >= cfg.max_rhs_evals:
+            reason = STOP_BUDGET
+        elif h < cfg.h_min:
+            reason = STOP_UNDERFLOW
+    return y, accepted, reason, min(s, cfg.s_max), evals, n_acc, n_rej
 
 
 def integrate_flow(sys, grid0, target, order, cfg):
     """Flow the control grid along the chosen velocity field until the
     objective target, the horizon, or a step/budget limit is hit."""
     order = normalize_order(order)
-    shape = grid0.amplitudes.shape
-    n_slices = grid0.n_slices
-    defect_box = [0.0]
+    max_defect = 0.0
 
-    def f(y):
-        grid = grid0.with_amplitudes(y.reshape(shape))
-        ev = flow_evaluation(sys, grid, target, order,
-                             check_unitarity=cfg.check_unitarity,
+    def f(amplitudes):
+        nonlocal max_defect
+        grid = grid0.with_amplitudes(amplitudes)
+        ev = flow_evaluation(sys, grid, target, order, check_unitarity=cfg.check_unitarity,
                              exact_reference=cfg.track_descent)
         if cfg.check_unitarity:
-            defect_box[0] = max(defect_box[0], ev.unitarity_defect)
-        rate = None
-        if cfg.track_descent:
-            rate = descent_rate(grid, ev.exact_rhs, ev.values)
-        return ev.values.ravel(), (ev.objective, rate)
+            max_defect = max(max_defect, ev.unitarity_defect)
+        rate = descent_rate(grid, ev.exact_rhs, ev.values) if cfg.track_descent else None
+        return ev.values, (ev.objective, rate)
 
     try:
         y, accepted, reason, s_stop, evals, n_acc, n_rej = integrate_adaptive(
-            f, grid0.amplitudes.ravel(), cfg)
+            f, grid0.amplitudes, cfg)
     except NonFiniteRhsError as exc:
-        control = exc.flat_index // n_slices
-        sl = exc.flat_index % n_slices + 1
-        raise ValueError(
-            f"flow right-hand side not finite at control {control}, slice {sl}"
-        ) from exc
+        control, sl = exc.index
+        raise ValueError(f"flow right-hand side not finite at control {control}, "
+                         f"slice {sl + 1}") from exc
 
     j_trace = np.array([(s, aux[0]) for s, aux in accepted])
-    descent = None
-    if cfg.track_descent:
-        descent = np.array([(s, aux[1]) for s, aux in accepted])
+    descent = np.array([(s, aux[1]) for s, aux in accepted]) if cfg.track_descent else None
     return FlowResult(
-        final_grid=grid0.with_amplitudes(y.reshape(shape)),
+        final_grid=grid0.with_amplitudes(y),
         j_trace=j_trace,
         stop_reason=reason,
         s_stop=s_stop,
         rhs_evals=evals,
         accepted_steps=n_acc,
         rejected_steps=n_rej,
-        max_unitarity_defect=defect_box[0] if cfg.check_unitarity else None,
+        max_unitarity_defect=max_defect if cfg.check_unitarity else None,
         descent_trace=descent,
     )

@@ -1,0 +1,20 @@
+"""Small helpers shared by several test modules: random Hermitian
+matrices, config files written to a temporary directory, and CSV rows."""
+
+import csv
+
+
+def random_hermitian(rng, n, scale=1.0):
+    a = rng.uniform(-scale, scale, (n, n)) + 1j * rng.uniform(-scale, scale, (n, n))
+    return (a + a.conj().T) / 2
+
+
+def write_cfg(tmp_path, text, name="exp.cfg"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))

@@ -16,15 +16,11 @@ from gateflow import ControlGrid, EXACT, GateTarget, QuantumSystem, flow_evaluat
 from gateflow.cli import main as cli_main
 
 from conftest import check_criterion
+from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      finite_difference_gradient, slice_hamiltonian)
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def random_hermitian(rng, n):
-    a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
-    return (a + a.conj().T) / 2
 
 
 def instances(seed=7, count=20):

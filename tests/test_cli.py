@@ -1,22 +1,11 @@
 """Command-line interface: exit codes, output files and option plumbing."""
 
-import csv
 import json
 
 import pytest
 
 from gateflow.cli import build_parser, main
-
-
-def write_cfg(tmp_path, text, name="exp.cfg"):
-    path = tmp_path / name
-    path.write_text(text)
-    return path
-
-
-def read_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
+from helpers import read_rows, write_cfg
 
 
 def drop_wall_time(rows):
@@ -165,6 +154,21 @@ def test_json_mirror_on_the_csv_exits_one(tmp_path, capsys, monkeypatch, flags):
                             f"the CSV output\n")
     assert captured.out == ""
     assert not (tmp_path / flags[1]).exists()
+
+
+@pytest.mark.parametrize("flags", [["--out", "r.csv", "--json", "nodir/x.json"],
+                                   ["--out", "nodir/y.csv"]],
+                         ids=["json_missing_dir", "out_missing_dir"])
+def test_missing_output_directory_exits_one(tmp_path, capsys, monkeypatch, flags):
+    # Rejected before any run, so no CSV is left without its mirror.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, TINY)
+    code = main(["run", str(cfg)] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {flags[-1]}: nodir is not an existing directory\n"
+    assert captured.out == ""
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_order_override(tmp_path):

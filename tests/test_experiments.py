@@ -2,7 +2,6 @@
 table writer."""
 
 import concurrent.futures
-import csv
 import json
 import re
 
@@ -14,12 +13,7 @@ from gateflow import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP, MAX_SL
                       compare_methods, execute_experiment, flow_evaluation,
                       gate_target, integrate_flow, load_experiment, run_experiment,
                       write_comparison)
-
-
-def write_cfg(tmp_path, text, name="exp.cfg"):
-    path = tmp_path / name
-    path.write_text(text)
-    return path
+from helpers import read_rows, write_cfg
 
 
 def fast_spec(order=1, s_max=50.0, n_slices=50):
@@ -48,11 +42,6 @@ def recording_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
-
-
-def read_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
 
 
 def rows_without_wall_time(path):
@@ -99,6 +88,15 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="sine_amplitude"):
             ExperimentSpec(gate="swap", t_final=5.0, n_slices=300,
                            sine_amplitude=0.0)
+
+
+    def test_numpy_integers_are_stored_as_ints(self, tmp_path):
+        spec = fast_spec(order=np.int64(1), n_slices=np.int64(50))
+        assert type(spec.n_slices) is int and type(spec.order) is int
+        out = tmp_path / "out.csv"
+        compare_methods([spec], out, scan_cap=50.0)
+        (row,) = json.loads((tmp_path / "out.json").read_text())
+        assert (row["L"], row["order"]) == (50, 1)
 
 
 class TestInitialGrid:
@@ -161,6 +159,16 @@ class TestConfigParsing:
         assert specs[0].order == 0
         assert specs[1].order == "exact"
         assert specs[1].initial_controls == "sine_seed"
+
+    def test_comment_lines_do_not_end_a_block(self, tmp_path):
+        # Only a blank (or whitespace-only) line ends a block.
+        text = ("gate: cnot\n# note\nT: 5\nL: 150\n \t\n"
+                "gate: swap\nT: 5\n  # L below\nL: 300\n")
+        specs = load_experiment(write_cfg(tmp_path, text))
+        assert [(s.gate, s.n_slices) for s in specs] == [("cnot", 150), ("swap", 300)]
+        text = "gate: cnot\n# note\nT: 5\n\ngate: swap\nT: x\n"
+        with pytest.raises(ValueError, match="^exp.cfg line 1: missing required key 'L'$"):
+            load_experiment(write_cfg(tmp_path, text))
 
     def test_flow_config_keys(self, tmp_path):
         text = ("gate: cnot\nT: 5\nL: 150\ns_max: 250\nabs_tol: 1e-5\n"
@@ -478,6 +486,28 @@ class TestComparisonTable:
         with pytest.raises(ValueError, match="^" + re.escape(str(mirror or out))):
             write_comparison(self.sample_records(), out, json_path=mirror)
         assert not out.exists()
+
+    @pytest.mark.parametrize("out_name, json_name, bad_name",
+                             [("r.csv", "nodir/x.json", "nodir/x.json"),
+                              ("nodir/y.csv", None, "nodir/y.csv"),
+                              ("afile/y.csv", "r.json", "afile/y.csv")],
+                             ids=["json_missing_dir", "out_missing_dir", "out_under_a_file"])
+    def test_output_directories_must_exist(self, tmp_path, monkeypatch, recording_pool,
+                                           out_name, json_name, bad_name):
+        # Checked before any run or pool starts, like the horizon.
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / out_name
+        mirror = None if json_name is None else tmp_path / json_name
+        bad = tmp_path / bad_name
+        message = f"{bad}: {bad.parent} is not an existing directory"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
+                            json_path=mirror, parallel=2, scan_cap=50.0)
+        assert recording_pool == []
+        assert not (tmp_path / "r.csv").exists()
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            write_comparison(self.sample_records(), out, json_path=mirror)
 
     def test_parallel_matches_sequential(self, tmp_path):
         specs = [fast_spec(order=0), fast_spec(order=1)]

@@ -9,6 +9,8 @@ from gateflow import (ControlGrid, FlowConfig, GateTarget, NonFiniteRhsError,
                       dormand_prince_step, gate_target, integrate_adaptive,
                       integrate_flow)
 
+from conftest import BENCH_CASES
+
 
 def decay(y):
     """dy/ds = -y with |y| standing in for the objective."""
@@ -123,7 +125,17 @@ class TestAdaptiveScalar:
         cfg = FlowConfig(s_max=10.0)
         with pytest.raises(NonFiniteRhsError) as info:
             integrate_adaptive(bad, np.array([1.0, 1.0, 1.0]), cfg)
-        assert info.value.flat_index == 1
+        assert info.value.index == (1,)
+
+        def bad_grid(y):
+            dy = -y.copy()
+            dy[1, 2] = np.inf
+            dy[1, 3] = np.nan
+            return dy, (1.0,)
+
+        with pytest.raises(NonFiniteRhsError) as info:
+            integrate_adaptive(bad_grid, np.ones((2, 4)), cfg)
+        assert info.value.index == (1, 2)
 
 
 class TestFlowRuns:
@@ -207,6 +219,27 @@ class TestFlowRuns:
         cfg = FlowConfig(s_max=10.0)
         with pytest.raises(ValueError, match="control 1, slice 3"):
             integrate_flow(sys, grid, gate_target("cnot"), 1, cfg)
+
+
+# (rhs_evals, accepted steps, rejected steps) of each bench_runs case.
+BENCH_COUNTS = {
+    "cnot_t5_m0": (523, 75, 12),
+    "cnot_t5_m1": (337, 51, 5),
+    "swap_t5_m0": (979, 149, 14),
+    "swap_t5_m1": (295, 37, 12),
+    "cnot_t10_m0": (913, 137, 15),
+    "cnot_t10_m1": (787, 124, 7),
+    "cnot_t05_m0": (343, 56, 1),
+    "cnot_t05_m1": (331, 53, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(BENCH_CASES))
+def test_bench_run_counts(bench_runs, case):
+    result = bench_runs[case][1]
+    counts = (result.rhs_evals, result.accepted_steps, result.rejected_steps)
+    assert counts == BENCH_COUNTS[case]
+    assert result.rhs_evals == 1 + 6 * (result.accepted_steps + result.rejected_steps)
 
 
 class TestToleranceBehavior:

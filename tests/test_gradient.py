@@ -7,6 +7,7 @@ import pytest
 from gateflow import (ControlGrid, EXACT, GateTarget, MAX_SERIES_ORDER, QuantumSystem,
                       UNITARY_TOL, dagger, descent_rate, flow_evaluation, gate_target,
                       normalize_order, objective, phi1, propagate)
+from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      expm_hermitian_generator, finite_difference_gradient,
                      slice_hamiltonian, step_propagator)
@@ -15,11 +16,6 @@ from oracles import (control_average_exact, control_average_series,
 # (one slice, powers of two and their neighbours) plus a benchmark length.
 ORACLE_LENGTHS = (1, 2, 3, 7, 150)
 ALL_ORDERS = (*range(MAX_SERIES_ORDER + 1), EXACT)
-
-
-def random_hermitian(rng, n, scale=1.0):
-    a = rng.uniform(-scale, scale, (n, n)) + 1j * rng.uniform(-scale, scale, (n, n))
-    return (a + a.conj().T) / 2
 
 
 def random_target(rng, n):

@@ -6,12 +6,8 @@ import pytest
 
 from gateflow import dagger, unitarity_defect
 from gateflow.linalg import from_real_embedding, real_embedding
+from helpers import random_hermitian
 from oracles import expm_hermitian_generator
-
-
-def random_hermitian(rng, n, scale=1.0):
-    a = rng.uniform(-scale, scale, (n, n)) + 1j * rng.uniform(-scale, scale, (n, n))
-    return (a + a.conj().T) / 2
 
 
 def test_expm_zero_angle_is_identity():

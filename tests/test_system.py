@@ -8,12 +8,8 @@ from gateflow import (ControlGrid, GateTarget, QuantumSystem,
                       build_gate_targets, build_two_spin_benchmark, dagger,
                       gate_target, propagate, slice_hamiltonians, unitarity_defect)
 from gateflow.linalg import from_real_embedding
+from helpers import random_hermitian
 from oracles import expm_hermitian_generator, slice_hamiltonian, step_propagator
-
-
-def random_hermitian(rng, n, scale=1.0):
-    a = rng.uniform(-scale, scale, (n, n)) + 1j * rng.uniform(-scale, scale, (n, n))
-    return (a + a.conj().T) / 2
 
 
 def two_level_system(seed):
