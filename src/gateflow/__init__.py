@@ -5,14 +5,14 @@ orders."""
 from .experiments import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP,
                           MAX_SLICES, ExperimentSpec, RunRecord, build_initial_grid,
                           compare_methods, execute_experiment, load_experiment,
-                          run_experiment, write_comparison)
+                          write_comparison)
 from .flow import (FlowConfig, FlowResult, NonFiniteRhsError, dormand_prince_step,
                    integrate_adaptive, integrate_flow)
-from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, descent_rate,
-                       flow_evaluation, normalize_order, objective, phi1)
+from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, flow_evaluation,
+                       normalize_order, objective, phi1)
 from .linalg import HERMITIAN_RTOL, dagger, require_hermitian
 from .system import (UNITARY_TOL, ControlGrid, GateTarget, PropagationCache,
                      QuantumSystem, propagate, slice_hamiltonians, unitarity_defect)
-from .twospin import I2, SX, SY, SZ, build_gate_targets, build_two_spin_benchmark, gate_target
+from .twospin import GATE_TARGETS, I2, SX, SY, SZ, build_two_spin_benchmark, gate_target
 
 __version__ = "0.1.0"

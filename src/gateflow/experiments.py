@@ -15,7 +15,7 @@ import numpy as np
 from .flow import FlowConfig, integrate_flow
 from .gradient import EXACT, normalize_order
 from .system import ControlGrid
-from .twospin import GATES, build_two_spin_benchmark, gate_target
+from .twospin import build_two_spin_benchmark, gate_target
 
 DEFAULT_SCAN_CAP = 5000.0
 DEFAULT_GRANULARITY = 100.0
@@ -53,8 +53,7 @@ class ExperimentSpec:
     sine_amplitude: float = 1e-5
 
     def __post_init__(self):
-        if self.gate not in GATES:
-            raise ValueError(f"unknown gate '{self.gate}', expected one of: {', '.join(GATES)}")
+        object.__setattr__(self, "gate", gate_target(self.gate).label)
         if not self.t_final > 0:
             raise ValueError("T must be positive")
         if not (isinstance(self.n_slices, (int, np.integer))
@@ -73,6 +72,9 @@ class ExperimentSpec:
                 f"initial_controls must be one of: {', '.join(SEED_MODES)}")
         if not self.sine_amplitude > 0:
             raise ValueError("sine_amplitude must be positive")
+        # Plain floats, so that the CSV and JSON writers see a float.
+        for name in ("t_final", "s_granularity", "sine_amplitude"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,6 @@ def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
     return record, result
 
 
-def run_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
-    """Run one spec and return its RunRecord."""
-    return execute_experiment(spec, scan_cap)[0]
-
-
 def _output_paths(out_path, json_path):
     """(CSV path, JSON mirror path), checked to be two different files
     in existing directories."""
@@ -198,15 +195,16 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
     for spec in specs:
         _effective_horizon(spec, scan_cap)
     _output_paths(out_path, json_path)
-    run = functools.partial(run_experiment, scan_cap=scan_cap)
+    run = functools.partial(execute_experiment, scan_cap=scan_cap)
     workers = min(parallel, len(specs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, specs))
+            outcomes = list(pool.map(run, specs))
     else:
-        records = [run(spec) for spec in specs]
+        outcomes = [run(spec) for spec in specs]
+    records = [record for record, _ in outcomes]
     write_comparison(records, out_path, json_path)
     return records
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import descent_rate, flow_evaluation, normalize_order
+from .gradient import flow_evaluation, normalize_order
 from .system import ControlGrid
 
 # Dormand-Prince 5(4) tableau: stage matrix A and embedded error weights
@@ -165,13 +165,12 @@ def integrate_flow(sys, grid0, target, order, cfg):
 
     def f(amplitudes):
         nonlocal max_defect
-        grid = grid0.with_amplitudes(amplitudes)
-        ev = flow_evaluation(sys, grid, target, order, check_unitarity=cfg.check_unitarity,
-                             exact_reference=cfg.track_descent)
+        ev = flow_evaluation(sys, grid0.with_amplitudes(amplitudes), target, order,
+                             check_unitarity=cfg.check_unitarity,
+                             track_descent=cfg.track_descent)
         if cfg.check_unitarity:
             max_defect = max(max_defect, ev.unitarity_defect)
-        rate = descent_rate(grid, ev.exact_rhs, ev.values) if cfg.track_descent else None
-        return ev.values, (ev.objective, rate)
+        return ev.values, (ev.objective, ev.descent_rate)
 
     try:
         y, accepted, reason, s_stop, evals, n_acc, n_rej = integrate_adaptive(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, from_real_embedding, real_embedding
-from .system import UNITARY_TOL, propagate, slice_hamiltonians, unitarity_defect
+from .system import UNITARY_TOL, propagate, unitarity_defect
 
 # Truncation orders past this are a sign of misuse: the factorial
 # denominators push the extra terms below rounding while the nested
@@ -40,12 +40,17 @@ def normalize_order(order):
 class RhsEvaluation:
     """Everything one propagation pass yields: the flow velocities deps/ds
     (one row per control), the objective, and the optional diagnostics the
-    integrator can ask for."""
+    integrator can ask for.
+
+    descent_rate is the estimated dJ/ds along the velocities: the objective
+    gradient (-dt times the exact velocities) contracted with them. It is
+    negative as long as the followed direction still descends.
+    """
 
     values: np.ndarray  # shape (n, L)
     objective: float
     unitarity_defect: float | None = None
-    exact_rhs: np.ndarray | None = None
+    descent_rate: float | None = None
 
 
 def objective(u_final, target):
@@ -61,21 +66,19 @@ def objective(u_final, target):
 
 
 def phi1(z):
-    """(e^z - 1) / z with the removable singularity filled in.
+    """(e^z - 1) / z with the removable singularity at z = 0 filled in.
 
-    Below |z| = 1e-4 the closed form loses digits to cancellation, so a
-    short Taylor series takes over there.
+    expm1 keeps the numerator's digits for small |z|, where e^z - 1 would
+    lose them to cancellation.
     """
     z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    closed = (np.exp(safe) - 1.0) / safe
-    series = 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
-    return np.where(small, series, closed)
+    zero = z == 0
+    safe = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, np.expm1(safe) / safe)
 
 
 def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
-                    exact_reference=False):
+                    track_descent=False):
     """One propagation pass: flow velocities and the objective value.
 
     Entry (k, l) of the velocities is Im Tr[W_l M_k^l] / (2N) with
@@ -91,11 +94,12 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
       (a, b) by phi1(i (lam_a - lam_b) dt), so
       W~_l = V_l ((V_l^dagger W_l V_l) o phi1(i (lam_b - lam_a) dt)) V_l^dagger.
 
-    All the products run on the real embeddings of the propagation cache.
+    The slice Hamiltonians, eigensystems and prefixes all come from the
+    one propagation pass, and the products run on their real embeddings.
     With check_unitarity the prefixes are verified against UNITARY_TOL and
-    the measured defect is reported; with exact_reference the exact-average
-    velocities come along for descent diagnostics, reusing the same
-    eigensystems.
+    the measured defect is reported; with track_descent the exact-average
+    velocities are formed as well, reusing the same eigensystems, and
+    reduced to the descent rate of the followed velocities.
     """
     order = normalize_order(order)
     cache = propagate(sys, grid)
@@ -119,8 +123,8 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
         return np.einsum("lab,kba->kl", w_avg, probes) / (4 * dim)
 
     exact_values = None
-    if order == EXACT or exact_reference:
-        v = real_embedding(cache.eigvecs)
+    if order == EXACT or track_descent:
+        v = cache.eigvecs
         vt = v.transpose(0, 2, 1)
         lam = cache.eigvals
         phases = phi1(1j * dt * (lam[:, None, :] - lam[:, :, None]))
@@ -129,18 +133,19 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
     if order == EXACT:
         values = exact_values
     else:
-        x = real_embedding(1j * slice_hamiltonians(sys, grid))
+        x = real_embedding(1j * cache.hamiltonians) if order else None
+        # The series reads only w and x, and w is not read after it.
+        # Releasing the propagation pass and updating in place keep the
+        # evaluation's peak memory low; otherwise malloc trims the heap top
+        # after each evaluation and the next one faults those pages back in.
+        del cache, p
         cur = w_avg = w
         for j in range(1, order + 1):
-            cur = cur @ x - x @ cur
-            w_avg = w_avg + (dt**j / math.factorial(j + 1)) * cur
+            comm = cur @ x
+            comm -= x @ cur
+            cur = comm
+            w_avg += (dt**j / math.factorial(j + 1)) * cur
         values = velocities(w_avg)
+    rate = float(-dt * np.sum(exact_values * values)) if track_descent else None
     return RhsEvaluation(values=values, objective=j_value, unitarity_defect=defect,
-                         exact_rhs=exact_values if exact_reference else None)
-
-
-def descent_rate(grid, exact_rhs, followed_rhs):
-    """Estimated dJ/ds: the objective gradient (-dt times the exact
-    velocities) contracted with the velocities actually followed.
-    Negative as long as the truncated direction still descends."""
-    return float(-grid.dt * np.sum(exact_rhs * followed_rhs))
+                         descent_rate=rate)

@@ -117,12 +117,13 @@ class GateTarget:
 @dataclass(frozen=True, eq=False)
 class PropagationCache:
     """Prefix propagators P_l = U(t_l, 0) in real-embedded form, together
-    with the slice eigensystems that produced them (both reused by the
-    gradient engine)."""
+    with the slice Hamiltonians and eigensystems that produced them (all
+    reused by the gradient engine)."""
 
-    eigvals: np.ndarray   # (L, N), eigenvalues of each slice Hamiltonian
-    eigvecs: np.ndarray   # (L, N, N)
-    embedded: np.ndarray  # (L+1, 2N, 2N), real_embedding(P_l), embedded[0] = I
+    hamiltonians: np.ndarray  # (L, N, N), slice_hamiltonians(sys, grid)
+    eigvals: np.ndarray       # (L, N), eigenvalues of each slice Hamiltonian
+    eigvecs: np.ndarray       # (L, 2N, 2N), real_embedding of the eigenvectors
+    embedded: np.ndarray      # (L+1, 2N, 2N), real_embedding(P_l), embedded[0] = I
 
     @property
     def prefixes(self):
@@ -148,17 +149,19 @@ def propagate(sys, grid):
     """All prefix propagators P_0..P_L, with later slices applied on the left.
 
     One batched eigendecomposition covers every slice (a real-symmetric one
-    when the system is real); the eigensystems are kept in the cache because
-    the gradient engine reuses them for the exact slice averages. The step
-    propagators V e^{-i dt lam} V^dagger and their products are formed on
-    real 2N x 2N embeddings (see real_embedding), the products by a
+    when the system is real); the slice Hamiltonians and eigensystems are
+    kept in the cache because the gradient engine reuses them for the
+    series and exact slice averages. The step propagators
+    V e^{-i dt lam} V^dagger and their products are formed on real
+    2N x 2N embeddings (see real_embedding), the products by a
     Hillis-Steele doubling scan over [I, step_1, ..., step_L]: the pass
     with offset d = 1, 2, 4, ... multiplies every entry l >= d by entry
     l - d from the right, after which entry l holds the product of
     entries max(0, l - 2d + 1)..l. Once 2d >= L every entry covers steps
     1..l, so ceil(log2 L) batched matmuls replace L sequential ones.
     """
-    lam, vecs = np.linalg.eigh(slice_hamiltonians(sys, grid))
+    hams = slice_hamiltonians(sys, grid)
+    lam, vecs = np.linalg.eigh(hams)
     v = real_embedding(vecs)
     phased = real_embedding(vecs * np.exp(-1j * grid.dt * lam)[:, None, :])
     scan = np.empty((grid.n_slices + 1,) + v.shape[1:])
@@ -168,7 +171,7 @@ def propagate(sys, grid):
     while d < grid.n_slices:
         scan[d:] = scan[d:] @ scan[:-d]
         d *= 2
-    return PropagationCache(eigvals=lam, eigvecs=vecs, embedded=scan)
+    return PropagationCache(hamiltonians=hams, eigvals=lam, eigvecs=v, embedded=scan)
 
 
 def unitarity_defect(p):

@@ -1,6 +1,8 @@
 """The two-qubit benchmark: drift Hamiltonian, local controls and the two
 gate targets used by the comparison runs."""
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .system import GateTarget, QuantumSystem
@@ -12,7 +14,6 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex) / np.sqrt(2)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex) / np.sqrt(2)
 
 I2 = np.eye(2, dtype=complex)
-GATES = ("cnot", "swap")  # labels of build_gate_targets, in order
 
 
 def build_two_spin_benchmark(omega1=20.0, omega2=30.0, cx=110.0, cy=120.0, cz=130.0):
@@ -32,35 +33,26 @@ def build_two_spin_benchmark(omega1=20.0, omega2=30.0, cx=110.0, cy=120.0, cz=13
     return QuantumSystem(h0=h0, controls=controls)
 
 
-def build_gate_targets():
-    """The CNOT and SWAP targets, both carrying a global exp(i pi/4) phase.
+def _phased_permutation(perm):
+    """exp(i pi/4) times the identity with its rows reordered as perm.
 
     The traceless Hamiltonians can only generate unitaries of determinant
-    one; the bare gates have determinant -1, and the global phase lines
-    that up.
+    one; the bare CNOT and SWAP have determinant -1, and the global phase
+    lines that up.
     """
-    phase = np.exp(1j * np.pi / 4)
-    cnot = phase * np.array(
-        [[1, 0, 0, 0],
-         [0, 1, 0, 0],
-         [0, 0, 0, 1],
-         [0, 0, 1, 0]],
-        dtype=complex,
-    )
-    swap = phase * np.array(
-        [[1, 0, 0, 0],
-         [0, 0, 1, 0],
-         [0, 1, 0, 0],
-         [0, 0, 0, 1]],
-        dtype=complex,
-    )
-    return GateTarget(matrix=cnot, label="cnot"), GateTarget(matrix=swap, label="swap")
+    return np.exp(1j * np.pi / 4) * np.eye(4, dtype=complex)[list(perm)]
+
+
+# The benchmark targets by label, built once and read-only.
+GATE_TARGETS = MappingProxyType({
+    label: GateTarget(matrix=_phased_permutation(perm), label=label)
+    for label, perm in (("cnot", (0, 1, 3, 2)), ("swap", (0, 2, 1, 3)))})
 
 
 def gate_target(name):
-    """Look up a benchmark target by label ('cnot' or 'swap')."""
-    targets = {t.label: t for t in build_gate_targets()}
+    """Look up a benchmark target by label ('cnot' or 'swap', any case)."""
     try:
-        return targets[name.lower()]
+        return GATE_TARGETS[str(name).lower()]
     except KeyError:
-        raise ValueError(f"unknown gate '{name}', expected one of: {', '.join(GATES)}") from None
+        raise ValueError(f"unknown gate '{name}', expected one of: "
+                         f"{', '.join(GATE_TARGETS)}") from None

@@ -11,8 +11,7 @@ import pytest
 from gateflow import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP, MAX_SLICES,
                       ExperimentSpec, FlowConfig, RunRecord, build_initial_grid,
                       compare_methods, execute_experiment, flow_evaluation,
-                      gate_target, integrate_flow, load_experiment, run_experiment,
-                      write_comparison)
+                      gate_target, integrate_flow, load_experiment, write_comparison)
 from helpers import read_rows, write_cfg
 
 
@@ -97,6 +96,25 @@ class TestExperimentSpec:
         compare_methods([spec], out, scan_cap=50.0)
         (row,) = json.loads((tmp_path / "out.json").read_text())
         assert (row["L"], row["order"]) == (50, 1)
+
+    def test_numpy_floats_are_stored_as_floats(self, tmp_path):
+        # The writers need plain floats: json cannot serialise np.float32,
+        # and the CSV writes only float values through %.17g.
+        t_final = np.float32(4.9)
+        spec = ExperimentSpec(gate="cnot", t_final=t_final, n_slices=50,
+                              s_granularity=np.float32(100.0),
+                              sine_amplitude=np.float32(1e-5), cfg=FlowConfig(s_max=50.0))
+        assert all(type(v) is float
+                   for v in (spec.t_final, spec.s_granularity, spec.sine_amplitude))
+        out = tmp_path / "out.csv"
+        compare_methods([spec], out, scan_cap=50.0)
+        (row,) = json.loads((tmp_path / "out.json").read_text())
+        assert row["T"] == float(t_final)
+        header, csv_row = read_rows(out)
+        assert csv_row[header.index("T")] == f"{float(t_final):.17g}" == "4.9000000953674316"
+
+    def test_gate_label_is_canonical(self):
+        assert ExperimentSpec(gate="CNOT", t_final=5.0, n_slices=150).gate == "cnot"
 
 
 class TestInitialGrid:
@@ -357,7 +375,7 @@ class TestRunner:
     def test_scan_cap_limits_extension(self):
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,
                               cfg=FlowConfig(s_max=300.0))
-        record = run_experiment(spec, scan_cap=300.0)
+        record = execute_experiment(spec, scan_cap=300.0)[0]
         assert record.stop_reason == "horizon"
         assert record.s_reported == 300.0
         assert record.final_j > 1e-7
@@ -370,7 +388,7 @@ class TestRunner:
 
     def test_reported_horizon_is_granularity_multiple(self):
         spec = fast_spec(s_max=50.0)
-        record = run_experiment(spec, scan_cap=50.0)
+        record = execute_experiment(spec, scan_cap=50.0)[0]
         assert record.stop_reason == "horizon"
         assert record.s_reported == 100.0
         assert record.s_reported % spec.s_granularity == 0

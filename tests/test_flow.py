@@ -208,7 +208,7 @@ class TestFlowRuns:
 
     def test_non_finite_velocities_name_the_entry(self, monkeypatch):
         def stub(sys, grid, target, order=1, *, check_unitarity=False,
-                 exact_reference=False):
+                 track_descent=False):
             values = np.zeros((2, 5))
             values[1, 2] = np.nan
             return RhsEvaluation(values=values, objective=0.4)

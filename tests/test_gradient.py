@@ -1,12 +1,14 @@
 """Gradient engine: objective values, slice averages against quadrature,
 series structure, and the finite-difference identity for the exact flow."""
 
+import math
+
 import numpy as np
 import pytest
 
 from gateflow import (ControlGrid, EXACT, GateTarget, MAX_SERIES_ORDER, QuantumSystem,
-                      UNITARY_TOL, dagger, descent_rate, flow_evaluation, gate_target,
-                      normalize_order, objective, phi1, propagate)
+                      UNITARY_TOL, dagger, flow_evaluation, gate_target, normalize_order,
+                      objective, phi1, propagate, slice_hamiltonians)
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      expm_hermitian_generator, finite_difference_gradient,
@@ -95,12 +97,16 @@ class TestPhi1:
         z = 0.5j
         assert abs(phi1(z) - (np.exp(z) - 1.0) / z) <= 1e-15
 
-    def test_series_branch_matches_closed_form(self):
-        # The series takes over below |z| = 1e-4; at the switch point the
-        # closed form still has most of its digits, so the two must agree.
-        z = 0.99e-4 * 1j
-        closed = (np.exp(z) - 1.0) / z
-        assert abs(phi1(z) - closed) <= 1e-11
+    def test_matches_taylor_reference(self):
+        # phi1(z) = sum_j z^j / (j+1)!; thirty terms leave a remainder far
+        # below rounding for |z| <= 0.5, on every ray and down to tiny |z|,
+        # where (e^z - 1) / z would lose digits to cancellation.
+        r = np.logspace(-10, np.log10(0.5), 60)[:, None]
+        z = (r * np.exp(1j * np.linspace(0, 2 * np.pi, 17))).ravel()
+        reference = np.full_like(z, 1 / math.factorial(30))
+        for j in range(28, -1, -1):
+            reference = reference * z + 1 / math.factorial(j + 1)
+        assert np.abs(phi1(z) / reference - 1).max() <= 2e-15
 
     def test_array_input(self):
         z = np.array([0.0, 1e-6, 1.0, -2.0 + 0.5j])
@@ -259,19 +265,42 @@ class TestFlowRhs:
         expected = objective(propagate(sys, grid).total, target)
         assert abs(ev.objective - expected) <= 1e-15
         assert ev.unitarity_defect is None
-        assert ev.exact_rhs is None
+        assert ev.descent_rate is None
 
     def test_flow_evaluation_diagnostics(self):
         sys, grid, target = random_instance(46, dim=4, n_controls=2)
         ev = flow_evaluation(sys, grid, target, order=1, check_unitarity=True,
-                             exact_reference=True)
+                             track_descent=True)
         assert ev.unitarity_defect is not None
         assert ev.unitarity_defect <= 1e-10
-        assert ev.exact_rhs is not None
-        assert ev.exact_rhs.shape == ev.values.shape
-        assert not np.array_equal(ev.exact_rhs, ev.values)
-        exact_direct = flow_evaluation(sys, grid, target, order=EXACT).values
-        assert np.allclose(ev.exact_rhs, exact_direct, rtol=1e-12, atol=1e-15)
+        assert type(ev.descent_rate) is float
+        plain = flow_evaluation(sys, grid, target, order=1)
+        assert np.array_equal(ev.values, plain.values)
+        assert ev.objective == plain.objective
+
+    def test_descent_rate_contracts_exact_with_followed(self):
+        sys, grid, target = random_instance(55, dim=4, n_controls=2, n_slices=7)
+        rate = flow_evaluation(sys, grid, target, order=1, track_descent=True).descent_rate
+        followed = flow_evaluation(sys, grid, target, order=1).values
+        exact = flow_evaluation(sys, grid, target, order=EXACT).values
+        assert not np.allclose(followed, exact)
+        expected = -grid.dt * float(np.sum(exact * followed))
+        assert abs(rate - expected) <= 1e-12 * abs(expected)
+
+    def test_slice_hamiltonians_built_once(self, monkeypatch):
+        # propagate builds them and the series generator reads them from
+        # the cache; patched in gradient too, a second build would count.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return slice_hamiltonians(*args)
+
+        monkeypatch.setattr("gateflow.system.slice_hamiltonians", counting)
+        monkeypatch.setattr("gateflow.gradient.slice_hamiltonians", counting, raising=False)
+        sys, grid, target = random_instance(56, dim=4, n_controls=2)
+        flow_evaluation(sys, grid, target, order=1)
+        assert len(calls) == 1
 
     def test_unitarity_check_raises_on_drift(self, monkeypatch):
         sys, grid, target = random_instance(53)
@@ -282,9 +311,12 @@ class TestFlowRhs:
             flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
 
     def test_exact_reference_reuses_exact_values(self):
-        sys, grid, target = random_instance(47)
-        ev = flow_evaluation(sys, grid, target, order=EXACT, exact_reference=True)
-        assert np.array_equal(ev.exact_rhs, ev.values)
+        # At exact order the followed velocities are the exact reference,
+        # so the rate is -dt * |v|^2 <= 0 from the same values.
+        sys, grid, target = random_instance(47, dim=4, n_controls=2)
+        ev = flow_evaluation(sys, grid, target, order=EXACT, track_descent=True)
+        assert ev.descent_rate == -grid.dt * float(np.sum(ev.values * ev.values))
+        assert ev.descent_rate < 0
 
 
 class TestFiniteDifference:
@@ -319,11 +351,14 @@ class TestFiniteDifference:
         assert abs(paired - ideal) <= 1e-6 * abs(ideal)
 
     def test_descent_rate_helper(self):
+        # The reported descent rate is dJ/ds along the followed velocities:
+        # the finite-difference gradient contracted with them.
         sys, grid, target = random_instance(51, dim=4, n_controls=2)
-        exact = flow_evaluation(sys, grid, target, order=EXACT).values
-        rate = descent_rate(grid, exact, exact)
-        assert rate == -grid.dt * float(np.sum(exact * exact))
-        assert rate <= 0
+        ev = flow_evaluation(sys, grid, target, order=1, track_descent=True)
+        fd = finite_difference_gradient(sys, grid, target, delta=1e-5)
+        paired = float(np.sum(fd * ev.values))
+        assert ev.descent_rate < 0
+        assert abs(ev.descent_rate - paired) <= 1e-6 * abs(paired)
 
     def test_rejects_bad_delta(self):
         sys, grid, target = random_instance(52)

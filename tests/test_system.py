@@ -4,10 +4,10 @@ Hamiltonians, unitarity of the prefix chain, and an ODE cross-check."""
 import numpy as np
 import pytest
 
-from gateflow import (ControlGrid, GateTarget, QuantumSystem,
-                      build_gate_targets, build_two_spin_benchmark, dagger,
-                      gate_target, propagate, slice_hamiltonians, unitarity_defect)
-from gateflow.linalg import from_real_embedding
+from gateflow import (GATE_TARGETS, ControlGrid, GateTarget, QuantumSystem,
+                      build_two_spin_benchmark, dagger, gate_target, propagate,
+                      slice_hamiltonians, unitarity_defect)
+from gateflow.linalg import from_real_embedding, real_embedding
 from helpers import random_hermitian
 from oracles import expm_hermitian_generator, slice_hamiltonian, step_propagator
 
@@ -57,8 +57,8 @@ class TestBenchmarkSystem:
 
 class TestGateTargets:
     def test_both_unitary(self):
-        cnot, swap = build_gate_targets()
-        for t in (cnot, swap):
+        assert list(GATE_TARGETS) == ["cnot", "swap"]
+        for t in GATE_TARGETS.values():
             gram = dagger(t.matrix) @ t.matrix
             assert np.abs(gram - np.eye(4)).max() <= 1e-15
 
@@ -79,11 +79,12 @@ class TestGateTargets:
         assert abs(cnot[0, 0] - np.exp(1j * np.pi / 4)) <= 1e-15
 
     def test_determinants_are_one(self):
-        for t in build_gate_targets():
+        for t in GATE_TARGETS.values():
             assert abs(np.linalg.det(t.matrix) - 1.0) <= 1e-12
 
     def test_unknown_gate_rejected(self):
-        with pytest.raises(ValueError, match="unknown gate"):
+        with pytest.raises(ValueError, match="^unknown gate 'toffoli', expected one of: "
+                                             "cnot, swap$"):
             gate_target("toffoli")
 
     def test_case_insensitive_lookup(self):
@@ -282,5 +283,8 @@ class TestPropagation:
         assert cache.embedded.shape == (6, 8, 8)
         assert np.array_equal(from_real_embedding(cache.embedded), cache.prefixes)
         assert cache.eigvals.shape == (5, 4)
-        assert cache.eigvecs.shape == (5, 4, 4)
+        assert cache.eigvecs.shape == (5, 8, 8)
         assert cache.n_slices == 5
+        hams = slice_hamiltonians(benchmark_system, grid)
+        assert np.array_equal(cache.hamiltonians, hams)
+        assert np.array_equal(cache.eigvecs, real_embedding(np.linalg.eigh(hams)[1]))
