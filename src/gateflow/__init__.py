@@ -6,8 +6,7 @@ from .experiments import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP,
                           MAX_SLICES, ExperimentSpec, RunRecord, build_initial_grid,
                           compare_methods, execute_experiment, load_experiment,
                           write_comparison)
-from .flow import (FlowConfig, FlowResult, NonFiniteRhsError, dormand_prince_step,
-                   integrate_adaptive, integrate_flow)
+from .flow import FlowConfig, FlowResult, dormand_prince_step, integrate_flow
 from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, flow_evaluation,
                        normalize_order, objective, phi1)
 from .linalg import HERMITIAN_RTOL, dagger, require_hermitian

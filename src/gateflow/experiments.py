@@ -14,7 +14,7 @@ import numpy as np
 
 from .flow import FlowConfig, integrate_flow
 from .gradient import EXACT, normalize_order
-from .system import ControlGrid
+from .system import ControlGrid, require_positive_finite
 from .twospin import build_two_spin_benchmark, gate_target
 
 DEFAULT_SCAN_CAP = 5000.0
@@ -54,24 +54,21 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "gate", gate_target(self.gate).label)
-        if not self.t_final > 0:
-            raise ValueError("T must be positive")
+        require_positive_finite(self.t_final, "T")
         if not (isinstance(self.n_slices, (int, np.integer))
                 and 1 <= self.n_slices <= MAX_SLICES):
             raise ValueError(f"L must be a positive integer of at most {MAX_SLICES}, "
                              f"got {self.n_slices!r}")
         object.__setattr__(self, "n_slices", int(self.n_slices))
         object.__setattr__(self, "order", normalize_order(self.order))
-        if not self.s_granularity > 0:
-            raise ValueError("s_granularity must be positive")
+        require_positive_finite(self.s_granularity, "s_granularity")
         if self.initial_controls is None:
             object.__setattr__(self, "initial_controls",
                                "zero" if self.gate == "cnot" else "sine_seed")
         if self.initial_controls not in SEED_MODES:
             raise ValueError(
                 f"initial_controls must be one of: {', '.join(SEED_MODES)}")
-        if not self.sine_amplitude > 0:
-            raise ValueError("sine_amplitude must be positive")
+        require_positive_finite(self.sine_amplitude, "sine_amplitude")
         # Plain floats, so that the CSV and JSON writers see a float.
         for name in ("t_final", "s_granularity", "sine_amplitude"):
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -150,12 +147,14 @@ def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
 
 def _output_paths(out_path, json_path):
     """(CSV path, JSON mirror path), checked to be two different files
-    in existing directories."""
+    in existing directories, neither of them a directory itself."""
     out_path = Path(out_path)
     json_path = out_path.with_suffix(".json") if json_path is None else Path(json_path)
     for path in (out_path, json_path):
         if not path.parent.is_dir():
             raise ValueError(f"{path}: {path.parent} is not an existing directory")
+        if path.is_dir():
+            raise ValueError(f"{path}: is a directory, not a file")
     if json_path.resolve() == out_path.resolve():
         raise ValueError(f"{json_path}: the JSON mirror would overwrite the CSV output")
     return out_path, json_path
@@ -184,11 +183,11 @@ def write_comparison(records, out_path, json_path=None):
 def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAULT_SCAN_CAP):
     """Run every spec and write the comparison table.
 
-    Every spec's horizon and the two output paths (distinct files in
-    existing directories) are checked before any run starts. Specs may
-    run in parallel (they share no state) on at most min(parallel, number
-    of specs, CPU count) worker processes; rows are written in spec order
-    regardless of completion order. Returns the records.
+    Every spec's horizon and the two output paths (see _output_paths) are
+    checked before any run starts. Specs may run in parallel (they share
+    no state) on at most min(parallel, number of specs, CPU count) worker
+    processes; rows are written in spec order regardless of completion
+    order. Returns the records.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")

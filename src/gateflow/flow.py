@@ -34,14 +34,6 @@ STOP_UNDERFLOW = "step_underflow"
 STOP_BUDGET = "eval_budget"
 
 
-class NonFiniteRhsError(ValueError):
-    """The right-hand side produced a non-finite entry at position index."""
-
-    def __init__(self, index):
-        super().__init__(f"right-hand side not finite at index {index}")
-        self.index = index
-
-
 @dataclass
 class FlowConfig:
     """Integration limits and tolerances for one flow run."""
@@ -100,53 +92,51 @@ def dormand_prince_step(f, y, h, k1):
     return y5, err, k[6]
 
 
-def integrate_adaptive(f, y0, cfg):
-    """Drive dy/ds = f(y) from s = 0 until a stop condition fires.
+def integrate_flow(sys, grid0, target, order, cfg):
+    """Flow the control grid along the chosen velocity field from s = 0
+    until, in priority order, J <= j_stop, the horizon s_max, the
+    evaluation budget or a step underflow stops it. A non-finite velocity
+    raises ValueError naming its control and slice."""
+    order = normalize_order(order)
+    evals, max_defect, ev = 0, 0.0, None
 
-    The state may have any shape. f returns (dy, aux): dy shaped like the
-    state, aux a tuple led by the objective value the stop rule reads; aux
-    of each accepted point is kept. A non-finite entry of dy raises
-    NonFiniteRhsError, whose index is its position. Stops, in priority
-    order: objective at or below j_stop, horizon reached, evaluation
-    budget exhausted, step size underflow.
-
-    Returns (y, accepted, stop_reason, s_stop, evals, n_accepted, n_rejected)
-    where accepted is a list of (s, aux) starting with the initial point
-    and s_stop, where integration ended, never exceeds s_max.
-    """
-    y = np.array(y0, dtype=float)
-    evals, aux = 0, None
-
-    def fr(state):
-        nonlocal evals, aux
-        dy, aux = f(state)
-        dy = np.asarray(dy, dtype=float)
-        bad = ~np.isfinite(dy)
+    def f(amplitudes):
+        nonlocal evals, max_defect, ev
+        ev = flow_evaluation(sys, grid0.with_amplitudes(amplitudes), target, order,
+                             check_unitarity=cfg.check_unitarity,
+                             track_descent=cfg.track_descent)
+        bad = ~np.isfinite(ev.values)
         if bad.any():
-            raise NonFiniteRhsError(tuple(int(i) for i in np.argwhere(bad)[0]))
+            control, sl = np.argwhere(bad)[0]
+            raise ValueError(f"flow right-hand side not finite at control {control}, "
+                             f"slice {sl + 1}")
         evals += 1
-        return dy
+        if cfg.check_unitarity:
+            max_defect = max(max_defect, ev.unitarity_defect)
+        return ev.values
 
-    k1 = fr(y)
-    accepted = [(0.0, aux)]
+    # Rows are (s, J, dJ/ds) of the last evaluation: the FSAL stage at y.
+    y = grid0.amplitudes
+    k1 = f(y)
+    rows = [(0.0, ev.objective, ev.descent_rate)]
     s, h, n_acc, n_rej = 0.0, cfg.h_init, 0, 0
-    reason = STOP_J_REACHED if aux[0] <= cfg.j_stop else None
+    reason = STOP_J_REACHED if ev.objective <= cfg.j_stop else None
     while reason is None:
         h = min(h, cfg.s_max - s)
-        y_new, err, k_last = dormand_prince_step(fr, y, h, k1)
+        y_new, err, k_last = dormand_prince_step(f, y, h, k1)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.abs(err / scale).max()) if y.size else 0.0
+        err_norm = float(np.abs(err / scale).max())
         if err_norm <= 1.0:
             s += h
             y, k1 = y_new, k_last
             n_acc += 1
-            accepted.append((s, aux))
+            rows.append((s, ev.objective, ev.descent_rate))
         else:
             n_rej += 1
         factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
         h *= min(MAX_GROW, max(MIN_SHRINK, factor))
-        # A rejected step leaves accepted[-1], whose J is above j_stop.
-        if accepted[-1][1][0] <= cfg.j_stop:
+        # A rejected step leaves rows[-1], whose J is above j_stop.
+        if rows[-1][1] <= cfg.j_stop:
             reason = STOP_J_REACHED
         elif cfg.s_max - s <= cfg.h_min:
             reason = STOP_HORIZON
@@ -154,42 +144,15 @@ def integrate_adaptive(f, y0, cfg):
             reason = STOP_BUDGET
         elif h < cfg.h_min:
             reason = STOP_UNDERFLOW
-    return y, accepted, reason, min(s, cfg.s_max), evals, n_acc, n_rej
-
-
-def integrate_flow(sys, grid0, target, order, cfg):
-    """Flow the control grid along the chosen velocity field until the
-    objective target, the horizon, or a step/budget limit is hit."""
-    order = normalize_order(order)
-    max_defect = 0.0
-
-    def f(amplitudes):
-        nonlocal max_defect
-        ev = flow_evaluation(sys, grid0.with_amplitudes(amplitudes), target, order,
-                             check_unitarity=cfg.check_unitarity,
-                             track_descent=cfg.track_descent)
-        if cfg.check_unitarity:
-            max_defect = max(max_defect, ev.unitarity_defect)
-        return ev.values, (ev.objective, ev.descent_rate)
-
-    try:
-        y, accepted, reason, s_stop, evals, n_acc, n_rej = integrate_adaptive(
-            f, grid0.amplitudes, cfg)
-    except NonFiniteRhsError as exc:
-        control, sl = exc.index
-        raise ValueError(f"flow right-hand side not finite at control {control}, "
-                         f"slice {sl + 1}") from exc
-
-    j_trace = np.array([(s, aux[0]) for s, aux in accepted])
-    descent = np.array([(s, aux[1]) for s, aux in accepted]) if cfg.track_descent else None
     return FlowResult(
         final_grid=grid0.with_amplitudes(y),
-        j_trace=j_trace,
+        j_trace=np.array([(s, j) for s, j, _ in rows]),
         stop_reason=reason,
-        s_stop=s_stop,
+        s_stop=min(s, cfg.s_max),
         rhs_evals=evals,
         accepted_steps=n_acc,
         rejected_steps=n_rej,
         max_unitarity_defect=max_defect if cfg.check_unitarity else None,
-        descent_trace=descent,
+        descent_trace=(np.array([(s, rate) for s, _, rate in rows])
+                       if cfg.track_descent else None),
     )

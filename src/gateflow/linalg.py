@@ -20,12 +20,14 @@ def dagger(a):
 
 
 def require_hermitian(a, name="matrix"):
-    """Raise ValueError unless a is Hermitian to HERMITIAN_RTOL (relative)."""
+    """Raise ValueError unless a is finite and Hermitian to HERMITIAN_RTOL."""
     a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
     scale = np.abs(a).max()
     bound = HERMITIAN_RTOL * (scale if scale > 0 else 1.0)
     dev = np.abs(a - a.conj().T).max()
-    if dev > bound:
+    if not dev <= bound:
         raise ValueError(
             f"{name} is not Hermitian: max|A - A^dagger| = {dev:.3e} exceeds {bound:.3e}"
         )

@@ -18,6 +18,12 @@ def _readonly(a):
     return a
 
 
+def require_positive_finite(value, name):
+    """Raise ValueError unless 0 < value < inf."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumSystem:
     """Drift Hamiltonian plus n control Hamiltonians, all N x N Hermitian.
@@ -68,8 +74,7 @@ class ControlGrid:
     amplitudes: np.ndarray  # shape (n, L)
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError("T must be positive")
+        require_positive_finite(self.t_final, "T")
         amps = np.array(self.amplitudes, dtype=float)
         if amps.ndim != 2 or amps.shape[0] < 1 or amps.shape[1] < 1:
             raise ValueError("amplitudes must have shape (n, L) with n, L >= 1")

@@ -171,6 +171,21 @@ def test_missing_output_directory_exits_one(tmp_path, capsys, monkeypatch, flags
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--out", "outdir"], ["--out", "r.csv", "--json", "outdir"]],
+                         ids=["out_is_a_dir", "json_is_a_dir"])
+def test_directory_output_path_exits_one(tmp_path, capsys, monkeypatch, flags):
+    # Rejected before any run, so no CSV is left without its mirror.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    cfg = write_cfg(tmp_path, TINY)
+    code = main(["run", str(cfg)] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: outdir: is a directory, not a file\n"
+    assert captured.out == ""
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_order_override(tmp_path):
     cfg = write_cfg(tmp_path, TINY)
     out = tmp_path / "results.csv"

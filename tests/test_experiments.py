@@ -84,9 +84,20 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="initial_controls"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150,
                            initial_controls="random")
-        with pytest.raises(ValueError, match="sine_amplitude"):
+        with pytest.raises(ValueError, match="sine_amplitude must be positive"):
             ExperimentSpec(gate="swap", t_final=5.0, n_slices=300,
                            sine_amplitude=0.0)
+        with pytest.raises(ValueError, match="s_granularity must be positive"):
+            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, s_granularity=-1.0)
+
+    @pytest.mark.parametrize("name, label", [("t_final", "T"),
+                                             ("s_granularity", "s_granularity"),
+                                             ("sine_amplitude", "sine_amplitude")])
+    def test_infinite_values_rejected(self, name, label):
+        # Rejected up front, not as a late non-finite velocity or horizon.
+        kwargs = {"t_final": 5.0, name: float("inf")}
+        with pytest.raises(ValueError, match=f"^{label} must be finite$"):
+            ExperimentSpec(gate="swap", n_slices=50, **kwargs)
 
 
     def test_numpy_integers_are_stored_as_ints(self, tmp_path):
@@ -526,6 +537,27 @@ class TestComparisonTable:
         assert not (tmp_path / "r.csv").exists()
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             write_comparison(self.sample_records(), out, json_path=mirror)
+
+    @pytest.mark.parametrize("out_name, json_name, bad_name",
+                             [("adir", "r.json", "adir"), ("r.csv", "adir", "adir")],
+                             ids=["out_is_a_dir", "json_is_a_dir"])
+    def test_output_paths_must_not_be_directories(self, tmp_path, monkeypatch,
+                                                  recording_pool, out_name, json_name,
+                                                  bad_name):
+        # Checked before any run or pool starts, like the horizon.
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / out_name
+        mirror = tmp_path / json_name
+        message = f"{tmp_path / bad_name}: is a directory, not a file"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
+                            json_path=mirror, parallel=2, scan_cap=50.0)
+        assert recording_pool == []
+        assert not (tmp_path / "r.csv").exists()
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            write_comparison(self.sample_records(), out, json_path=mirror)
+        assert not (tmp_path / "r.csv").exists()
 
     def test_parallel_matches_sequential(self, tmp_path):
         specs = [fast_spec(order=0), fast_spec(order=1)]

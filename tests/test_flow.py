@@ -4,17 +4,30 @@ tolerance behavior and determinism of full flow runs."""
 import numpy as np
 import pytest
 
-from gateflow import (ControlGrid, FlowConfig, GateTarget, NonFiniteRhsError,
-                      QuantumSystem, RhsEvaluation, build_two_spin_benchmark,
-                      dormand_prince_step, gate_target, integrate_adaptive,
+from gateflow import (ControlGrid, FlowConfig, GateTarget, QuantumSystem, RhsEvaluation,
+                      build_two_spin_benchmark, dormand_prince_step, gate_target,
                       integrate_flow)
 
 from conftest import BENCH_CASES
 
 
-def decay(y):
-    """dy/ds = -y with |y| standing in for the objective."""
-    return -y, (abs(float(y[0])),)
+def decay(sys, grid, target, order=1, *, check_unitarity=False, track_descent=False):
+    """Stand-in for flow_evaluation: dy/ds = -y on a one-entry grid, with
+    |y| as the objective."""
+    amps = grid.amplitudes
+    return RhsEvaluation(values=-amps, objective=abs(amps[0, 0]))
+
+
+@pytest.fixture
+def run_decay(monkeypatch):
+    """Integrate the decay stand-in from y(0) = y0 under cfg."""
+    monkeypatch.setattr("gateflow.flow.flow_evaluation", decay)
+
+    def run(y0, cfg):
+        grid = ControlGrid(t_final=1.0, amplitudes=[[y0]])
+        return integrate_flow(None, grid, None, 1, cfg)
+
+    return run
 
 
 class TestConfigValidation:
@@ -76,66 +89,40 @@ class TestStepper:
 
 
 class TestAdaptiveScalar:
-    def test_matches_exponential_decay(self):
+    def test_matches_exponential_decay(self, run_decay):
         cfg = FlowConfig(s_max=5.0, abs_tol=1e-8, rel_tol=1e-8, j_stop=1e-30,
                          h_init=0.5)
-        y, accepted, reason, s_stop, evals, n_acc, n_rej = integrate_adaptive(
-            decay, np.array([1.0]), cfg)
-        assert reason == "horizon"
-        assert s_stop == 5.0
-        assert abs(y[0] - np.exp(-5.0)) <= 1e-7
-        assert evals == 1 + 6 * (n_acc + n_rej)
-        assert accepted[0] == (0.0, (1.0,))
-        s_values = [s for s, _ in accepted]
-        assert all(b > a for a, b in zip(s_values, s_values[1:]))
+        result = run_decay(1.0, cfg)
+        assert result.stop_reason == "horizon"
+        assert result.s_stop == 5.0
+        assert abs(result.final_grid.amplitudes[0, 0] - np.exp(-5.0)) <= 1e-7
+        assert result.rhs_evals == 1 + 6 * (result.accepted_steps + result.rejected_steps)
+        assert tuple(result.j_trace[0]) == (0.0, 1.0)
+        assert np.all(np.diff(result.j_trace[:, 0]) > 0)
 
-    def test_objective_stop(self):
+    def test_objective_stop(self, run_decay):
         cfg = FlowConfig(s_max=100.0, j_stop=0.5, h_init=0.1)
-        y, accepted, reason, s_stop, evals, n_acc, n_rej = integrate_adaptive(
-            decay, np.array([1.0]), cfg)
-        assert reason == "j_reached"
-        assert y[0] <= 0.5
-        assert accepted[-1][1][0] <= 0.5
-        assert s_stop < 100.0
+        result = run_decay(1.0, cfg)
+        assert result.stop_reason == "j_reached"
+        assert result.final_grid.amplitudes[0, 0] <= 0.5
+        assert result.j_trace[-1, 1] <= 0.5
+        assert result.s_stop < 100.0
 
-    def test_immediate_stop_when_already_converged(self):
+    def test_immediate_stop_when_already_converged(self, run_decay):
         cfg = FlowConfig(s_max=10.0, j_stop=1e-7)
-        y, accepted, reason, s_stop, evals, n_acc, n_rej = integrate_adaptive(
-            decay, np.array([1e-9]), cfg)
-        assert reason == "j_reached"
-        assert s_stop == 0.0
-        assert evals == 1
-        assert len(accepted) == 1
-        assert n_acc == 0 and n_rej == 0
+        result = run_decay(1e-9, cfg)
+        assert result.stop_reason == "j_reached"
+        assert result.s_stop == 0.0
+        assert result.rhs_evals == 1
+        assert result.j_trace.shape == (1, 2)
+        assert result.accepted_steps == 0 and result.rejected_steps == 0
 
-    def test_eval_budget_stop(self):
+    def test_eval_budget_stop(self, run_decay):
         cfg = FlowConfig(s_max=1e6, abs_tol=1e-10, rel_tol=1e-10, j_stop=1e-30,
                          h_init=0.5, max_rhs_evals=20)
-        y, accepted, reason, s_stop, evals, n_acc, n_rej = integrate_adaptive(
-            decay, np.array([1.0]), cfg)
-        assert reason == "eval_budget"
-        assert 20 <= evals <= 25
-
-    def test_non_finite_rhs_raises(self):
-        def bad(y):
-            dy = -y.copy()
-            dy[1] = np.nan
-            return dy, (1.0,)
-
-        cfg = FlowConfig(s_max=10.0)
-        with pytest.raises(NonFiniteRhsError) as info:
-            integrate_adaptive(bad, np.array([1.0, 1.0, 1.0]), cfg)
-        assert info.value.index == (1,)
-
-        def bad_grid(y):
-            dy = -y.copy()
-            dy[1, 2] = np.inf
-            dy[1, 3] = np.nan
-            return dy, (1.0,)
-
-        with pytest.raises(NonFiniteRhsError) as info:
-            integrate_adaptive(bad_grid, np.ones((2, 4)), cfg)
-        assert info.value.index == (1, 2)
+        result = run_decay(1.0, cfg)
+        assert result.stop_reason == "eval_budget"
+        assert 20 <= result.rhs_evals <= 25
 
 
 class TestFlowRuns:
@@ -210,7 +197,8 @@ class TestFlowRuns:
         def stub(sys, grid, target, order=1, *, check_unitarity=False,
                  track_descent=False):
             values = np.zeros((2, 5))
-            values[1, 2] = np.nan
+            values[1, 2] = np.inf
+            values[1, 3] = np.nan
             return RhsEvaluation(values=values, objective=0.4)
 
         monkeypatch.setattr("gateflow.flow.flow_evaluation", stub)

@@ -105,6 +105,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="T must be positive"):
             ControlGrid(t_final=0.0, amplitudes=np.zeros((1, 4)))
 
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="^T must be finite$"):
+            ControlGrid(t_final=np.inf, amplitudes=np.zeros((1, 4)))
+
+    def test_non_finite_drift_rejected(self):
+        with pytest.raises(ValueError, match="^h0 has non-finite entries$"):
+            QuantumSystem(h0=np.full((2, 2), np.nan), controls=np.eye(2)[None])
+
+    def test_infinite_control_rejected(self):
+        control = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(ValueError, match=r"^controls\[0\] has non-finite entries$"):
+            QuantumSystem(h0=np.eye(2), controls=control[None])
+
     def test_non_finite_amplitudes_rejected(self):
         amps = np.zeros((1, 4))
         amps[0, 2] = np.nan
