@@ -8,7 +8,7 @@ from .experiments import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP,
                           write_comparison)
 from .flow import FlowConfig, FlowResult, dormand_prince_step, integrate_flow
 from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, flow_evaluation,
-                       normalize_order, objective, phi1)
+                       normalize_order, phi1)
 from .linalg import HERMITIAN_RTOL, dagger, require_hermitian
 from .system import (UNITARY_TOL, ControlGrid, GateTarget, PropagationCache,
                      QuantumSystem, propagate, slice_hamiltonians, unitarity_defect)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .flow import FlowConfig, integrate_flow
 from .gradient import EXACT, normalize_order
-from .system import ControlGrid, require_positive_finite
+from .system import ControlGrid, is_integer, require_positive_finite
 from .twospin import build_two_spin_benchmark, gate_target
 
 DEFAULT_SCAN_CAP = 5000.0
@@ -55,8 +55,7 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "gate", gate_target(self.gate).label)
         require_positive_finite(self.t_final, "T")
-        if not (isinstance(self.n_slices, (int, np.integer))
-                and 1 <= self.n_slices <= MAX_SLICES):
+        if not (is_integer(self.n_slices) and 1 <= self.n_slices <= MAX_SLICES):
             raise ValueError(f"L must be a positive integer of at most {MAX_SLICES}, "
                              f"got {self.n_slices!r}")
         object.__setattr__(self, "n_slices", int(self.n_slices))
@@ -131,23 +130,16 @@ def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
                             gate_target(spec.gate), spec.order, cfg)
     wall = time.perf_counter() - started
     s_reported = math.ceil(result.s_stop / spec.s_granularity) * spec.s_granularity
-    record = RunRecord(
-        gate=spec.gate,
-        t_final=spec.t_final,
-        n_slices=spec.n_slices,
-        order=spec.order,
-        s_reported=float(s_reported),
-        final_j=float(result.j_trace[-1, 1]),
-        rhs_evals=result.rhs_evals,
-        wall_time_s=wall,
-        stop_reason=result.stop_reason,
-    )
+    record = RunRecord(gate=spec.gate, t_final=spec.t_final, n_slices=spec.n_slices,
+                       order=spec.order, s_reported=float(s_reported),
+                       final_j=float(result.j_trace[-1, 1]), rhs_evals=result.rhs_evals,
+                       wall_time_s=wall, stop_reason=result.stop_reason)
     return record, result
 
 
 def _output_paths(out_path, json_path):
-    """(CSV path, JSON mirror path), checked to be two different files
-    in existing directories, neither of them a directory itself."""
+    """(CSV path, JSON mirror path), checked to be two different writable
+    files in existing directories, neither of them a directory itself."""
     out_path = Path(out_path)
     json_path = out_path.with_suffix(".json") if json_path is None else Path(json_path)
     for path in (out_path, json_path):
@@ -155,6 +147,10 @@ def _output_paths(out_path, json_path):
             raise ValueError(f"{path}: {path.parent} is not an existing directory")
         if path.is_dir():
             raise ValueError(f"{path}: is a directory, not a file")
+        # Rewriting a file needs its own write permission; creating one, its directory's.
+        target = path if path.exists() else path.parent
+        if not os.access(target, os.W_OK):
+            raise ValueError(f"{path}: {target} is not writable")
     if json_path.resolve() == out_path.resolve():
         raise ValueError(f"{json_path}: the JSON mirror would overwrite the CSV output")
     return out_path, json_path
@@ -224,15 +220,11 @@ def _order(value):
     return EXACT if value == EXACT else _count(value)
 
 
-def _lowercase(value):
-    return str(value).lower()
-
-
 # Config keys: the ExperimentSpec or FlowConfig field each one sets and the
 # parser of its raw value (a string, or a JSON scalar). Any other key is
 # rejected so typos fail loudly instead of silently running defaults.
 _KEYS = {
-    "gate": ("gate", _lowercase), "initial_controls": ("initial_controls", str),
+    "gate": ("gate", str), "initial_controls": ("initial_controls", str),
     "T": ("t_final", _real), "L": ("n_slices", _count), "order": ("order", _order),
     "max_rhs_evals": ("max_rhs_evals", _count),
     **{key: (key, _real) for key in ("s_granularity", "sine_amplitude", "s_max", "abs_tol",
@@ -273,6 +265,16 @@ def _spec_from_mapping(entries, where):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _unique_keys(pairs):
+    """json object_pairs_hook: the object as a dict, unless a key repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key '{key}'")
+        obj[key] = value
+    return obj
+
+
 def load_experiment(path):
     """Parse a config file into a list of ExperimentSpec.
 
@@ -286,8 +288,9 @@ def load_experiment(path):
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-        data = json.loads(text) if text.lstrip()[:1] in ("[", "{") else None
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+        data = (json.loads(text, object_pairs_hook=_unique_keys)
+                if text.lstrip()[:1] in ("[", "{") else None)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8; bad, too deep or key-repeating JSON
         raise ValueError(f"{path.name}: {exc}") from None
     specs = []
     if data is not None:

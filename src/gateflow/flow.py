@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import flow_evaluation, normalize_order
-from .system import ControlGrid
+from .gradient import flow_evaluation
+from .system import ControlGrid, is_integer, require_positive_finite
 
 # Dormand-Prince 5(4) tableau: stage matrix A and embedded error weights
 # E = B - B_hat. The last row of A doubles as the fifth-order propagation
@@ -50,11 +50,11 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "j_stop"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            require_positive_finite(getattr(self, name), name)
         if not 0 < self.h_min < self.h_init < self.s_max:
             raise ValueError("step bounds must satisfy 0 < h_min < h_init < s_max")
-        if self.max_rhs_evals < 1:
+        require_positive_finite(self.s_max, "s_max")
+        if not (is_integer(self.max_rhs_evals) and self.max_rhs_evals >= 1):
             raise ValueError("max_rhs_evals must be a positive integer")
 
 
@@ -97,7 +97,12 @@ def integrate_flow(sys, grid0, target, order, cfg):
     until, in priority order, J <= j_stop, the horizon s_max, the
     evaluation budget or a step underflow stops it. A non-finite velocity
     raises ValueError naming its control and slice."""
-    order = normalize_order(order)
+    # When glibc frees an mmapped block above its mmap threshold, it raises
+    # that threshold to the block's size and its trim threshold to twice that
+    # (mallopt(3)): here 4 MB and 8 MB, so evaluations stop returning the heap
+    # top to the OS for the next one to fault back in. Elsewhere this is just
+    # one short-lived allocation.
+    np.empty(1 << 22, np.uint8)
     evals, max_defect, ev = 0, 0.0, None
 
     def f(amplitudes):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, from_real_embedding, real_embedding
-from .system import UNITARY_TOL, propagate, unitarity_defect
+from .system import UNITARY_TOL, is_integer, propagate, unitarity_defect
 
 # Truncation orders past this are a sign of misuse: the factorial
 # denominators push the extra terms below rounding while the nested
@@ -29,7 +29,7 @@ def normalize_order(order):
     """Validate a correction order: an integer in 0..MAX_SERIES_ORDER or 'exact'."""
     if order == EXACT:
         return EXACT
-    if isinstance(order, (int, np.integer)) and not isinstance(order, bool):
+    if is_integer(order):
         if 0 <= order <= MAX_SERIES_ORDER:
             return int(order)
         raise ValueError(f"correction order must be in 0..{MAX_SERIES_ORDER}, got {order}")
@@ -53,18 +53,6 @@ class RhsEvaluation:
     descent_rate: float | None = None
 
 
-def objective(u_final, target):
-    """J = 1/2 - Re Tr(target^dagger u_final) / (2N).
-
-    Zero when the evolution hits the target exactly, one when it lands on
-    the negated target; in [0, 1] for unitary input.
-    """
-    if target.matrix.shape != u_final.shape:
-        raise ValueError(f"shape mismatch: {target.matrix.shape} vs {u_final.shape}")
-    n = u_final.shape[0]
-    return 0.5 - np.trace(dagger(target.matrix) @ u_final).real / (2 * n)
-
-
 def phi1(z):
     """(e^z - 1) / z with the removable singularity at z = 0 filled in.
 
@@ -81,12 +69,13 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
                     track_descent=False):
     """One propagation pass: flow velocities and the objective value.
 
-    Entry (k, l) of the velocities is Im Tr[W_l M_k^l] / (2N) with
-    W_l = P_{l-1} (target^dagger P_L) P_{l-1}^dagger and M_k^l the slice
-    average of control k (series-truncated or exact, per order). The
-    averages are never formed per control; each slice's average operator
-    is moved onto W_l instead, giving one W~_l per slice that is then
-    contracted with every control at once:
+    With A = target^dagger U(T), J = 1/2 - Re Tr(A) / (2N), and entry
+    (k, l) of the velocities is Im Tr[W_l M_k^l] / (2N) with
+    W_l = P_{l-1} A P_{l-1}^dagger and M_k^l the slice average of control k
+    (series-truncated or exact, per order). The averages are never formed
+    per control; each slice's average operator is moved onto W_l instead,
+    giving one W~_l per slice that is then contracted with every control
+    at once:
 
     - series: Tr[W ad_X^j(H_k)] = Tr[(-ad_X)^j(W) H_k] with X = i H_l, so
       W~_l = sum_j dt^j/(j+1)! (-ad_X)^j(W_l);
@@ -102,6 +91,8 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
     reduced to the descent rate of the followed velocities.
     """
     order = normalize_order(order)
+    if target.matrix.shape != sys.h0.shape:
+        raise ValueError(f"shape mismatch: {target.matrix.shape} vs {sys.h0.shape}")
     cache = propagate(sys, grid)
     defect = None
     if check_unitarity:
@@ -112,8 +103,8 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
                 f"max|P^dagger P - I| = {defect:.3e}"
             )
     dim, dt = sys.dim, grid.dt
-    j_value = objective(cache.total, target)
     a = dagger(target.matrix) @ cache.total
+    j_value = 0.5 - np.trace(a).real / (2 * dim)
     p = cache.embedded[:-1]
     w = p @ real_embedding(a) @ p.transpose(0, 2, 1)
     # Tr[real_embedding(Y) real_embedding(-i H_k)] = 2 Im Tr[Y H_k].
@@ -134,17 +125,10 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
         values = exact_values
     else:
         x = real_embedding(1j * cache.hamiltonians) if order else None
-        # The series reads only w and x, and w is not read after it.
-        # Releasing the propagation pass and updating in place keep the
-        # evaluation's peak memory low; otherwise malloc trims the heap top
-        # after each evaluation and the next one faults those pages back in.
-        del cache, p
         cur = w_avg = w
         for j in range(1, order + 1):
-            comm = cur @ x
-            comm -= x @ cur
-            cur = comm
-            w_avg += (dt**j / math.factorial(j + 1)) * cur
+            cur = cur @ x - x @ cur
+            w_avg = w_avg + (dt**j / math.factorial(j + 1)) * cur
         values = velocities(w_avg)
     rate = float(-dt * np.sum(exact_values * values)) if track_descent else None
     return RhsEvaluation(values=values, objective=j_value, unitarity_defect=defect,

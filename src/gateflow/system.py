@@ -18,6 +18,11 @@ def _readonly(a):
     return a
 
 
+def is_integer(value):
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_positive_finite(value, name):
     """Raise ValueError unless 0 < value < inf."""
     if not 0 < value < np.inf:
@@ -58,10 +63,6 @@ class QuantumSystem:
     def dim(self):
         return self.h0.shape[0]
 
-    @property
-    def n_controls(self):
-        return self.controls.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class ControlGrid:
@@ -81,10 +82,6 @@ class ControlGrid:
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", _readonly(amps))
-
-    @property
-    def n_controls(self):
-        return self.amplitudes.shape[0]
 
     @property
     def n_slices(self):
@@ -114,10 +111,6 @@ class GateTarget:
             raise ValueError(f"target '{self.label}' is not unitary to {UNITARY_TOL:g}")
         object.__setattr__(self, "matrix", _readonly(m))
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class PropagationCache:
@@ -139,10 +132,6 @@ class PropagationCache:
     def total(self):
         """U(T, 0)."""
         return from_real_embedding(self.embedded[-1])
-
-    @property
-    def n_slices(self):
-        return self.embedded.shape[0] - 1
 
 
 def slice_hamiltonians(sys, grid):

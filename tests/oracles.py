@@ -1,6 +1,7 @@
 """Single-slice reference implementations of what the batched kernels in
 gateflow compute: slice Hamiltonians, step propagators, the series and
-exact slice averages, and a central-difference gradient of J.
+exact slice averages, the objective J and a central-difference gradient
+of it.
 
 Each works on one slice (or one perturbation) at a time, independently
 of the doubling scan and the W_l contractions of `propagate` and
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from gateflow import EXACT, normalize_order, objective, phi1, propagate
+from gateflow import EXACT, dagger, normalize_order, phi1, propagate
 from gateflow.linalg import require_hermitian
 
 
@@ -67,6 +68,18 @@ def control_average_exact(h_slice, h_control, dt):
     b = v.conj().T @ np.asarray(h_control) @ v
     gaps = lam[:, None] - lam[None, :]
     return v @ (b * phi1(1j * gaps * dt)) @ v.conj().T
+
+
+def objective(u_final, target):
+    """J = 1/2 - Re Tr(target^dagger u_final) / (2N).
+
+    Zero when the evolution hits the target exactly, one when it lands on
+    the negated target; in [0, 1] for unitary input.
+    """
+    if target.matrix.shape != u_final.shape:
+        raise ValueError(f"shape mismatch: {target.matrix.shape} vs {u_final.shape}")
+    n = u_final.shape[0]
+    return 0.5 - np.trace(dagger(target.matrix) @ u_final).real / (2 * n)
 
 
 def finite_difference_gradient(sys, grid, target, delta):

@@ -3,7 +3,9 @@ table writer."""
 
 import concurrent.futures
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +101,10 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=f"^{label} must be finite$"):
             ExperimentSpec(gate="swap", n_slices=50, **kwargs)
 
+
+    def test_boolean_slice_count_rejected(self):
+        with pytest.raises(ValueError, match="L must be a positive integer .* got True"):
+            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=True)
 
     def test_numpy_integers_are_stored_as_ints(self, tmp_path):
         spec = fast_spec(order=np.int64(1), n_slices=np.int64(50))
@@ -269,6 +275,17 @@ class TestConfigParsing:
         path = write_cfg(tmp_path, f"# big\ngate: cnot\nT: 5\nL: {MAX_SLICES + 1}\n")
         with pytest.raises(ValueError, match=f"exp.cfg line 2: L must be a positive "
                                              f"integer of at most {MAX_SLICES}"):
+            load_experiment(path)
+
+    def test_unknown_gate_is_echoed_as_written(self, tmp_path):
+        path = write_cfg(tmp_path, "gate: Toffoli\nT: 5\nL: 150\n")
+        with pytest.raises(ValueError, match=r"line 1: unknown gate 'Toffoli'"):
+            load_experiment(path)
+
+    def test_json_duplicate_key_names_the_file_and_key(self, tmp_path):
+        text = '[{"gate": "cnot", "T": 5, "L": 150, "L": 300}]'
+        path = write_cfg(tmp_path, text, name="dup.json")
+        with pytest.raises(ValueError, match=r"^dup\.json: duplicate key 'L'$"):
             load_experiment(path)
 
     def test_empty_file(self, tmp_path):
@@ -558,6 +575,31 @@ class TestComparisonTable:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             write_comparison(self.sample_records(), out, json_path=mirror)
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("existing, denied, bad_name",
+                             [((), ".", "r.csv"), (("r.csv", "r.json"), "r.csv", "r.csv"),
+                              (("r.csv", "r.json"), "r.json", "r.json")],
+                             ids=["directory", "csv_file", "json_file"])
+    def test_output_paths_must_be_writable(self, tmp_path, monkeypatch, recording_pool,
+                                           existing, denied, bad_name):
+        # Checked before any run or pool starts: an existing file for its own
+        # permission, a new one for its directory's. Mode bits do not bind
+        # root, so the permission answer is stubbed rather than set by chmod.
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        for name in existing:
+            (tmp_path / name).write_text("old")
+        real_access = os.access
+        monkeypatch.setattr("gateflow.experiments.os.access",
+                            lambda path, mode: (Path(path) != tmp_path / denied
+                                                and real_access(path, mode)))
+        message = f"{tmp_path / bad_name}: {tmp_path / denied} is not writable"
+        out, mirror = tmp_path / "r.csv", tmp_path / "r.json"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
+                            json_path=mirror, parallel=2, scan_cap=50.0)
+        assert recording_pool == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(existing)
+        assert all((tmp_path / name).read_text() == "old" for name in existing)
 
     def test_parallel_matches_sequential(self, tmp_path):
         specs = [fast_spec(order=0), fast_spec(order=1)]

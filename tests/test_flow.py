@@ -1,9 +1,16 @@
 """Adaptive integrator: scalar decay oracle, stepper order, stop conditions,
 tolerance behavior and determinism of full flow runs."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gateflow
 from gateflow import (ControlGrid, FlowConfig, GateTarget, QuantumSystem, RhsEvaluation,
                       build_two_spin_benchmark, dormand_prince_step, gate_target,
                       integrate_flow)
@@ -58,6 +65,22 @@ class TestConfigValidation:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError, match="max_rhs_evals"):
             FlowConfig(s_max=10.0, max_rhs_evals=0)
+
+    def test_rejects_infinite_horizon(self):
+        # An infinite horizon would leave only the evaluation budget to stop a run.
+        with pytest.raises(ValueError, match="^s_max must be finite$"):
+            FlowConfig(s_max=float("inf"))
+
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol", "j_stop"])
+    def test_rejects_infinite_tolerance(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            FlowConfig(s_max=10.0, **{name: float("inf")})
+
+    @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
+    def test_budget_must_be_an_integer(self, budget):
+        with pytest.raises(ValueError, match="^max_rhs_evals must be a positive integer$"):
+            FlowConfig(s_max=10.0, max_rhs_evals=budget)
+        assert FlowConfig(s_max=10.0, max_rhs_evals=np.int64(3)).max_rhs_evals == 3
 
 
 class TestStepper:
@@ -256,3 +279,35 @@ class TestToleranceBehavior:
         assert half.stop_reason == "j_reached"
         assert base.j_trace[-1, 1] <= 1e-7
         assert half.j_trace[-1, 1] <= 1e-7
+
+
+# Two order-1 runs in one fresh interpreter; prints the minor page faults of
+# the second run and its evaluation count.
+HEAP_SCRIPT = """
+import resource
+import numpy as np
+from gateflow import ControlGrid, FlowConfig, build_two_spin_benchmark, gate_target, integrate_flow
+
+system, target = build_two_spin_benchmark(), gate_target("cnot")
+grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((2, 150)))
+cfg = FlowConfig(s_max=5000.0, max_rhs_evals=300, check_unitarity=True, track_descent=True)
+integrate_flow(system, grid, target, 1, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+result = integrate_flow(system, grid, target, 1, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, result.rhs_evals)
+"""
+
+
+def test_evaluations_do_not_refault_the_heap():
+    # Under glibc, an evaluation that returned the heap top to the OS would
+    # fault those pages back in on the next one, tens of faults each. Run in
+    # a fresh interpreter so that this session's heap history cannot decide it.
+    src = str(Path(gateflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    faults, evals = map(int, out.split())
+    assert evals >= 300
+    if platform.libc_ver()[0] == "glibc":
+        assert faults < evals, f"{faults} minor faults over {evals} evaluations"

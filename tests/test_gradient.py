@@ -8,10 +8,10 @@ import pytest
 
 from gateflow import (ControlGrid, EXACT, GateTarget, MAX_SERIES_ORDER, QuantumSystem,
                       UNITARY_TOL, dagger, flow_evaluation, gate_target, normalize_order,
-                      objective, phi1, propagate, slice_hamiltonians)
+                      phi1, propagate, slice_hamiltonians)
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
-                     expm_hermitian_generator, finite_difference_gradient,
+                     expm_hermitian_generator, finite_difference_gradient, objective,
                      slice_hamiltonian, step_propagator)
 
 # Grid lengths for the oracle comparisons: the doubling scan's edge cases
@@ -44,12 +44,12 @@ def naive_rhs(sys, grid, target, order):
     for l in range(1, grid.n_slices + 1):
         prefixes.append(step_propagator(sys, grid, l) @ prefixes[-1])
     a = dagger(target.matrix) @ prefixes[-1]
-    out = np.empty((grid.n_controls, grid.n_slices))
+    out = np.empty(grid.amplitudes.shape)
     for l in range(1, grid.n_slices + 1):
         p = prefixes[l - 1]
         w = p @ a @ dagger(p)
         h = slice_hamiltonian(sys, grid, l)
-        for k in range(grid.n_controls):
+        for k in range(len(sys.controls)):
             if order == EXACT:
                 m = control_average_exact(h, sys.controls[k], grid.dt)
             else:
@@ -59,31 +59,53 @@ def naive_rhs(sys, grid, target, order):
 
 
 class TestObjective:
-    def test_zero_at_target(self):
-        cnot = gate_target("cnot")
-        assert abs(objective(cnot.matrix, cnot)) <= 1e-15
+    """J as flow_evaluation reports it, against targets built from the
+    grid's own evolution U = U(T)."""
 
-    def test_one_at_negated_target(self):
-        cnot = gate_target("cnot")
-        assert abs(objective(-cnot.matrix, cnot) - 1.0) <= 1e-15
+    @pytest.fixture
+    def instance(self):
+        sys, grid, _ = random_instance(30, dim=4, n_controls=2)
+        return sys, grid, propagate(sys, grid).total
 
-    def test_global_phase_raises_objective(self):
-        cnot = gate_target("cnot")
+    @staticmethod
+    def objective_at(sys, grid, matrix):
+        target = GateTarget(matrix=matrix, label="u")
+        return flow_evaluation(sys, grid, target, order=0).objective
+
+    def test_zero_at_target(self, instance):
+        sys, grid, u = instance
+        assert abs(self.objective_at(sys, grid, u)) <= 1e-15
+
+    def test_one_at_negated_target(self, instance):
+        sys, grid, u = instance
+        assert abs(self.objective_at(sys, grid, -u) - 1.0) <= 1e-15
+
+    def test_global_phase_raises_objective(self, instance):
+        sys, grid, u = instance
         for phase in (0.3, np.pi / 2, 2.0):
-            got = objective(np.exp(1j * phase) * cnot.matrix, cnot)
+            got = self.objective_at(sys, grid, np.exp(1j * phase) * u)
             assert abs(got - (1 - np.cos(phase)) / 2) <= 1e-14
 
-    def test_range_on_unitaries(self):
+    def test_range_on_unitaries(self, instance):
+        sys, grid, _ = instance
         rng = np.random.default_rng(30)
-        cnot = gate_target("cnot")
         for _ in range(20):
-            u = random_target(rng, 4).matrix
-            j = objective(u, cnot)
+            j = flow_evaluation(sys, grid, random_target(rng, 4), order=0).objective
             assert -1e-12 <= j <= 1 + 1e-12
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, monkeypatch):
+        # Raised before any propagation runs.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr("gateflow.gradient.propagate", counting)
+        sys, grid, _ = random_instance(31)
         with pytest.raises(ValueError, match="shape mismatch"):
-            objective(np.eye(2, dtype=complex), gate_target("cnot"))
+            flow_evaluation(sys, grid, gate_target("cnot"))
+        assert calls == []
 
 
 class TestPhi1:
@@ -262,8 +284,7 @@ class TestFlowRhs:
     def test_flow_evaluation_reports_objective(self):
         sys, grid, target = random_instance(45)
         ev = flow_evaluation(sys, grid, target, order=1)
-        expected = objective(propagate(sys, grid).total, target)
-        assert abs(ev.objective - expected) <= 1e-15
+        assert ev.objective == objective(propagate(sys, grid).total, target)
         assert ev.unitarity_defect is None
         assert ev.descent_rate is None
 
