@@ -185,6 +185,8 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
     processes; rows are written in spec order regardless of completion
     order. Returns the records.
     """
+    if not is_integer(parallel):
+        raise ValueError(f"parallel must be an integer, got {parallel!r}")
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
     for spec in specs:

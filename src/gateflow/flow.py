@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import flow_evaluation
+from .gradient import descent_rate, flow_evaluation
 from .system import ControlGrid, is_integer, require_positive_finite
 
 # Dormand-Prince 5(4) tableau: stage matrix A and embedded error weights
@@ -108,8 +108,7 @@ def integrate_flow(sys, grid0, target, order, cfg):
     def f(amplitudes):
         nonlocal evals, max_defect, ev
         ev = flow_evaluation(sys, grid0.with_amplitudes(amplitudes), target, order,
-                             check_unitarity=cfg.check_unitarity,
-                             track_descent=cfg.track_descent)
+                             check_unitarity=cfg.check_unitarity)
         bad = ~np.isfinite(ev.values)
         if bad.any():
             control, sl = np.argwhere(bad)[0]
@@ -121,9 +120,10 @@ def integrate_flow(sys, grid0, target, order, cfg):
         return ev.values
 
     # Rows are (s, J, dJ/ds) of the last evaluation: the FSAL stage at y.
+    rate = descent_rate if cfg.track_descent else lambda ev: None
     y = grid0.amplitudes
     k1 = f(y)
-    rows = [(0.0, ev.objective, ev.descent_rate)]
+    rows = [(0.0, ev.objective, rate(ev))]
     s, h, n_acc, n_rej = 0.0, cfg.h_init, 0, 0
     reason = STOP_J_REACHED if ev.objective <= cfg.j_stop else None
     while reason is None:
@@ -135,7 +135,7 @@ def integrate_flow(sys, grid0, target, order, cfg):
             s += h
             y, k1 = y_new, k_last
             n_acc += 1
-            rows.append((s, ev.objective, ev.descent_rate))
+            rows.append((s, ev.objective, rate(ev)))
         else:
             n_rej += 1
         factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
@@ -158,6 +158,6 @@ def integrate_flow(sys, grid0, target, order, cfg):
         accepted_steps=n_acc,
         rejected_steps=n_rej,
         max_unitarity_defect=max_defect if cfg.check_unitarity else None,
-        descent_trace=(np.array([(s, rate) for s, _, rate in rows])
+        descent_trace=(np.array([(s, r) for s, _, r in rows])
                        if cfg.track_descent else None),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, from_real_embedding, real_embedding
-from .system import UNITARY_TOL, is_integer, propagate, unitarity_defect
+from .system import UNITARY_TOL, PropagationCache, is_integer, propagate, unitarity_defect
 
 # Truncation orders past this are a sign of misuse: the factorial
 # denominators push the extra terms below rounding while the nested
@@ -38,19 +38,18 @@ def normalize_order(order):
 
 @dataclass
 class RhsEvaluation:
-    """Everything one propagation pass yields: the flow velocities deps/ds
-    (one row per control), the objective, and the optional diagnostics the
-    integrator can ask for.
-
-    descent_rate is the estimated dJ/ds along the velocities: the objective
-    gradient (-dt times the exact velocities) contracted with them. It is
-    negative as long as the followed direction still descends.
-    """
+    """What one propagation pass yields: the flow velocities deps/ds (one row
+    per control), the objective, the optional unitarity defect, and the pass
+    data that descent_rate reads afterwards instead of propagating again."""
 
     values: np.ndarray  # shape (n, L)
     objective: float
     unitarity_defect: float | None = None
-    descent_rate: float | None = None
+    order: int | str | None = None
+    cache: PropagationCache | None = None
+    w: np.ndarray | None = None       # (L, 2N, 2N), real_embedding(W_l)
+    probes: np.ndarray | None = None  # (n, 2N, 2N), real_embedding(-i H_k)
+    dt: float | None = None
 
 
 def phi1(z):
@@ -65,8 +64,27 @@ def phi1(z):
     return np.where(zero, 1.0, np.expm1(safe) / safe)
 
 
-def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
-                    track_descent=False):
+def _velocities(w_avg, probes):
+    # Tr[real_embedding(Y) real_embedding(-i H_k)] = 2 Im Tr[Y H_k]; 2 * 2N = 4N.
+    return np.einsum("lab,kba->kl", w_avg, probes) / (2 * probes.shape[-1])
+
+
+def exact_velocities(ev):
+    """The exact slice-average velocities, from an evaluation's pass data."""
+    v, lam = ev.cache.eigvecs, ev.cache.eigvals
+    phases = phi1(1j * ev.dt * (lam[:, None, :] - lam[:, :, None]))
+    w_eig = from_real_embedding(v.transpose(0, 2, 1) @ ev.w @ v) * phases
+    return _velocities(v @ real_embedding(w_eig) @ v.transpose(0, 2, 1), ev.probes)
+
+
+def descent_rate(ev):
+    """Estimated dJ/ds along ev.values, negative while they still descend:
+    -dt times the exact velocities (ev.values at exact order) contracted with them."""
+    exact = ev.values if ev.order == EXACT else exact_velocities(ev)
+    return float(-ev.dt * np.sum(exact * ev.values))
+
+
+def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
     """One propagation pass: flow velocities and the objective value.
 
     With A = target^dagger U(T), J = 1/2 - Re Tr(A) / (2N), and entry
@@ -86,9 +104,7 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
     The slice Hamiltonians, eigensystems and prefixes all come from the
     one propagation pass, and the products run on their real embeddings.
     With check_unitarity the prefixes are verified against UNITARY_TOL and
-    the measured defect is reported; with track_descent the exact-average
-    velocities are formed as well, reusing the same eigensystems, and
-    reduced to the descent rate of the followed velocities.
+    the measured defect is reported; descent_rate reads the rest later.
     """
     order = normalize_order(order)
     if target.matrix.shape != sys.h0.shape:
@@ -102,34 +118,18 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False,
                 f"propagator prefixes drifted off the unitary group: "
                 f"max|P^dagger P - I| = {defect:.3e}"
             )
-    dim, dt = sys.dim, grid.dt
     a = dagger(target.matrix) @ cache.total
-    j_value = 0.5 - np.trace(a).real / (2 * dim)
     p = cache.embedded[:-1]
-    w = p @ real_embedding(a) @ p.transpose(0, 2, 1)
-    # Tr[real_embedding(Y) real_embedding(-i H_k)] = 2 Im Tr[Y H_k].
-    probes = real_embedding(-1j * sys.controls)
-
-    def velocities(w_avg):
-        return np.einsum("lab,kba->kl", w_avg, probes) / (4 * dim)
-
-    exact_values = None
-    if order == EXACT or track_descent:
-        v = cache.eigvecs
-        vt = v.transpose(0, 2, 1)
-        lam = cache.eigvals
-        phases = phi1(1j * dt * (lam[:, None, :] - lam[:, :, None]))
-        w_eig = from_real_embedding(vt @ w @ v) * phases
-        exact_values = velocities(v @ real_embedding(w_eig) @ vt)
+    ev = RhsEvaluation(None, 0.5 - np.trace(a).real / (2 * sys.dim), defect, order=order,
+                       cache=cache, w=p @ real_embedding(a) @ p.transpose(0, 2, 1),
+                       probes=real_embedding(-1j * sys.controls), dt=grid.dt)
     if order == EXACT:
-        values = exact_values
+        ev.values = exact_velocities(ev)
     else:
         x = real_embedding(1j * cache.hamiltonians) if order else None
-        cur = w_avg = w
+        cur = w_avg = ev.w
         for j in range(1, order + 1):
             cur = cur @ x - x @ cur
-            w_avg = w_avg + (dt**j / math.factorial(j + 1)) * cur
-        values = velocities(w_avg)
-    rate = float(-dt * np.sum(exact_values * values)) if track_descent else None
-    return RhsEvaluation(values=values, objective=j_value, unitarity_defect=defect,
-                         descent_rate=rate)
+            w_avg = w_avg + (ev.dt**j / math.factorial(j + 1)) * cur
+        ev.values = _velocities(w_avg, ev.probes)
+    return ev

@@ -24,7 +24,9 @@ def is_integer(value):
 
 
 def require_positive_finite(value, name):
-    """Raise ValueError unless 0 < value < inf."""
+    """Raise ValueError unless value is a number, not a bool, with 0 < value < inf."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool")
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}")
 

@@ -102,6 +102,15 @@ class TestExperimentSpec:
             ExperimentSpec(gate="swap", n_slices=50, **kwargs)
 
 
+    @pytest.mark.parametrize("name, label", [("t_final", "T"),
+                                             ("s_granularity", "s_granularity"),
+                                             ("sine_amplitude", "sine_amplitude")])
+    def test_boolean_values_rejected(self, name, label):
+        # True would otherwise pass 0 < value < inf and be stored as 1.0.
+        kwargs = {"t_final": 5.0, name: True}
+        with pytest.raises(ValueError, match=f"^{label} must be a number, not a bool$"):
+            ExperimentSpec(gate="swap", n_slices=50, **kwargs)
+
     def test_boolean_slice_count_rejected(self):
         with pytest.raises(ValueError, match="L must be a positive integer .* got True"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=True)
@@ -492,6 +501,20 @@ class TestComparisonTable:
         for parallel in (0, -1):
             with pytest.raises(ValueError, match="parallel must be at least 1"):
                 compare_methods([fast_spec()], out, parallel=parallel)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parallel", [1.5, True], ids=["fraction", "bool"])
+    def test_parallel_must_be_an_integer(self, tmp_path, monkeypatch, recording_pool,
+                                         parallel):
+        # Rejected before any run or pool starts; 1.5 would otherwise reach
+        # the pool as max_workers and True would run as 1.
+        runs = []
+        monkeypatch.setattr("gateflow.experiments.execute_experiment",
+                            lambda spec, scan_cap: runs.append(spec))
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=f"^parallel must be an integer, got {parallel}$"):
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out, parallel=parallel)
+        assert runs == [] and recording_pool == []
         assert not out.exists()
 
     def test_parallel_pool_is_clamped(self, tmp_path, monkeypatch, recording_pool):

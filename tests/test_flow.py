@@ -18,7 +18,7 @@ from gateflow import (ControlGrid, FlowConfig, GateTarget, QuantumSystem, RhsEva
 from conftest import BENCH_CASES
 
 
-def decay(sys, grid, target, order=1, *, check_unitarity=False, track_descent=False):
+def decay(sys, grid, target, order=1, *, check_unitarity=False):
     """Stand-in for flow_evaluation: dy/ds = -y on a one-entry grid, with
     |y| as the objective."""
     amps = grid.amplitudes
@@ -75,6 +75,12 @@ class TestConfigValidation:
     def test_rejects_infinite_tolerance(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             FlowConfig(s_max=10.0, **{name: float("inf")})
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy_bool"])
+    def test_rejects_boolean_tolerance(self, value):
+        # True would otherwise pass 0 < value < inf and be kept as 1.
+        with pytest.raises(ValueError, match="^abs_tol must be a number, not a bool$"):
+            FlowConfig(s_max=10.0, abs_tol=value)
 
     @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
     def test_budget_must_be_an_integer(self, budget):
@@ -182,6 +188,31 @@ class TestFlowRuns:
         assert result.max_unitarity_defect is not None
         assert result.max_unitarity_defect <= 1e-10
 
+    @pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
+    def test_descent_rate_formed_once_per_row(self, short_cnot, monkeypatch, track):
+        # The rate is formed for the recorded rows only (s = 0 and each
+        # accepted step) from the evaluation already made there, never by
+        # propagating again: one propagation per evaluation either way.
+        calls = {"rate": 0, "propagate": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        rate = counting("rate", gateflow.gradient.descent_rate)
+        monkeypatch.setattr("gateflow.flow.descent_rate", rate)
+        monkeypatch.setattr("gateflow.gradient.descent_rate", rate)
+        monkeypatch.setattr("gateflow.gradient.propagate",
+                            counting("propagate", gateflow.gradient.propagate))
+        sys, grid, target = short_cnot
+        cfg = FlowConfig(s_max=20.0, j_stop=1e-30, track_descent=track)
+        result = integrate_flow(sys, grid, target, 1, cfg)
+        assert result.rejected_steps > 0
+        assert calls["rate"] == (result.accepted_steps + 1 if track else 0)
+        assert calls["propagate"] == result.rhs_evals
+
     def test_diagnostics_off_by_default(self, short_cnot):
         sys, grid, target = short_cnot
         cfg = FlowConfig(s_max=5.0, j_stop=1e-30)
@@ -217,8 +248,7 @@ class TestFlowRuns:
         assert result.rhs_evals >= 20
 
     def test_non_finite_velocities_name_the_entry(self, monkeypatch):
-        def stub(sys, grid, target, order=1, *, check_unitarity=False,
-                 track_descent=False):
+        def stub(sys, grid, target, order=1, *, check_unitarity=False):
             values = np.zeros((2, 5))
             values[1, 2] = np.inf
             values[1, 3] = np.nan

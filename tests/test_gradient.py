@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gateflow import (ControlGrid, EXACT, GateTarget, MAX_SERIES_ORDER, QuantumSystem,
-                      UNITARY_TOL, dagger, flow_evaluation, gate_target, normalize_order,
-                      phi1, propagate, slice_hamiltonians)
+                      UNITARY_TOL, dagger, descent_rate, flow_evaluation, gate_target,
+                      normalize_order, phi1, propagate, slice_hamiltonians)
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      expm_hermitian_generator, finite_difference_gradient, objective,
@@ -286,22 +286,24 @@ class TestFlowRhs:
         ev = flow_evaluation(sys, grid, target, order=1)
         assert ev.objective == objective(propagate(sys, grid).total, target)
         assert ev.unitarity_defect is None
-        assert ev.descent_rate is None
+        # The evaluation keeps its pass data for descent_rate, not a rate.
+        assert (ev.order, ev.dt) == (1, grid.dt)
+        assert np.array_equal(ev.cache.eigvals, propagate(sys, grid).eigvals)
 
     def test_flow_evaluation_diagnostics(self):
         sys, grid, target = random_instance(46, dim=4, n_controls=2)
-        ev = flow_evaluation(sys, grid, target, order=1, check_unitarity=True,
-                             track_descent=True)
+        ev = flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
         assert ev.unitarity_defect is not None
         assert ev.unitarity_defect <= 1e-10
-        assert type(ev.descent_rate) is float
+        assert type(descent_rate(ev)) is float
         plain = flow_evaluation(sys, grid, target, order=1)
         assert np.array_equal(ev.values, plain.values)
         assert ev.objective == plain.objective
+        assert descent_rate(ev) == descent_rate(plain)
 
     def test_descent_rate_contracts_exact_with_followed(self):
         sys, grid, target = random_instance(55, dim=4, n_controls=2, n_slices=7)
-        rate = flow_evaluation(sys, grid, target, order=1, track_descent=True).descent_rate
+        rate = descent_rate(flow_evaluation(sys, grid, target, order=1))
         followed = flow_evaluation(sys, grid, target, order=1).values
         exact = flow_evaluation(sys, grid, target, order=EXACT).values
         assert not np.allclose(followed, exact)
@@ -331,13 +333,16 @@ class TestFlowRhs:
         with pytest.raises(RuntimeError, match="drifted off the unitary group"):
             flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
 
-    def test_exact_reference_reuses_exact_values(self):
+    def test_exact_reference_reuses_exact_values(self, monkeypatch):
         # At exact order the followed velocities are the exact reference,
-        # so the rate is -dt * |v|^2 <= 0 from the same values.
+        # so the rate is -dt * |v|^2 <= 0 from the same values, with no
+        # second exact average.
         sys, grid, target = random_instance(47, dim=4, n_controls=2)
-        ev = flow_evaluation(sys, grid, target, order=EXACT, track_descent=True)
-        assert ev.descent_rate == -grid.dt * float(np.sum(ev.values * ev.values))
-        assert ev.descent_rate < 0
+        ev = flow_evaluation(sys, grid, target, order=EXACT)
+        monkeypatch.setattr("gateflow.gradient.exact_velocities", None)
+        rate = descent_rate(ev)
+        assert rate == -grid.dt * float(np.sum(ev.values * ev.values))
+        assert rate < 0
 
 
 class TestFiniteDifference:
@@ -375,11 +380,12 @@ class TestFiniteDifference:
         # The reported descent rate is dJ/ds along the followed velocities:
         # the finite-difference gradient contracted with them.
         sys, grid, target = random_instance(51, dim=4, n_controls=2)
-        ev = flow_evaluation(sys, grid, target, order=1, track_descent=True)
+        ev = flow_evaluation(sys, grid, target, order=1)
+        rate = descent_rate(ev)
         fd = finite_difference_gradient(sys, grid, target, delta=1e-5)
         paired = float(np.sum(fd * ev.values))
-        assert ev.descent_rate < 0
-        assert abs(ev.descent_rate - paired) <= 1e-6 * abs(paired)
+        assert rate < 0
+        assert abs(rate - paired) <= 1e-6 * abs(paired)
 
     def test_rejects_bad_delta(self):
         sys, grid, target = random_instance(52)
