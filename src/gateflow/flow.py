@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient import descent_rate, flow_evaluation
-from .system import ControlGrid, is_integer, require_positive_finite
+from .system import ControlGrid, is_integer, require_not_bool, require_positive_finite
 
 # Dormand-Prince 5(4) tableau: stage matrix A and embedded error weights
 # E = B - B_hat. The last row of A doubles as the fifth-order propagation
@@ -51,6 +51,8 @@ class FlowConfig:
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "j_stop"):
             require_positive_finite(getattr(self, name), name)
+        for name in ("h_init", "h_min"):
+            require_not_bool(getattr(self, name), name)
         if not 0 < self.h_min < self.h_init < self.s_max:
             raise ValueError("step bounds must satisfy 0 < h_min < h_init < s_max")
         require_positive_finite(self.s_max, "s_max")
@@ -107,6 +109,7 @@ def integrate_flow(sys, grid0, target, order, cfg):
 
     def f(amplitudes):
         nonlocal evals, max_defect, ev
+        ev = None  # free the last pass's cache, W_l and probes before this one allocates
         ev = flow_evaluation(sys, grid0.with_amplitudes(amplitudes), target, order,
                              check_unitarity=cfg.check_unitarity)
         bad = ~np.isfinite(ev.values)

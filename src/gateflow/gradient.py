@@ -70,8 +70,10 @@ def _velocities(w_avg, probes):
 
 
 def exact_velocities(ev):
-    """The exact slice-average velocities, from an evaluation's pass data."""
-    v, lam = ev.cache.eigvecs, ev.cache.eigvals
+    """The exact slice-average velocities, from an evaluation's pass data
+    and the eigensystems of its slice Hamiltonians."""
+    lam, vecs = np.linalg.eigh(ev.cache.hamiltonians)
+    v = real_embedding(vecs)
     phases = phi1(1j * ev.dt * (lam[:, None, :] - lam[:, :, None]))
     w_eig = from_real_embedding(v.transpose(0, 2, 1) @ ev.w @ v) * phases
     return _velocities(v @ real_embedding(w_eig) @ v.transpose(0, 2, 1), ev.probes)
@@ -101,8 +103,9 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
       (a, b) by phi1(i (lam_a - lam_b) dt), so
       W~_l = V_l ((V_l^dagger W_l V_l) o phi1(i (lam_b - lam_a) dt)) V_l^dagger.
 
-    The slice Hamiltonians, eigensystems and prefixes all come from the
-    one propagation pass, and the products run on their real embeddings.
+    The prefixes, the slice Hamiltonians and their generators X all come
+    from the one propagation pass, and the products run on real
+    embeddings. Only the exact average diagonalises the slice Hamiltonians.
     With check_unitarity the prefixes are verified against UNITARY_TOL and
     the measured defect is reported; descent_rate reads the rest later.
     """
@@ -126,7 +129,7 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
     if order == EXACT:
         ev.values = exact_velocities(ev)
     else:
-        x = real_embedding(1j * cache.hamiltonians) if order else None
+        x = cache.generators
         cur = w_avg = ev.w
         for j in range(1, order + 1):
             cur = cur @ x - x @ cur

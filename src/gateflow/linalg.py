@@ -1,10 +1,13 @@
 """Dense complex matrix kernels: the conjugate transpose, the Hermiticity
-check and the real embedding of complex matrices.
+check, the real embedding of complex matrices and the batched matrix
+exponential of the slice steps.
 
 Everything here is a pure function of numpy arrays. Matrices are dense
 complex128 and stay small (N <= 64), so there is no sparse or structured
 path anywhere.
 """
+
+import math
 
 import numpy as np
 
@@ -12,6 +15,22 @@ import numpy as np
 # magnitude of the matrix under test. A violation means a construction bug
 # upstream, so it is an error rather than a silent symmetrization.
 HERMITIAN_RTOL = 1e-10
+
+# Taylor degree of the scaled exponential. After scaling to a 1-norm below 1
+# the truncated tail is at most sum_{j>18} 1/j! ~ 8.6e-18, under double
+# rounding. The polynomial runs Paterson-Stockmeyer style in blocks of
+# PS_BLOCK powers: 3 products form A^2..A^4, 4 more run Horner's rule in A^4.
+TAYLOR_DEGREE = 18
+PS_BLOCK = 4
+# Row i holds the coefficients 1/j! of A^j for j = PS_BLOCK*i + (0..PS_BLOCK-1).
+_PS_COEFFS = np.array([[1 / math.factorial(j) if j <= TAYLOR_DEGREE else 0.0
+                        for j in range(start, start + PS_BLOCK)]
+                       for start in range(0, TAYLOR_DEGREE + 1, PS_BLOCK)])
+
+# Each squaring can double the rounding error of a step, so s squarings leave
+# about 2**s * eps: 2**16 * 2.2e-16 = 1.5e-11, below system.UNITARY_TOL = 1e-10
+# with room for the prefix products. A step needing more is too coarse a slice.
+MAX_SQUARINGS = 16
 
 
 def dagger(a):
@@ -53,3 +72,46 @@ def from_real_embedding(e):
     """The complex matrix (or stack) whose real_embedding is e."""
     n = e.shape[-1] // 2
     return e[..., :n, :n] + 1j * e[..., n:, :n]
+
+
+def squarings(x, dt):
+    """The fewest squarings s that bring the largest dt * ||X||_1 of the
+    stack x below 1.
+
+    Raises ValueError when that norm is not finite or needs more than
+    MAX_SQUARINGS. The norm is formed in Python floats, which overflow to
+    inf without a warning.
+    """
+    col_sums = np.ones(x.shape[-1]) @ np.abs(x)  # as one product: faster than .sum(axis=-2)
+    norm = float(dt) * float(col_sums.max())
+    if not norm < 2.0**MAX_SQUARINGS:
+        raise ValueError(f"slice step too long for the exponential: largest dt*||X||_1 = "
+                         f"{norm:.3e} needs more than {MAX_SQUARINGS} squarings; "
+                         f"use more slices")
+    return max(0, math.frexp(norm)[1])
+
+
+def step_exponentials(x, dt):
+    """exp(-dt * X) for each matrix X of a stack x, by scaling and squaring.
+
+    The stack is scaled by 2**-s (s from squarings), its degree-18 Taylor
+    polynomial is evaluated in 7 batched products, and the result is
+    squared s times (Moler & Van Loan, SIAM Rev. 45, 2003). For the real
+    embedding X of i H, with H Hermitian, this is the real embedding of
+    the step propagator exp(-i dt H).
+    """
+    s = squarings(x, dt)
+    powers = np.empty((PS_BLOCK,) + x.shape)  # I, A, A^2, A^3
+    powers[0] = np.eye(x.shape[-1])
+    np.multiply(x, -dt / 2.0**s, out=powers[1])
+    for j in range(2, PS_BLOCK):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    a_block = powers[-1] @ powers[1]  # A^PS_BLOCK
+    blocks = (_PS_COEFFS @ powers.reshape(PS_BLOCK, -1)).reshape((-1,) + x.shape)
+    out = blocks[-1]
+    for block in blocks[-2::-1]:
+        out = out @ a_block
+        out += block
+    for _ in range(s):
+        out = out @ out
+    return out

@@ -5,11 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import from_real_embedding, real_embedding, require_hermitian
+from .linalg import from_real_embedding, real_embedding, require_hermitian, step_exponentials
 
-# Tolerance for unitarity of propagator prefixes. Rounding in the
-# eigendecomposition-based exponentials stays orders of magnitude below
-# this even after a thousand slice products.
+# Tolerance for unitarity of propagator prefixes. The scaled Taylor step
+# exponentials drift by about 2**s * eps after s squarings, which
+# linalg.MAX_SQUARINGS keeps below this with room for a thousand slice
+# products.
 UNITARY_TOL = 1e-10
 
 
@@ -23,10 +24,15 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def require_positive_finite(value, name):
-    """Raise ValueError unless value is a number, not a bool, with 0 < value < inf."""
+def require_not_bool(value, name):
+    """Raise ValueError for a Python or numpy bool, which compares as 0 or 1."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a bool")
+
+
+def require_positive_finite(value, name):
+    """Raise ValueError unless value is a number, not a bool, with 0 < value < inf."""
+    require_not_bool(value, name)
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}")
 
@@ -36,8 +42,8 @@ class QuantumSystem:
     """Drift Hamiltonian plus n control Hamiltonians, all N x N Hermitian.
 
     When every entry has zero imaginary part the matrices are stored real,
-    so slice Hamiltonians and their eigensystems come out real and the
-    batched eigh takes its cheaper real-symmetric route. Everything
+    so slice Hamiltonians come out real and the batched eigh of the exact
+    slice average takes its cheaper real-symmetric route. Everything
     downstream is dtype-generic: real and complex systems run the same code.
     """
 
@@ -117,12 +123,11 @@ class GateTarget:
 @dataclass(frozen=True, eq=False)
 class PropagationCache:
     """Prefix propagators P_l = U(t_l, 0) in real-embedded form, together
-    with the slice Hamiltonians and eigensystems that produced them (all
-    reused by the gradient engine)."""
+    with the slice Hamiltonians and step generators that produced them
+    (all reused by the gradient engine)."""
 
     hamiltonians: np.ndarray  # (L, N, N), slice_hamiltonians(sys, grid)
-    eigvals: np.ndarray       # (L, N), eigenvalues of each slice Hamiltonian
-    eigvecs: np.ndarray       # (L, 2N, 2N), real_embedding of the eigenvectors
+    generators: np.ndarray    # (L, 2N, 2N), X_l = real_embedding(i H_l)
     embedded: np.ndarray      # (L+1, 2N, 2N), real_embedding(P_l), embedded[0] = I
 
     @property
@@ -144,30 +149,28 @@ def slice_hamiltonians(sys, grid):
 def propagate(sys, grid):
     """All prefix propagators P_0..P_L, with later slices applied on the left.
 
-    One batched eigendecomposition covers every slice (a real-symmetric one
-    when the system is real); the slice Hamiltonians and eigensystems are
-    kept in the cache because the gradient engine reuses them for the
-    series and exact slice averages. The step propagators
-    V e^{-i dt lam} V^dagger and their products are formed on real
-    2N x 2N embeddings (see real_embedding), the products by a
-    Hillis-Steele doubling scan over [I, step_1, ..., step_L]: the pass
-    with offset d = 1, 2, 4, ... multiplies every entry l >= d by entry
-    l - d from the right, after which entry l holds the product of
-    entries max(0, l - 2d + 1)..l. Once 2d >= L every entry covers steps
-    1..l, so ceil(log2 L) batched matmuls replace L sequential ones.
+    Each step propagator is exp(-dt X_l) with X_l = real_embedding(i H_l),
+    the real 2N x 2N form of exp(-i dt H_l), from one batched scaled
+    Taylor exponential (linalg.step_exponentials, which raises ValueError
+    for a slice too long to exponentiate). The slice Hamiltonians and
+    generators are kept in the cache for the series and exact slice
+    averages. The products run as a Hillis-Steele doubling scan over
+    [I, step_1, ..., step_L]: the pass with offset d = 1, 2, 4, ...
+    multiplies every entry l >= d by entry l - d from the right, after
+    which entry l holds the product of entries max(0, l - 2d + 1)..l. Once
+    2d >= L every entry covers steps 1..l, so ceil(log2 L) batched matmuls
+    replace L sequential ones.
     """
     hams = slice_hamiltonians(sys, grid)
-    lam, vecs = np.linalg.eigh(hams)
-    v = real_embedding(vecs)
-    phased = real_embedding(vecs * np.exp(-1j * grid.dt * lam)[:, None, :])
-    scan = np.empty((grid.n_slices + 1,) + v.shape[1:])
-    scan[0] = np.eye(v.shape[-1])
-    np.matmul(phased, v.transpose(0, 2, 1), out=scan[1:])
+    gens = real_embedding(1j * hams)
+    scan = np.empty((grid.n_slices + 1,) + gens.shape[1:])
+    scan[0] = np.eye(gens.shape[-1])
+    scan[1:] = step_exponentials(gens, grid.dt)
     d = 1
     while d < grid.n_slices:
         scan[d:] = scan[d:] @ scan[:-d]
         d *= 2
-    return PropagationCache(hamiltonians=hams, eigvals=lam, eigvecs=v, embedded=scan)
+    return PropagationCache(hamiltonians=hams, generators=gens, embedded=scan)
 
 
 def unitarity_defect(p):

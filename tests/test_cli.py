@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files and option plumbing."""
 
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,20 @@ def test_tiny_granularity_exits_one(tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith("error: s_granularity 5e-324 is too small")
     assert captured.err.count("\n") == 1
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_step_too_long_to_exponentiate_exits_one(tmp_path, capsys):
+    # Without the squaring limit this run crawls toward the evaluation budget.
+    cfg = write_cfg(tmp_path, "gate: cnot\nT: 1e300\nL: 2\n")
+    started = time.perf_counter()
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: slice step too long for the exponential")
+    assert captured.err.endswith("use more slices\n") and captured.err.count("\n") == 1
+    assert elapsed < 1.0
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -82,6 +82,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^abs_tol must be a number, not a bool$"):
             FlowConfig(s_max=10.0, abs_tol=value)
 
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy_bool"])
+    def test_rejects_boolean_step_bounds(self, value):
+        # True would otherwise pass 0 < h_min < h_init < s_max and be kept.
+        with pytest.raises(ValueError, match="^h_init must be a number, not a bool$"):
+            FlowConfig(s_max=10.0, h_init=value)
+        with pytest.raises(ValueError, match="^h_min must be a number, not a bool$"):
+            FlowConfig(s_max=10.0, h_min=value, h_init=2.0)
+
     @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
     def test_budget_must_be_an_integer(self, budget):
         with pytest.raises(ValueError, match="^max_rhs_evals must be a positive integer$"):

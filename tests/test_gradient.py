@@ -288,7 +288,7 @@ class TestFlowRhs:
         assert ev.unitarity_defect is None
         # The evaluation keeps its pass data for descent_rate, not a rate.
         assert (ev.order, ev.dt) == (1, grid.dt)
-        assert np.array_equal(ev.cache.eigvals, propagate(sys, grid).eigvals)
+        assert np.array_equal(ev.cache.generators, propagate(sys, grid).generators)
 
     def test_flow_evaluation_diagnostics(self):
         sys, grid, target = random_instance(46, dim=4, n_controls=2)

@@ -1,13 +1,15 @@
 """System assembly and propagation: the two-spin benchmark numbers, slice
-Hamiltonians, unitarity of the prefix chain, and an ODE cross-check."""
+Hamiltonians, the scaled Taylor step exponentials, unitarity of the prefix
+chain, and an ODE cross-check."""
 
 import numpy as np
 import pytest
 
-from gateflow import (GATE_TARGETS, ControlGrid, GateTarget, QuantumSystem,
+from gateflow import (GATE_TARGETS, UNITARY_TOL, ControlGrid, GateTarget, QuantumSystem,
                       build_two_spin_benchmark, dagger, gate_target, propagate,
                       slice_hamiltonians, unitarity_defect)
-from gateflow.linalg import from_real_embedding, real_embedding
+from gateflow.linalg import (MAX_SQUARINGS, from_real_embedding, real_embedding, squarings,
+                             step_exponentials)
 from helpers import random_hermitian
 from oracles import expm_hermitian_generator, slice_hamiltonian, step_propagator
 
@@ -133,8 +135,8 @@ class TestValidation:
             GateTarget(matrix=np.full((2, 2), np.nan), label="nan")
 
     def test_real_input_is_stored_real(self, benchmark_system):
-        # Zero imaginary parts put a system on the real eigh path; any
-        # nonzero imaginary part keeps it complex.
+        # Zero imaginary parts put the exact average's eigh on its real path;
+        # any nonzero imaginary part keeps the system complex.
         assert benchmark_system.h0.dtype == float
         assert benchmark_system.controls.dtype == float
         sys, _ = two_level_system(24)
@@ -246,7 +248,7 @@ class TestPropagation:
 
     def test_against_ode_solver(self):
         # Integrate the Schrodinger equation slice by slice with a generic
-        # ODE solver and compare against the eigendecomposition product.
+        # ODE solver and compare against the propagated prefixes.
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         sys, rng = two_level_system(21)
         grid = ControlGrid(t_final=1.0, amplitudes=rng.uniform(-1, 1, (1, 4)))
@@ -295,9 +297,67 @@ class TestPropagation:
         assert cache.prefixes.shape == (6, 4, 4)
         assert cache.embedded.shape == (6, 8, 8)
         assert np.array_equal(from_real_embedding(cache.embedded), cache.prefixes)
-        assert cache.eigvals.shape == (5, 4)
-        assert cache.eigvecs.shape == (5, 8, 8)
+        assert cache.generators.shape == (5, 8, 8)
         assert cache.hamiltonians.shape == (5, 4, 4)
         hams = slice_hamiltonians(benchmark_system, grid)
         assert np.array_equal(cache.hamiltonians, hams)
-        assert np.array_equal(cache.eigvecs, real_embedding(np.linalg.eigh(hams)[1]))
+        assert np.array_equal(cache.generators, real_embedding(1j * hams))
+
+
+EPS = np.finfo(float).eps
+
+
+class TestStepExponentials:
+    @pytest.mark.parametrize("n_slices", [1, 2, 3, 7, 150])
+    def test_matches_eigendecomposition_oracle(self, benchmark_system, n_slices):
+        # dt * ||H|| from 1e-3 to 1e3 on the real two-spin system and on
+        # random complex ones. Squaring s times grows the rounding by up to
+        # 2**s; the prefix products add about eps per slice.
+        rng = np.random.default_rng(40 + n_slices)
+        systems = [benchmark_system]
+        for dim in (2, 3, 4):
+            systems.append(QuantumSystem(
+                h0=random_hermitian(rng, dim),
+                controls=np.stack([random_hermitian(rng, dim) for _ in range(2)])))
+        for sys in systems:
+            amps = rng.uniform(-1, 1, (2, n_slices))
+            hams = slice_hamiltonians(sys, ControlGrid(1.0, amps))
+            h_norm = np.linalg.norm(hams, 2, axis=(-2, -1)).max()
+            for dt_norm in 10.0 ** np.arange(-3, 4):
+                grid = ControlGrid(dt_norm * n_slices / h_norm, amps)
+                cache = propagate(sys, grid)
+                s = squarings(cache.generators, grid.dt)
+                steps = step_exponentials(cache.generators, grid.dt)
+                oracle = np.stack([step_propagator(sys, grid, l)
+                                   for l in range(1, n_slices + 1)])
+                assert np.abs(steps - real_embedding(oracle)).max() <= 32 * 2**s * EPS
+                assert np.array_equal(cache.embedded[1:2], steps[:1])
+                assert unitarity_defect(cache.prefixes) <= 32 * (n_slices + 2**s) * EPS
+
+    def test_squaring_limit_keeps_drift_below_unitary_tol(self):
+        assert 2.0**MAX_SQUARINGS * EPS < UNITARY_TOL
+
+    def test_squarings_bring_the_norm_below_one(self):
+        # ||real_embedding(i sigma_x)||_1 = 1, so the norm is dt itself.
+        x = real_embedding(1j * np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+        assert squarings(x, 0.5) == 0
+        assert squarings(x, 1.0) == 1
+        assert squarings(x, 3.0) == 2
+        assert squarings(x, np.nextafter(2.0**MAX_SQUARINGS, 0)) == MAX_SQUARINGS
+        with pytest.raises(ValueError, match=rf"needs more than {MAX_SQUARINGS} squarings"):
+            squarings(x, 2.0**MAX_SQUARINGS)
+
+    @pytest.mark.parametrize("t_final, shown", [(1e300, r"9\.354e\+301"),
+                                                 (1.7e308, "inf")], ids=["huge", "overflow"])
+    def test_too_long_or_non_finite_step_rejected(self, benchmark_system, t_final, shown):
+        # The norm product overflows to inf in Python floats, without a warning.
+        grid = ControlGrid(t_final=t_final, amplitudes=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=rf"^slice step too long for the exponential: "
+                                             rf"largest dt\*\|\|X\|\|_1 = {shown} needs more "
+                                             rf"than {MAX_SQUARINGS} squarings; use more slices$"):
+            propagate(benchmark_system, grid)
+
+    def test_nan_generator_rejected(self):
+        x = np.full((1, 2, 2), np.nan)
+        with pytest.raises(ValueError, match="= nan needs more than"):
+            step_exponentials(x, 1.0)
