@@ -122,12 +122,16 @@ def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
     The adaptive integrator uses the horizon only to clip the step that
     would cross it, so any shorter multiple would follow the same
     trajectory up to its own end. S_reported is s_stop rounded up to the
-    granularity.
+    granularity. A ValueError from the run comes back with the spec's label in front.
     """
     cfg = replace(spec.cfg, s_max=_effective_horizon(spec, scan_cap))
     started = time.perf_counter()
-    result = integrate_flow(build_two_spin_benchmark(), build_initial_grid(spec),
-                            gate_target(spec.gate), spec.order, cfg)
+    try:
+        result = integrate_flow(build_two_spin_benchmark(), build_initial_grid(spec),
+                                gate_target(spec.gate), spec.order, cfg)
+    except ValueError as exc:
+        raise ValueError(f"{spec.gate} T={spec.t_final:g} L={spec.n_slices} "
+                         f"order={spec.order}: {exc}") from exc
     wall = time.perf_counter() - started
     s_reported = math.ceil(result.s_stop / spec.s_granularity) * spec.s_granularity
     record = RunRecord(gate=spec.gate, t_final=spec.t_final, n_slices=spec.n_slices,
@@ -213,6 +217,8 @@ def _real(value):
 
 
 def _count(value):
+    if isinstance(value, str):  # native text: a whole '150.0' or '1e3' counts, as in JSON
+        value = int(value) if value.lstrip("+-").isdigit() else float(value)
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError("not an integer")
     return int(value)

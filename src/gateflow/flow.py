@@ -109,7 +109,7 @@ def integrate_flow(sys, grid0, target, order, cfg):
 
     def f(amplitudes):
         nonlocal evals, max_defect, ev
-        ev = None  # free the last pass's cache, W_l and probes before this one allocates
+        ev = None  # free the last record's W_l and slice Hamiltonians before this pass allocates
         ev = flow_evaluation(sys, grid0.with_amplitudes(amplitudes), target, order,
                              check_unitarity=cfg.check_unitarity)
         bad = ~np.isfinite(ev.values)

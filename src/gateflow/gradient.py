@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, from_real_embedding, real_embedding
-from .system import UNITARY_TOL, PropagationCache, is_integer, propagate, unitarity_defect
+from .system import UNITARY_TOL, is_integer, propagate, unitarity_defect
 
 # Truncation orders past this are a sign of misuse: the factorial
 # denominators push the extra terms below rounding while the nested
@@ -36,53 +36,48 @@ def normalize_order(order):
     raise ValueError(f"correction order must be an integer or '{EXACT}', got {order!r}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RhsEvaluation:
-    """What one propagation pass yields: the flow velocities deps/ds (one row
-    per control), the objective, the optional unitarity defect, and the pass
-    data that descent_rate reads afterwards instead of propagating again."""
+    """One propagation pass's velocities deps/ds (one row per control), objective and optional
+    unitarity defect, with what descent_rate reads later instead of propagating again."""
 
     values: np.ndarray  # shape (n, L)
     objective: float
     unitarity_defect: float | None = None
     order: int | str | None = None
-    cache: PropagationCache | None = None
+    hamiltonians: np.ndarray | None = None  # (L, N, N), the slice Hamiltonians H_l
     w: np.ndarray | None = None       # (L, 2N, 2N), real_embedding(W_l)
     probes: np.ndarray | None = None  # (n, 2N, 2N), real_embedding(-i H_k)
     dt: float | None = None
 
 
-def phi1(z):
-    """(e^z - 1) / z with the removable singularity at z = 0 filled in.
-
-    expm1 keeps the numerator's digits for small |z|, where e^z - 1 would
-    lose them to cancellation.
-    """
-    z = np.asarray(z, dtype=complex)
-    zero = z == 0
-    safe = np.where(zero, 1.0, z)
-    return np.where(zero, 1.0, np.expm1(safe) / safe)
+def exact_weights(theta):
+    """phi1(i theta) = (e^(i theta) - 1) / (i theta) for real theta, in closed form."""
+    return np.exp(0.5j * theta) * np.sinc(theta / (2 * np.pi))
 
 
-def _velocities(w_avg, probes):
+def _slice_velocities(order, dt, w, probes, hamiltonians, generators=None):
+    """Entry (k, l): Im Tr[W~_l H_k] / (2N), W~_l the order's slice average of W_l."""
+    if order == EXACT:
+        lam, vecs = np.linalg.eigh(hamiltonians)
+        v = real_embedding(vecs)
+        weights = exact_weights(dt * (lam[:, None, :] - lam[:, :, None]))
+        w_eig = from_real_embedding(v.transpose(0, 2, 1) @ w @ v) * weights
+        w = v @ real_embedding(w_eig) @ v.transpose(0, 2, 1)
+    else:
+        cur = w
+        for j in range(1, order + 1):
+            cur = cur @ generators - generators @ cur
+            w = w + (dt**j / math.factorial(j + 1)) * cur
     # Tr[real_embedding(Y) real_embedding(-i H_k)] = 2 Im Tr[Y H_k]; 2 * 2N = 4N.
-    return np.einsum("lab,kba->kl", w_avg, probes) / (2 * probes.shape[-1])
-
-
-def exact_velocities(ev):
-    """The exact slice-average velocities, from an evaluation's pass data
-    and the eigensystems of its slice Hamiltonians."""
-    lam, vecs = np.linalg.eigh(ev.cache.hamiltonians)
-    v = real_embedding(vecs)
-    phases = phi1(1j * ev.dt * (lam[:, None, :] - lam[:, :, None]))
-    w_eig = from_real_embedding(v.transpose(0, 2, 1) @ ev.w @ v) * phases
-    return _velocities(v @ real_embedding(w_eig) @ v.transpose(0, 2, 1), ev.probes)
+    return np.einsum("lab,kba->kl", w, probes) / (2 * probes.shape[-1])
 
 
 def descent_rate(ev):
     """Estimated dJ/ds along ev.values, negative while they still descend:
     -dt times the exact velocities (ev.values at exact order) contracted with them."""
-    exact = ev.values if ev.order == EXACT else exact_velocities(ev)
+    exact = (ev.values if ev.order == EXACT else
+             _slice_velocities(EXACT, ev.dt, ev.w, ev.probes, ev.hamiltonians))
     return float(-ev.dt * np.sum(exact * ev.values))
 
 
@@ -100,39 +95,27 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
     - series: Tr[W ad_X^j(H_k)] = Tr[(-ad_X)^j(W) H_k] with X = i H_l, so
       W~_l = sum_j dt^j/(j+1)! (-ad_X)^j(W_l);
     - exact: in the eigenbasis V_l of H_l the average multiplies entry
-      (a, b) by phi1(i (lam_a - lam_b) dt), so
-      W~_l = V_l ((V_l^dagger W_l V_l) o phi1(i (lam_b - lam_a) dt)) V_l^dagger.
+      (a, b) by exact_weights(theta) with theta = (lam_b - lam_a) dt, so
+      W~_l = V_l ((V_l^dagger W_l V_l) o exact_weights(theta)) V_l^dagger.
 
     The prefixes, the slice Hamiltonians and their generators X all come
     from the one propagation pass, and the products run on real
     embeddings. Only the exact average diagonalises the slice Hamiltonians.
     With check_unitarity the prefixes are verified against UNITARY_TOL and
-    the measured defect is reported; descent_rate reads the rest later.
+    the measured defect is reported; the record keeps only what descent_rate reads.
     """
     order = normalize_order(order)
     if target.matrix.shape != sys.h0.shape:
         raise ValueError(f"shape mismatch: {target.matrix.shape} vs {sys.h0.shape}")
     cache = propagate(sys, grid)
-    defect = None
-    if check_unitarity:
-        defect = unitarity_defect(cache.prefixes)
-        if defect > UNITARY_TOL:
-            raise RuntimeError(
-                f"propagator prefixes drifted off the unitary group: "
-                f"max|P^dagger P - I| = {defect:.3e}"
-            )
+    defect = unitarity_defect(cache.prefixes) if check_unitarity else None
+    if defect is not None and defect > UNITARY_TOL:
+        raise RuntimeError(f"propagator prefixes drifted off the unitary group: "
+                           f"max|P^dagger P - I| = {defect:.3e}")
     a = dagger(target.matrix) @ cache.total
     p = cache.embedded[:-1]
-    ev = RhsEvaluation(None, 0.5 - np.trace(a).real / (2 * sys.dim), defect, order=order,
-                       cache=cache, w=p @ real_embedding(a) @ p.transpose(0, 2, 1),
-                       probes=real_embedding(-1j * sys.controls), dt=grid.dt)
-    if order == EXACT:
-        ev.values = exact_velocities(ev)
-    else:
-        x = cache.generators
-        cur = w_avg = ev.w
-        for j in range(1, order + 1):
-            cur = cur @ x - x @ cur
-            w_avg = w_avg + (ev.dt**j / math.factorial(j + 1)) * cur
-        ev.values = _velocities(w_avg, ev.probes)
-    return ev
+    w = p @ real_embedding(a) @ p.transpose(0, 2, 1)
+    probes = real_embedding(-1j * sys.controls)
+    values = _slice_velocities(order, grid.dt, w, probes, cache.hamiltonians, cache.generators)
+    return RhsEvaluation(values, 0.5 - np.trace(a).real / (2 * sys.dim), defect, order=order,
+                         hamiltonians=cache.hamiltonians, w=w, probes=probes, dt=grid.dt)

@@ -1,7 +1,7 @@
 """Single-slice reference implementations of what the batched kernels in
-gateflow compute: slice Hamiltonians, step propagators, the series and
-exact slice averages, the objective J and a central-difference gradient
-of it.
+gateflow compute: slice Hamiltonians, step propagators, phi1, the series
+and exact slice averages, the objective J and a central-difference
+gradient of it.
 
 Each works on one slice (or one perturbation) at a time, independently
 of the doubling scan and the W_l contractions of `propagate` and
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from gateflow import EXACT, dagger, normalize_order, phi1, propagate
+from gateflow import EXACT, dagger, normalize_order, propagate
 from gateflow.linalg import require_hermitian
 
 
@@ -29,6 +29,18 @@ def expm_hermitian_generator(h, theta):
     require_hermitian(h, "generator")
     lam, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * theta * lam)) @ v.conj().T
+
+
+def phi1(z):
+    """(e^z - 1) / z with the removable singularity at z = 0 filled in.
+
+    expm1 keeps the numerator's digits for small |z|, where e^z - 1 would
+    lose them to cancellation.
+    """
+    z = np.asarray(z, dtype=complex)
+    zero = z == 0
+    safe = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, np.expm1(safe) / safe)
 
 
 def slice_hamiltonian(sys, grid, l):

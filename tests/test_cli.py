@@ -126,9 +126,26 @@ def test_step_too_long_to_exponentiate_exits_one(tmp_path, capsys):
     elapsed = time.perf_counter() - started
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error: slice step too long for the exponential")
+    assert captured.err.startswith(
+        "error: cnot T=1e+300 L=2 order=1: slice step too long for the exponential")
     assert captured.err.endswith("use more slices\n") and captured.err.count("\n") == 1
     assert elapsed < 1.0
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--parallel", "2"]], ids=["sequential", "parallel"])
+def test_run_time_error_names_its_spec(tmp_path, capsys, flags):
+    # The first spec runs fine; the error line names the second, in a
+    # sequential and in a parallel run alike.
+    cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 20\ns_max: 50\n\n"
+                              "gate: cnot\nT: 1e300\nL: 2\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"), "--scan-cap", "50",
+                 *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(
+        "error: cnot T=1e+300 L=2 order=1: slice step too long for the exponential")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -339,6 +339,29 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="L must be a number"):
             load_experiment(path)
 
+    @pytest.mark.parametrize("fmt", ["native", "json"])
+    def test_one_whole_number_rule_for_both_formats(self, tmp_path, fmt):
+        # Whole values written as floats load in either format; fractional
+        # ones are rejected with the same message, naming the line or entry.
+        name, text, where = {
+            "native": ("exp.cfg", "gate: cnot\nT: 5\nL: {}\nmax_rhs_evals: {}\norder: {}\n",
+                       {"L": "exp.cfg line 3", "order": "exp.cfg line 5"}),
+            "json": ("exp.json", '{{"gate": "cnot", "T": 5, "L": {}, "max_rhs_evals": {}, '
+                                 '"order": {}}}',
+                     {"L": "exp.json entry 1", "order": "exp.json entry 1"}),
+        }[fmt]
+        (spec,) = load_experiment(write_cfg(tmp_path, text.format("150.0", "1e3", "1.0"), name))
+        assert (spec.n_slices, spec.cfg.max_rhs_evals, spec.order) == (150, 1000, 1)
+        assert all(type(v) is int for v in (spec.n_slices, spec.cfg.max_rhs_evals, spec.order))
+        quote = "'" if fmt == "native" else ""
+        for key, bad, values, expected in (
+                ("L", "2.5", ("2.5", "1e3", "1"), "a number"),
+                ("order", "1.5", ("150", "1e3", "1.5"), "an integer or 'exact'")):
+            path = write_cfg(tmp_path, text.format(*values), name)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{where[key]}: {key} must be {expected}, got {quote}{bad}{quote}")):
+                load_experiment(path)
+
     @pytest.mark.parametrize("entry", [
         {"gate": "cnot", "T": True, "L": 150},
         {"gate": "cnot", "T": 5, "L": True},

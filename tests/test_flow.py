@@ -291,6 +291,33 @@ def test_bench_run_counts(bench_runs, case):
     assert result.rhs_evals == 1 + 6 * (result.accepted_steps + result.rejected_steps)
 
 
+@pytest.fixture(scope="module")
+def cnot_t5_run():
+    cfg = FlowConfig(s_max=5000.0)
+    return integrate_flow(build_two_spin_benchmark(), ControlGrid(5.0, np.zeros((2, 150))),
+                          gate_target("cnot"), 1, cfg)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_time_energy_scaling_of_a_whole_run(cnot_t5_run, c):
+    # Energies times c with T, s_max, h_init and h_min over c: every dt * H_l
+    # is unchanged, velocities grow by c and flow time shrinks by c, so each
+    # Dormand-Prince increment h * v, the error norm and the step controller
+    # are unchanged. A power of two scales without rounding: bit for bit.
+    base = build_two_spin_benchmark()
+    sys = QuantumSystem(h0=c * base.h0, controls=c * base.controls)
+    cfg = FlowConfig(s_max=5000.0 / c, h_init=1.0 / c, h_min=1e-12 / c)
+    run = integrate_flow(sys, ControlGrid(5.0 / c, np.zeros((2, 150))), gate_target("cnot"),
+                         1, cfg)
+    ref = cnot_t5_run
+    assert (run.rhs_evals, run.accepted_steps, run.rejected_steps, run.stop_reason) == \
+        (ref.rhs_evals, ref.accepted_steps, ref.rejected_steps, ref.stop_reason)
+    assert np.array_equal(run.final_grid.amplitudes, ref.final_grid.amplitudes)
+    assert np.array_equal(run.j_trace[:, 1], ref.j_trace[:, 1])
+    assert np.array_equal(run.j_trace[:, 0] * c, ref.j_trace[:, 0])
+    assert run.s_stop * c == ref.s_stop
+
+
 class TestToleranceBehavior:
     def base_cfg(self, **kw):
         return FlowConfig(s_max=200.0, j_stop=1e-30, **kw)

@@ -2,17 +2,20 @@
 series structure, and the finite-difference identity for the exact flow."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from gateflow import (ControlGrid, EXACT, GateTarget, MAX_SERIES_ORDER, QuantumSystem,
-                      UNITARY_TOL, dagger, descent_rate, flow_evaluation, gate_target,
-                      normalize_order, phi1, propagate, slice_hamiltonians)
+from gateflow import (ControlGrid, EXACT, ExperimentSpec, GateTarget, MAX_SERIES_ORDER,
+                      QuantumSystem, UNITARY_TOL, build_initial_grid, build_two_spin_benchmark,
+                      dagger, descent_rate, flow_evaluation, gate_target, normalize_order,
+                      propagate, slice_hamiltonians)
+from gateflow.gradient import exact_weights
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      expm_hermitian_generator, finite_difference_gradient, objective,
-                     slice_hamiltonian, step_propagator)
+                     phi1, slice_hamiltonian, step_propagator)
 
 # Grid lengths for the oracle comparisons: the doubling scan's edge cases
 # (one slice, powers of two and their neighbours) plus a benchmark length.
@@ -135,6 +138,16 @@ class TestPhi1:
         out = phi1(z)
         assert out.shape == (4,)
         assert abs(out[2] - (np.e - 1.0)) <= 1e-15
+
+    def test_closed_form_exact_weights(self):
+        # The package's weights e^(i theta/2) sinc(theta / 2 pi) against the
+        # oracle's (e^z - 1) / z at z = i theta, across zero, tiny and large
+        # slice phases of both signs.
+        r = np.logspace(-12, np.log10(200.0), 120)
+        theta = np.concatenate([-r[::-1], [0.0], r])
+        weights = exact_weights(theta)
+        assert weights[r.size] == 1.0
+        assert np.abs(weights - phi1(1j * theta)).max() <= 4 * np.finfo(float).eps
 
 
 class TestOrderValidation:
@@ -286,9 +299,13 @@ class TestFlowRhs:
         ev = flow_evaluation(sys, grid, target, order=1)
         assert ev.objective == objective(propagate(sys, grid).total, target)
         assert ev.unitarity_defect is None
-        # The evaluation keeps its pass data for descent_rate, not a rate.
+        # The evaluation keeps what descent_rate reads, not a rate and not
+        # the propagation cache, and it is finished when it is returned.
         assert (ev.order, ev.dt) == (1, grid.dt)
-        assert np.array_equal(ev.cache.generators, propagate(sys, grid).generators)
+        assert np.array_equal(ev.hamiltonians, propagate(sys, grid).hamiltonians)
+        assert not hasattr(ev, "cache")
+        with pytest.raises(FrozenInstanceError):
+            ev.values = None
 
     def test_flow_evaluation_diagnostics(self):
         sys, grid, target = random_instance(46, dim=4, n_controls=2)
@@ -339,7 +356,7 @@ class TestFlowRhs:
         # second exact average.
         sys, grid, target = random_instance(47, dim=4, n_controls=2)
         ev = flow_evaluation(sys, grid, target, order=EXACT)
-        monkeypatch.setattr("gateflow.gradient.exact_velocities", None)
+        monkeypatch.setattr("gateflow.gradient._slice_velocities", None)
         rate = descent_rate(ev)
         assert rate == -grid.dt * float(np.sum(ev.values * ev.values))
         assert rate < 0
@@ -391,3 +408,40 @@ class TestFiniteDifference:
         sys, grid, target = random_instance(52)
         with pytest.raises(ValueError, match="delta"):
             finite_difference_gradient(sys, grid, target, delta=0.0)
+
+
+class _JStopReached(Exception):
+    pass
+
+
+# (gate, T, L): the starting grids of the benchmark cells the yardstick runs.
+LBFGS_CELLS = [("cnot", 5.0, 150), ("cnot", 10.0, 150), ("swap", 5.0, 300),
+               ("cnot", 0.5, 300), ("cnot", 10.0, 300), ("cnot", 5.0, 300)]
+
+
+@pytest.mark.parametrize("gate,t_final,n_slices", LBFGS_CELLS,
+                         ids=[f"{g}_T{t:g}_L{n}" for g, t, n in LBFGS_CELLS])
+def test_lbfgs_on_the_exact_gradient_reaches_j_stop(gate, t_final, n_slices):
+    # A quasi-Newton yardstick on the full-size exact gradient -dt * values:
+    # a sign or slice-offset error in it stalls the line search, which the
+    # 16-slice identity checks would not see (a constant scale error it
+    # absorbs; those checks catch that). With scipy 1.17 the cells take
+    # 27-46 evaluations, so 100 keeps 2x headroom across L-BFGS-B versions.
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    grid0 = build_initial_grid(ExperimentSpec(gate=gate, t_final=t_final, n_slices=n_slices))
+    sys, target = build_two_spin_benchmark(), gate_target(gate)
+    objectives = []
+
+    def objective_and_gradient(x):
+        ev = flow_evaluation(sys, grid0.with_amplitudes(x.reshape(grid0.amplitudes.shape)),
+                             target, order=EXACT)
+        objectives.append(ev.objective)
+        if ev.objective <= 1e-7:
+            raise _JStopReached
+        return ev.objective, -grid0.dt * ev.values.ravel()
+
+    with pytest.raises(_JStopReached):
+        minimize(objective_and_gradient, grid0.amplitudes.ravel(), jac=True,
+                 method="L-BFGS-B",
+                 options={"gtol": 0, "ftol": 0, "maxfun": 100, "maxiter": 100})
+    assert len(objectives) <= 100

@@ -47,6 +47,20 @@ def test_exact_velocities_are_the_gradient(instance):
     assert np.abs(gradient - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-4)
 
 
+@given(instances(), st.sampled_from([0.5, 2.0, 4.0]), st.sampled_from([0, 1, 3, EXACT]))
+def test_time_energy_scaling_of_one_evaluation(instance, c, order):
+    # H -> c H with T -> T / c leaves every dt * H_l, hence every propagator
+    # and J, unchanged and multiplies the velocities by c. A power of two
+    # scales without rounding, so the relation holds bit for bit.
+    sys, grid, target = instance
+    scaled = QuantumSystem(h0=c * sys.h0, controls=c * sys.controls)
+    ev = flow_evaluation(sys, grid, target, order=order)
+    ev_c = flow_evaluation(scaled, ControlGrid(grid.t_final / c, grid.amplitudes), target,
+                           order=order)
+    assert ev_c.objective == ev.objective
+    assert np.array_equal(ev_c.values, c * ev.values)
+
+
 @given(instances())
 def test_prefixes_stay_unitary(instance):
     sys, grid, _ = instance
