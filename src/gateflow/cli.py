@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from .experiments import (DEFAULT_SCAN_CAP, compare_methods, load_experiment,
-                          parse_config_value)
+                          output_paths, parse_config_value, run_label)
 from .flow import STOP_J_REACHED
 
 
@@ -43,6 +43,9 @@ def main(argv=None):
         return 1 if exc.code else 0  # argparse printed its usage; bad flags exit 1
     try:
         specs = load_experiment(args.config)
+        for path in output_paths(args.out, args.json):
+            if path.exists() and path.samefile(args.config):
+                raise ValueError(f"{path}: would overwrite the config file")
         if args.order_override is not None:
             order = parse_config_value("order", args.order_override, "--order-override")
             specs = [replace(spec, order=order) for spec in specs]
@@ -52,8 +55,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for r in records:
-        print(f"{r.gate} T={r.t_final:g} L={r.n_slices} order={r.order}: "
-              f"S={r.s_reported:g} J={r.final_j:.3e} ({r.stop_reason})")
+        print(f"{run_label(r)}: S={r.s_reported:g} J={r.final_j:.3e} ({r.stop_reason})")
     print(f"wrote {args.out}")
     return 0 if all(r.stop_reason == STOP_J_REACHED for r in records) else 2
 

@@ -71,6 +71,7 @@ class ExperimentSpec:
         # Plain floats, so that the CSV and JSON writers see a float.
         for name in ("t_final", "s_granularity", "sine_amplitude"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        _require_granularity_fits(self.s_granularity, self.cfg.s_max)
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,18 @@ class RunRecord:
     rhs_evals: int
     wall_time_s: float
     stop_reason: str
+
+
+def run_label(run):
+    """'gate T=.. L=.. order=..' for an ExperimentSpec or a RunRecord."""
+    return f"{run.gate} T={run.t_final:g} L={run.n_slices} order={run.order}"
+
+
+def _require_granularity_fits(step, horizon, label=None):
+    """Raise ValueError when horizon / step overflows a float."""
+    if not math.isfinite(horizon / step):
+        where = f"{label}: " if label else ""
+        raise ValueError(f"{where}s_granularity {step!r} is too small for horizon {horizon:g}")
 
 
 def build_initial_grid(spec):
@@ -108,8 +121,7 @@ def _effective_horizon(spec, scan_cap):
     if not math.isfinite(cap):
         raise ValueError(f"scan cap must be finite, got {cap}")
     s_max, step = spec.cfg.s_max, spec.s_granularity
-    if not math.isfinite(max(cap, s_max) / step):
-        raise ValueError(f"s_granularity {step!r} is too small for horizon {max(cap, s_max):g}")
+    _require_granularity_fits(step, max(cap, s_max), run_label(spec))
     return s_max + max(0, math.floor((cap - s_max) / step)) * step
 
 
@@ -130,8 +142,7 @@ def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
         result = integrate_flow(build_two_spin_benchmark(), build_initial_grid(spec),
                                 gate_target(spec.gate), spec.order, cfg)
     except ValueError as exc:
-        raise ValueError(f"{spec.gate} T={spec.t_final:g} L={spec.n_slices} "
-                         f"order={spec.order}: {exc}") from exc
+        raise ValueError(f"{run_label(spec)}: {exc}") from exc
     wall = time.perf_counter() - started
     s_reported = math.ceil(result.s_stop / spec.s_granularity) * spec.s_granularity
     record = RunRecord(gate=spec.gate, t_final=spec.t_final, n_slices=spec.n_slices,
@@ -141,7 +152,7 @@ def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
     return record, result
 
 
-def _output_paths(out_path, json_path):
+def output_paths(out_path, json_path):
     """(CSV path, JSON mirror path), checked to be two different writable
     files in existing directories, neither of them a directory itself."""
     out_path = Path(out_path)
@@ -168,7 +179,7 @@ def write_comparison(records, out_path, json_path=None):
     round-trips them exactly.
     """
     rows = [dict(zip(CSV_COLUMNS, astuple(r))) for r in records]
-    out_path, json_path = _output_paths(out_path, json_path)
+    out_path, json_path = output_paths(out_path, json_path)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -183,7 +194,7 @@ def write_comparison(records, out_path, json_path=None):
 def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAULT_SCAN_CAP):
     """Run every spec and write the comparison table.
 
-    Every spec's horizon and the two output paths (see _output_paths) are
+    Every spec's horizon and the two output paths (see output_paths) are
     checked before any run starts. Specs may run in parallel (they share
     no state) on at most min(parallel, number of specs, CPU count) worker
     processes; rows are written in spec order regardless of completion
@@ -195,7 +206,7 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
         raise ValueError(f"parallel must be at least 1, got {parallel}")
     for spec in specs:
         _effective_horizon(spec, scan_cap)
-    _output_paths(out_path, json_path)
+    output_paths(out_path, json_path)
     run = functools.partial(execute_experiment, scan_cap=scan_cap)
     workers = min(parallel, len(specs), os.cpu_count() or 1)
     if workers > 1:

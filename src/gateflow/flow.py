@@ -34,7 +34,7 @@ STOP_UNDERFLOW = "step_underflow"
 STOP_BUDGET = "eval_budget"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
     """Integration limits and tolerances for one flow run."""
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, from_real_embedding, real_embedding
-from .system import UNITARY_TOL, is_integer, propagate, unitarity_defect
+from .system import (UNITARY_TOL, ControlGrid, QuantumSystem, is_integer, propagate,
+                     slice_hamiltonians, unitarity_defect)
 
 # Truncation orders past this are a sign of misuse: the factorial
 # denominators push the extra terms below rounding while the nested
@@ -39,16 +40,15 @@ def normalize_order(order):
 @dataclass(frozen=True, eq=False)
 class RhsEvaluation:
     """One propagation pass's velocities deps/ds (one row per control), objective and optional
-    unitarity defect, with what descent_rate reads later instead of propagating again."""
+    unitarity defect, with the inputs descent_rate reads later instead of propagating again."""
 
     values: np.ndarray  # shape (n, L)
     objective: float
     unitarity_defect: float | None = None
     order: int | str | None = None
-    hamiltonians: np.ndarray | None = None  # (L, N, N), the slice Hamiltonians H_l
-    w: np.ndarray | None = None       # (L, 2N, 2N), real_embedding(W_l)
-    probes: np.ndarray | None = None  # (n, 2N, 2N), real_embedding(-i H_k)
-    dt: float | None = None
+    w: np.ndarray | None = None  # (L, 2N, 2N), real_embedding(W_l)
+    sys: QuantumSystem | None = None
+    grid: ControlGrid | None = None
 
 
 def exact_weights(theta):
@@ -56,29 +56,29 @@ def exact_weights(theta):
     return np.exp(0.5j * theta) * np.sinc(theta / (2 * np.pi))
 
 
-def _slice_velocities(order, dt, w, probes, hamiltonians, generators=None):
+def _slice_velocities(order, sys, grid, w, generators=None):
     """Entry (k, l): Im Tr[W~_l H_k] / (2N), W~_l the order's slice average of W_l."""
     if order == EXACT:
-        lam, vecs = np.linalg.eigh(hamiltonians)
+        lam, vecs = np.linalg.eigh(slice_hamiltonians(sys, grid))
         v = real_embedding(vecs)
-        weights = exact_weights(dt * (lam[:, None, :] - lam[:, :, None]))
+        weights = exact_weights(grid.dt * (lam[:, None, :] - lam[:, :, None]))
         w_eig = from_real_embedding(v.transpose(0, 2, 1) @ w @ v) * weights
         w = v @ real_embedding(w_eig) @ v.transpose(0, 2, 1)
     else:
         cur = w
         for j in range(1, order + 1):
             cur = cur @ generators - generators @ cur
-            w = w + (dt**j / math.factorial(j + 1)) * cur
-    # Tr[real_embedding(Y) real_embedding(-i H_k)] = 2 Im Tr[Y H_k]; 2 * 2N = 4N.
-    return np.einsum("lab,kba->kl", w, probes) / (2 * probes.shape[-1])
+            w = w + (grid.dt**j / math.factorial(j + 1)) * cur
+    # Tr[real_embedding(Y) real_embedding(i H_k)] = -2 Im Tr[Y H_k]; 2 * 2N = 4N.
+    controls = sys.embedded_terms[1:]
+    return np.einsum("lab,kba->kl", w, controls) / (-2 * controls.shape[-1])
 
 
 def descent_rate(ev):
     """Estimated dJ/ds along ev.values, negative while they still descend:
     -dt times the exact velocities (ev.values at exact order) contracted with them."""
-    exact = (ev.values if ev.order == EXACT else
-             _slice_velocities(EXACT, ev.dt, ev.w, ev.probes, ev.hamiltonians))
-    return float(-ev.dt * np.sum(exact * ev.values))
+    exact = ev.values if ev.order == EXACT else _slice_velocities(EXACT, ev.sys, ev.grid, ev.w)
+    return float(-ev.grid.dt * np.sum(exact * ev.values))
 
 
 def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
@@ -98,9 +98,10 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
       (a, b) by exact_weights(theta) with theta = (lam_b - lam_a) dt, so
       W~_l = V_l ((V_l^dagger W_l V_l) o exact_weights(theta)) V_l^dagger.
 
-    The prefixes, the slice Hamiltonians and their generators X all come
-    from the one propagation pass, and the products run on real
-    embeddings. Only the exact average diagonalises the slice Hamiltonians.
+    The prefixes and the generators X come from the one propagation pass,
+    and the products and the contraction with the controls run on the
+    system's real embedded_terms. Only the exact average forms the complex
+    slice Hamiltonians, to diagonalise them.
     With check_unitarity the prefixes are verified against UNITARY_TOL and
     the measured defect is reported; the record keeps only what descent_rate reads.
     """
@@ -115,7 +116,6 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
     a = dagger(target.matrix) @ cache.total
     p = cache.embedded[:-1]
     w = p @ real_embedding(a) @ p.transpose(0, 2, 1)
-    probes = real_embedding(-1j * sys.controls)
-    values = _slice_velocities(order, grid.dt, w, probes, cache.hamiltonians, cache.generators)
+    values = _slice_velocities(order, sys, grid, w, cache.generators)
     return RhsEvaluation(values, 0.5 - np.trace(a).real / (2 * sys.dim), defect, order=order,
-                         hamiltonians=cache.hamiltonians, w=w, probes=probes, dt=grid.dt)
+                         w=w, sys=sys, grid=grid)

@@ -1,7 +1,7 @@
 """Controlled quantum system, piecewise-constant control grids and the
 propagation of the evolution operator across time slices."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class QuantumSystem:
 
     h0: np.ndarray
     controls: np.ndarray  # shape (n, N, N)
+    embedded_terms: np.ndarray = field(init=False)  # real_embedding(i h0), real_embedding(i H_k)
 
     def __post_init__(self):
         h0 = np.array(self.h0, dtype=complex)
@@ -66,6 +67,8 @@ class QuantumSystem:
             h0, controls = h0.real.copy(), controls.real.copy()
         object.__setattr__(self, "h0", _readonly(h0))
         object.__setattr__(self, "controls", _readonly(controls))
+        terms = real_embedding(1j * np.concatenate([h0[None], controls]))
+        object.__setattr__(self, "embedded_terms", _readonly(terms))
 
     @property
     def dim(self):
@@ -122,13 +125,11 @@ class GateTarget:
 
 @dataclass(frozen=True, eq=False)
 class PropagationCache:
-    """Prefix propagators P_l = U(t_l, 0) in real-embedded form, together
-    with the slice Hamiltonians and step generators that produced them
-    (all reused by the gradient engine)."""
+    """Prefix propagators P_l = U(t_l, 0) in real-embedded form, with the step
+    generators that produced them (reused by the series slice averages)."""
 
-    hamiltonians: np.ndarray  # (L, N, N), slice_hamiltonians(sys, grid)
-    generators: np.ndarray    # (L, 2N, 2N), X_l = real_embedding(i H_l)
-    embedded: np.ndarray      # (L+1, 2N, 2N), real_embedding(P_l), embedded[0] = I
+    generators: np.ndarray  # (L, 2N, 2N), X_l = real_embedding(i H_l)
+    embedded: np.ndarray    # (L+1, 2N, 2N), real_embedding(P_l), embedded[0] = I
 
     @property
     def prefixes(self):
@@ -149,20 +150,19 @@ def slice_hamiltonians(sys, grid):
 def propagate(sys, grid):
     """All prefix propagators P_0..P_L, with later slices applied on the left.
 
-    Each step propagator is exp(-dt X_l) with X_l = real_embedding(i H_l),
-    the real 2N x 2N form of exp(-i dt H_l), from one batched scaled
-    Taylor exponential (linalg.step_exponentials, which raises ValueError
-    for a slice too long to exponentiate). The slice Hamiltonians and
-    generators are kept in the cache for the series and exact slice
-    averages. The products run as a Hillis-Steele doubling scan over
-    [I, step_1, ..., step_L]: the pass with offset d = 1, 2, 4, ...
-    multiplies every entry l >= d by entry l - d from the right, after
-    which entry l holds the product of entries max(0, l - 2d + 1)..l. Once
-    2d >= L every entry covers steps 1..l, so ceil(log2 L) batched matmuls
-    replace L sequential ones.
+    Each step propagator is exp(-dt X_l) with X_l = real_embedding(i H_l), the
+    real 2N x 2N form of exp(-i dt H_l), from one batched scaled Taylor
+    exponential (linalg.step_exponentials, which raises ValueError for a slice
+    too long to exponentiate). By linearity X_l = X_0 + sum_k eps_kl X_k over
+    sys.embedded_terms, so no complex H_l is formed. The products run as a
+    Hillis-Steele doubling scan over [I, step_1, ..., step_L]: the pass with
+    offset d = 1, 2, 4, ... multiplies every entry l >= d by entry l - d from
+    the right, after which entry l holds the product of entries
+    max(0, l - 2d + 1)..l. Once 2d >= L every entry covers steps 1..l, so
+    ceil(log2 L) batched matmuls replace L sequential ones.
     """
-    hams = slice_hamiltonians(sys, grid)
-    gens = real_embedding(1j * hams)
+    x = sys.embedded_terms
+    gens = x[0] + np.einsum("kl,kab->lab", grid.amplitudes, x[1:])
     scan = np.empty((grid.n_slices + 1,) + gens.shape[1:])
     scan[0] = np.eye(gens.shape[-1])
     scan[1:] = step_exponentials(gens, grid.dt)
@@ -170,7 +170,7 @@ def propagate(sys, grid):
     while d < grid.n_slices:
         scan[d:] = scan[d:] @ scan[:-d]
         d *= 2
-    return PropagationCache(hamiltonians=hams, generators=gens, embedded=scan)
+    return PropagationCache(generators=gens, embedded=scan)
 
 
 def unitarity_defect(p):

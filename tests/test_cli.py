@@ -109,13 +109,52 @@ def test_bad_order_override_exits_one(tmp_path, capsys):
 
 
 def test_tiny_granularity_exits_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TINY + "s_granularity: 5e-324\n")
+    # The spec checks its granularity against its own horizon, so the
+    # loader's prefix names the block that set it.
+    cfg = write_cfg(tmp_path, TINY + "\n" + TINY + "s_granularity: 5e-324\n")
     code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error: s_granularity 5e-324 is too small")
-    assert captured.err.count("\n") == 1
+    assert captured.err == ("error: exp.cfg line 7: s_granularity 5e-324 is too small "
+                            "for horizon 50\n")
+    assert captured.out == ""
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_granularity_too_small_for_the_scan_cap_names_its_spec(tmp_path, capsys):
+    # 1e-10 fits the spec's horizon of 50 but not the scan cap; the check
+    # before any run puts the spec's label in front.
+    cfg = write_cfg(tmp_path, TINY + "\n" + TINY + "s_granularity: 1e-10\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"),
+                 "--scan-cap", "1e300"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("error: cnot T=5 L=50 order=1: s_granularity 1e-10 is too small "
+                            "for horizon 1e+300\n")
+    assert captured.out == ""
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("config, flags", [
+    ("a.cfg", ["--out", "a.cfg"]),
+    ("b.cfg", ["--out", "r.csv", "--json", "b.cfg"]),
+    ("exp.json", ["--out", "exp.csv"]),
+], ids=["out", "json", "default_mirror"])
+def test_output_on_the_config_exits_one(tmp_path, capsys, monkeypatch, config, flags):
+    # Rejected before any run: the config keeps its bytes and no table is written.
+    monkeypatch.chdir(tmp_path)
+    text = ('{"gate": "cnot", "T": 5, "L": 50, "s_max": 50}\n' if config.endswith(".json")
+            else TINY)
+    cfg = write_cfg(tmp_path, text, name=config)
+    before = cfg.read_bytes()
+    monkeypatch.setattr("gateflow.experiments.execute_experiment", None)
+    code = main(["run", config] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {config}: would overwrite the config file\n"
+    assert captured.out == ""
+    assert cfg.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [config]
 
 
 def test_step_too_long_to_exponentiate_exits_one(tmp_path, capsys):

@@ -441,10 +441,17 @@ class TestRunner:
         assert record.final_j > 1e-7
 
     def test_granularity_too_small_for_the_horizon(self):
-        spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=50, s_granularity=5e-324,
+        # Against the spec's own horizon the spec itself refuses it; against
+        # the scan cap the run names its spec.
+        with pytest.raises(ValueError,
+                           match=r"^s_granularity 5e-324 is too small for horizon 50$"):
+            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=50, s_granularity=5e-324,
+                           cfg=FlowConfig(s_max=50.0))
+        spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=50, s_granularity=1e-10,
                               cfg=FlowConfig(s_max=50.0))
-        with pytest.raises(ValueError, match="s_granularity 5e-324 is too small"):
-            execute_experiment(spec)
+        with pytest.raises(ValueError, match=r"^cnot T=5 L=50 order=1: s_granularity 1e-10 "
+                                             r"is too small for horizon 1e\+300$"):
+            execute_experiment(spec, scan_cap=1e300)
 
     def test_reported_horizon_is_granularity_multiple(self):
         spec = fast_spec(s_max=50.0)

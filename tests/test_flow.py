@@ -1,19 +1,22 @@
 """Adaptive integrator: scalar decay oracle, stepper order, stop conditions,
 tolerance behavior and determinism of full flow runs."""
 
+import math
 import os
 import platform
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gateflow
-from gateflow import (ControlGrid, FlowConfig, GateTarget, QuantumSystem, RhsEvaluation,
+from gateflow import (DEFAULT_GRANULARITY, EXACT, ControlGrid, ExperimentSpec, FlowConfig,
+                      GateTarget, QuantumSystem, RhsEvaluation, build_initial_grid,
                       build_two_spin_benchmark, dormand_prince_step, gate_target,
-                      integrate_flow)
+                      integrate_flow, propagate)
 
 from conftest import BENCH_CASES
 
@@ -95,6 +98,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^max_rhs_evals must be a positive integer$"):
             FlowConfig(s_max=10.0, max_rhs_evals=budget)
         assert FlowConfig(s_max=10.0, max_rhs_evals=np.int64(3)).max_rhs_evals == 3
+
+    def test_frozen(self):
+        # A checked config cannot be made invalid afterwards; replace() builds
+        # and checks a new one.
+        cfg = FlowConfig(s_max=10.0)
+        with pytest.raises(FrozenInstanceError):
+            cfg.abs_tol = -1.0
+        with pytest.raises(FrozenInstanceError):
+            cfg.s_max = float("nan")
+        assert (cfg.abs_tol, cfg.s_max) == (1e-4, 10.0)
 
 
 class TestStepper:
@@ -316,6 +329,42 @@ def test_time_energy_scaling_of_a_whole_run(cnot_t5_run, c):
     assert np.array_equal(run.j_trace[:, 1], ref.j_trace[:, 1])
     assert np.array_equal(run.j_trace[:, 0] * c, ref.j_trace[:, 0])
     assert run.s_stop * c == ref.s_stop
+
+
+# The bare SWAP: conjugating by it exchanges the two spins.
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+@pytest.mark.parametrize("case", ["cnot_t5_m0", "cnot_t5_m1", "cnot_t10_m1"])
+def test_spin_exchange_of_a_whole_run(bench_runs, case):
+    # SWAP h0(omega1, omega2) SWAP = h0(omega2, omega1) and SWAP exchanges the
+    # two x controls, so the exchanged system flowing to SWAP cnot SWAP is the
+    # cnot run with its amplitude rows exchanged. The permuted products sum in
+    # another order, so the amplitudes agree to rounding, not bit for bit.
+    _, t_final, n_slices, order, s_max = BENCH_CASES[case]
+    record, ref = bench_runs[case]
+    target = GateTarget(SWAP @ gate_target("cnot").matrix @ SWAP, "cnot_exchanged")
+    run = integrate_flow(build_two_spin_benchmark(omega1=30.0, omega2=20.0),
+                         ControlGrid(t_final, np.zeros((2, n_slices))), target, order,
+                         FlowConfig(s_max=s_max))
+    s_reported = math.ceil(run.s_stop / DEFAULT_GRANULARITY) * DEFAULT_GRANULARITY
+    assert (run.stop_reason, run.rhs_evals, run.accepted_steps, s_reported) == \
+        (ref.stop_reason, ref.rhs_evals, ref.accepted_steps, record.s_reported)
+    assert np.abs(run.final_grid.amplitudes[::-1] - ref.final_grid.amplitudes).max() <= 1e-9
+
+
+@pytest.mark.parametrize("gate", ["cnot", "swap"])
+@pytest.mark.parametrize("order", [0, 1, EXACT])
+def test_target_at_the_start_stops_at_once(benchmark_system, gate, order):
+    # A target equal to U(T) of the start grid has J at rounding level, so
+    # the run stops on j_stop at s = 0 after its first evaluation.
+    grid = build_initial_grid(ExperimentSpec(gate=gate, t_final=5.0, n_slices=150))
+    target = GateTarget(propagate(benchmark_system, grid).total, "start")
+    run = integrate_flow(benchmark_system, grid, target, order, FlowConfig(s_max=5000.0))
+    assert (run.stop_reason, run.s_stop, run.rhs_evals) == ("j_reached", 0.0, 1)
+    assert (run.accepted_steps, run.rejected_steps) == (0, 0)
+    assert run.j_trace.shape == (1, 2) and run.j_trace[0, 1] <= 1e-12
+    assert np.array_equal(run.final_grid.amplitudes, grid.amplitudes)
 
 
 class TestToleranceBehavior:

@@ -299,11 +299,12 @@ class TestFlowRhs:
         ev = flow_evaluation(sys, grid, target, order=1)
         assert ev.objective == objective(propagate(sys, grid).total, target)
         assert ev.unitarity_defect is None
-        # The evaluation keeps what descent_rate reads, not a rate and not
-        # the propagation cache, and it is finished when it is returned.
-        assert (ev.order, ev.dt) == (1, grid.dt)
-        assert np.array_equal(ev.hamiltonians, propagate(sys, grid).hamiltonians)
-        assert not hasattr(ev, "cache")
+        # The evaluation keeps the inputs descent_rate reads, not a rate, not
+        # the propagation cache and no copies derived from the system or
+        # grid, and it is finished when it is returned.
+        assert ev.order == 1 and ev.sys is sys and ev.grid is grid
+        for derived in ("cache", "hamiltonians", "probes", "dt"):
+            assert not hasattr(ev, derived)
         with pytest.raises(FrozenInstanceError):
             ev.values = None
 
@@ -328,8 +329,9 @@ class TestFlowRhs:
         assert abs(rate - expected) <= 1e-12 * abs(expected)
 
     def test_slice_hamiltonians_built_once(self, monkeypatch):
-        # propagate builds them and the series generator reads them from
-        # the cache; patched in gradient too, a second build would count.
+        # The series orders run on the system's embedded terms and never form
+        # the complex H_l; only the exact average does, once, to diagonalise
+        # them. Patched in both modules, so a build anywhere counts.
         calls = []
 
         def counting(*args):
@@ -337,9 +339,11 @@ class TestFlowRhs:
             return slice_hamiltonians(*args)
 
         monkeypatch.setattr("gateflow.system.slice_hamiltonians", counting)
-        monkeypatch.setattr("gateflow.gradient.slice_hamiltonians", counting, raising=False)
+        monkeypatch.setattr("gateflow.gradient.slice_hamiltonians", counting)
         sys, grid, target = random_instance(56, dim=4, n_controls=2)
         flow_evaluation(sys, grid, target, order=1)
+        assert len(calls) == 0
+        flow_evaluation(sys, grid, target, order=EXACT)
         assert len(calls) == 1
 
     def test_unitarity_check_raises_on_drift(self, monkeypatch):

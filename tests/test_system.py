@@ -2,6 +2,8 @@
 Hamiltonians, the scaled Taylor step exponentials, unitarity of the prefix
 chain, and an ODE cross-check."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -298,10 +300,25 @@ class TestPropagation:
         assert cache.embedded.shape == (6, 8, 8)
         assert np.array_equal(from_real_embedding(cache.embedded), cache.prefixes)
         assert cache.generators.shape == (5, 8, 8)
-        assert cache.hamiltonians.shape == (5, 4, 4)
+        assert [f.name for f in fields(cache)] == ["generators", "embedded"]
         hams = slice_hamiltonians(benchmark_system, grid)
-        assert np.array_equal(cache.hamiltonians, hams)
         assert np.array_equal(cache.generators, real_embedding(1j * hams))
+
+    @pytest.mark.parametrize("complex_system", [False, True])
+    def test_generators_from_the_embedded_terms(self, benchmark_system, complex_system):
+        # The system embeds i h0 and i H_k once, read-only; by linearity the
+        # slice generators built from that stack equal the embedded slice
+        # Hamiltonians exactly (a zero may differ in sign).
+        sys = two_level_system(5)[0] if complex_system else benchmark_system
+        n = sys.controls.shape[0]
+        assert sys.embedded_terms.shape == (n + 1, 2 * sys.dim, 2 * sys.dim)
+        assert np.array_equal(sys.embedded_terms[0], real_embedding(1j * sys.h0))
+        assert np.array_equal(sys.embedded_terms[1:], real_embedding(1j * sys.controls))
+        with pytest.raises(ValueError, match="read-only"):
+            sys.embedded_terms[0, 0, 0] = 1.0
+        grid = ControlGrid(3.0, np.random.default_rng(6).uniform(-2, 2, (n, 9)))
+        expected = real_embedding(1j * slice_hamiltonians(sys, grid))
+        assert np.array_equal(propagate(sys, grid).generators, expected)
 
 
 EPS = np.finfo(float).eps
