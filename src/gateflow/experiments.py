@@ -3,6 +3,7 @@ table writer behind the command-line interface."""
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -210,10 +211,18 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
     run = functools.partial(execute_experiment, scan_cap=scan_cap)
     workers = min(parallel, len(specs), os.cpu_count() or 1)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
+        # Specs go only to free workers, so none starts once a failure is seen.
+        outcomes, todo = [None] * len(specs), iter(enumerate(specs))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, specs))
+            running = {pool.submit(run, spec): i for i, spec in itertools.islice(todo, workers)}
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    outcomes[running.pop(future)] = future.result()
+                running.update((pool.submit(run, spec), i)
+                               for i, spec in itertools.islice(todo, len(done)))
     else:
         outcomes = [run(spec) for spec in specs]
     records = [record for record, _ in outcomes]

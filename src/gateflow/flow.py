@@ -53,9 +53,10 @@ class FlowConfig:
             require_positive_finite(getattr(self, name), name)
         for name in ("h_init", "h_min"):
             require_not_bool(getattr(self, name), name)
-        if not 0 < self.h_min < self.h_init < self.s_max:
-            raise ValueError("step bounds must satisfy 0 < h_min < h_init < s_max")
         require_positive_finite(self.s_max, "s_max")
+        if not 0 < self.h_min < self.h_init < self.s_max:
+            raise ValueError(f"step bounds must satisfy 0 < h_min < h_init < s_max, got "
+                             f"h_min={self.h_min:g}, h_init={self.h_init:g}, s_max={self.s_max:g}")
         if not (is_integer(self.max_rhs_evals) and self.max_rhs_evals >= 1):
             raise ValueError("max_rhs_evals must be a positive integer")
 
@@ -109,7 +110,7 @@ def integrate_flow(sys, grid0, target, order, cfg):
 
     def f(amplitudes):
         nonlocal evals, max_defect, ev
-        ev = None  # free the last record's W_l and slice Hamiltonians before this pass allocates
+        ev = None  # free the last record's W_l before this pass allocates its own
         ev = flow_evaluation(sys, grid0.with_amplitudes(amplitudes), target, order,
                              check_unitarity=cfg.check_unitarity)
         bad = ~np.isfinite(ev.values)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, from_real_embedding, real_embedding
+from .linalg import from_real_embedding, real_embedding
 from .system import (UNITARY_TOL, ControlGrid, QuantumSystem, is_integer, propagate,
                      slice_hamiltonians, unitarity_defect)
 
@@ -98,24 +98,26 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
       (a, b) by exact_weights(theta) with theta = (lam_b - lam_a) dt, so
       W~_l = V_l ((V_l^dagger W_l V_l) o exact_weights(theta)) V_l^dagger.
 
-    The prefixes and the generators X come from the one propagation pass,
-    and the products and the contraction with the controls run on the
-    system's real embedded_terms. Only the exact average forms the complex
-    slice Hamiltonians, to diagonalise them.
-    With check_unitarity the prefixes are verified against UNITARY_TOL and
-    the measured defect is reported; the record keeps only what descent_rate reads.
+    All of it runs on real embeddings: the target's, the prefixes and generators
+    of the one propagation pass and the system's embedded_terms. The embedding
+    doubles a trace's real part, so J = 1/2 - Tr(A) / (4N) on the embedded A.
+    Only the exact average forms the complex slice Hamiltonians, to diagonalise
+    them. With check_unitarity the embedded prefixes are verified against
+    UNITARY_TOL and the measured defect is reported; the record keeps only what descent_rate reads.
     """
     order = normalize_order(order)
     if target.matrix.shape != sys.h0.shape:
         raise ValueError(f"shape mismatch: {target.matrix.shape} vs {sys.h0.shape}")
+    if len(grid.amplitudes) != len(sys.controls):
+        raise ValueError(f"control count mismatch: {len(grid.amplitudes)} vs {len(sys.controls)}")
     cache = propagate(sys, grid)
-    defect = unitarity_defect(cache.prefixes) if check_unitarity else None
+    defect = unitarity_defect(cache.embedded) if check_unitarity else None
     if defect is not None and defect > UNITARY_TOL:
         raise RuntimeError(f"propagator prefixes drifted off the unitary group: "
                            f"max|P^dagger P - I| = {defect:.3e}")
-    a = dagger(target.matrix) @ cache.total
+    a = target.embedded.T @ cache.embedded[-1]
     p = cache.embedded[:-1]
-    w = p @ real_embedding(a) @ p.transpose(0, 2, 1)
+    w = p @ a @ p.transpose(0, 2, 1)
     values = _slice_velocities(order, sys, grid, w, cache.generators)
-    return RhsEvaluation(values, 0.5 - np.trace(a).real / (2 * sys.dim), defect, order=order,
+    return RhsEvaluation(values, 0.5 - np.trace(a) / (4 * sys.dim), defect, order=order,
                          w=w, sys=sys, grid=grid)

@@ -1,10 +1,9 @@
-"""Dense complex matrix kernels: the conjugate transpose, the Hermiticity
-check, the real embedding of complex matrices and the batched matrix
-exponential of the slice steps.
+"""Dense matrix kernels: the Hermiticity check, the real embedding of
+complex matrices and the batched matrix exponential of the slice steps.
 
-Everything here is a pure function of numpy arrays. Matrices are dense
-complex128 and stay small (N <= 64), so there is no sparse or structured
-path anywhere.
+Everything here is a pure function of numpy arrays. Matrices are dense,
+complex128 or their float64 embeddings, and stay small (N <= 64), so there
+is no sparse or structured path anywhere.
 """
 
 import math
@@ -31,11 +30,6 @@ _PS_COEFFS = np.array([[1 / math.factorial(j) if j <= TAYLOR_DEGREE else 0.0
 # about 2**s * eps: 2**16 * 2.2e-16 = 1.5e-11, below system.UNITARY_TOL = 1e-10
 # with room for the prefix products. A step needing more is too coarse a slice.
 MAX_SQUARINGS = 16
-
-
-def dagger(a):
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
 
 
 def require_hermitian(a, name="matrix"):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import from_real_embedding, real_embedding, require_hermitian, step_exponentials
+from .linalg import real_embedding, require_hermitian, step_exponentials
 
 # Tolerance for unitarity of propagator prefixes. The scaled Taylor step
 # exponentials drift by about 2**s * eps after s squarings, which
@@ -87,6 +87,7 @@ class ControlGrid:
 
     def __post_init__(self):
         require_positive_finite(self.t_final, "T")
+        object.__setattr__(self, "t_final", float(self.t_final))
         amps = np.array(self.amplitudes, dtype=float)
         if amps.ndim != 2 or amps.shape[0] < 1 or amps.shape[1] < 1:
             raise ValueError("amplitudes must have shape (n, L) with n, L >= 1")
@@ -113,6 +114,7 @@ class GateTarget:
 
     matrix: np.ndarray
     label: str
+    embedded: np.ndarray = field(init=False)  # real_embedding(matrix)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -121,6 +123,7 @@ class GateTarget:
         if not unitarity_defect(m) <= UNITARY_TOL:
             raise ValueError(f"target '{self.label}' is not unitary to {UNITARY_TOL:g}")
         object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "embedded", _readonly(real_embedding(m)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,16 +133,6 @@ class PropagationCache:
 
     generators: np.ndarray  # (L, 2N, 2N), X_l = real_embedding(i H_l)
     embedded: np.ndarray    # (L+1, 2N, 2N), real_embedding(P_l), embedded[0] = I
-
-    @property
-    def prefixes(self):
-        """The complex prefixes P_0..P_L, shape (L+1, N, N)."""
-        return from_real_embedding(self.embedded)
-
-    @property
-    def total(self):
-        """U(T, 0)."""
-        return from_real_embedding(self.embedded[-1])
 
 
 def slice_hamiltonians(sys, grid):

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from gateflow import EXACT, dagger, normalize_order, propagate
-from gateflow.linalg import require_hermitian
+from gateflow import EXACT, normalize_order, propagate
+from gateflow.linalg import from_real_embedding, require_hermitian
 
 
 def expm_hermitian_generator(h, theta):
@@ -91,7 +91,12 @@ def objective(u_final, target):
     if target.matrix.shape != u_final.shape:
         raise ValueError(f"shape mismatch: {target.matrix.shape} vs {u_final.shape}")
     n = u_final.shape[0]
-    return 0.5 - np.trace(dagger(target.matrix) @ u_final).real / (2 * n)
+    return 0.5 - np.trace(target.matrix.conj().T @ u_final).real / (2 * n)
+
+
+def final_propagator(sys, grid):
+    """The complex U(T, 0) of a grid, from propagate's embedded prefixes."""
+    return from_real_embedding(propagate(sys, grid).embedded[-1])
 
 
 def finite_difference_gradient(sys, grid, target, delta):
@@ -110,7 +115,7 @@ def finite_difference_gradient(sys, grid, target, delta):
             plus[k, l] += delta
             minus = amps.copy()
             minus[k, l] -= delta
-            j_plus = objective(propagate(sys, grid.with_amplitudes(plus)).total, target)
-            j_minus = objective(propagate(sys, grid.with_amplitudes(minus)).total, target)
+            j_plus = objective(final_propagator(sys, grid.with_amplitudes(plus)), target)
+            j_minus = objective(final_propagator(sys, grid.with_amplitudes(minus)), target)
             out[k, l] = (j_plus - j_minus) / (2 * delta)
     return out

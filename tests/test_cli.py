@@ -78,6 +78,19 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("s_max, message", [
+    ("-5", "s_max must be positive"),
+    ("0.5", "step bounds must satisfy 0 < h_min < h_init < s_max, "
+            "got h_min=1e-12, h_init=1, s_max=0.5")], ids=["negative", "below_h_init"])
+def test_bad_horizon_names_the_failing_bound(tmp_path, capsys, s_max, message):
+    cfg = write_cfg(tmp_path, f"s_max: {s_max}\ngate: cnot\nT: 5\nL: 50\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: exp.cfg line 1: {message}\n"
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_scan_cap_exits_one(tmp_path, capsys, value):
     cfg = write_cfg(tmp_path, TINY)

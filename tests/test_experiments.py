@@ -24,8 +24,9 @@ def fast_spec(order=1, s_max=50.0, n_slices=50):
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Replace ProcessPoolExecutor by an in-process stand-in and return the
-    list of pool sizes it was built with, so no worker is ever started."""
+    """Replace ProcessPoolExecutor by an in-process stand-in that runs each
+    submitted call at once, and return the list of pool sizes it was built
+    with, so no worker is ever started."""
     sizes = []
 
     class RecordingPool:
@@ -38,8 +39,13 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
@@ -557,6 +563,36 @@ class TestComparisonTable:
         monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
         compare_methods(specs, out, parallel=2, scan_cap=50.0)
         assert recording_pool == [2]
+
+    def test_parallel_starts_no_spec_after_a_failure(self, tmp_path, monkeypatch,
+                                                     recording_pool):
+        # Specs go to the pool only as workers free up, so once the first one
+        # fails, the two still waiting never start and no table is written.
+        runs = []
+
+        def run(spec, scan_cap):
+            runs.append(spec.order)
+            if spec.order == 0:
+                raise ValueError("first spec failed")
+            return None, None
+
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("gateflow.experiments.execute_experiment", run)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="^first spec failed$"):
+            compare_methods([fast_spec(order=m) for m in range(4)], out, parallel=2)
+        assert runs == [0, 1] and recording_pool == [2]
+        assert not out.exists()
+
+    def test_parallel_runs_every_spec_once_in_spec_order(self, tmp_path, monkeypatch,
+                                                         recording_pool):
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        specs = [fast_spec(order=0, n_slices=n) for n in (46, 47, 48, 49, 50)]
+        out = tmp_path / "out.csv"
+        records = compare_methods(specs, out, parallel=2, scan_cap=50.0)
+        assert recording_pool == [2]
+        assert [r.n_slices for r in records] == [46, 47, 48, 49, 50]
+        assert [row[2] for row in read_rows(out)[1:]] == ["46", "47", "48", "49", "50"]
 
     def test_scan_cap_checked_before_the_pool(self, tmp_path, monkeypatch, recording_pool):
         monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)

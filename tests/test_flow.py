@@ -16,9 +16,10 @@ import gateflow
 from gateflow import (DEFAULT_GRANULARITY, EXACT, ControlGrid, ExperimentSpec, FlowConfig,
                       GateTarget, QuantumSystem, RhsEvaluation, build_initial_grid,
                       build_two_spin_benchmark, dormand_prince_step, gate_target,
-                      integrate_flow, propagate)
+                      integrate_flow)
 
 from conftest import BENCH_CASES
+from oracles import final_propagator
 
 
 def decay(sys, grid, target, order=1, *, check_unitarity=False):
@@ -64,6 +65,15 @@ class TestConfigValidation:
             FlowConfig(s_max=10.0, h_init=20.0)
         with pytest.raises(ValueError, match="step bounds"):
             FlowConfig(s_max=10.0, h_min=0.0)
+
+    def test_step_bound_errors_name_the_failing_bound(self):
+        # s_max is checked on its own first; a horizon below the default
+        # h_init then fails on the step bounds, which the message spells out.
+        with pytest.raises(ValueError, match="^s_max must be positive$"):
+            FlowConfig(s_max=-5.0)
+        with pytest.raises(ValueError, match=r"^step bounds must satisfy 0 < h_min < h_init < "
+                                             r"s_max, got h_min=1e-12, h_init=1, s_max=0\.5$"):
+            FlowConfig(s_max=0.5)
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError, match="max_rhs_evals"):
@@ -359,12 +369,21 @@ def test_target_at_the_start_stops_at_once(benchmark_system, gate, order):
     # A target equal to U(T) of the start grid has J at rounding level, so
     # the run stops on j_stop at s = 0 after its first evaluation.
     grid = build_initial_grid(ExperimentSpec(gate=gate, t_final=5.0, n_slices=150))
-    target = GateTarget(propagate(benchmark_system, grid).total, "start")
+    target = GateTarget(final_propagator(benchmark_system, grid), "start")
     run = integrate_flow(benchmark_system, grid, target, order, FlowConfig(s_max=5000.0))
     assert (run.stop_reason, run.s_stop, run.rhs_evals) == ("j_reached", 0.0, 1)
     assert (run.accepted_steps, run.rejected_steps) == (0, 0)
     assert run.j_trace.shape == (1, 2) and run.j_trace[0, 1] <= 1e-12
     assert np.array_equal(run.final_grid.amplitudes, grid.amplitudes)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_control_count_mismatch_stops_the_run(benchmark_system, rows):
+    # Neither broadcast onto both controls nor failing deep inside numpy: the
+    # first evaluation names both counts.
+    grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((rows, 10)))
+    with pytest.raises(ValueError, match=f"^control count mismatch: {rows} vs 2$"):
+        integrate_flow(benchmark_system, grid, gate_target("cnot"), 1, FlowConfig(s_max=50.0))
 
 
 class TestToleranceBehavior:

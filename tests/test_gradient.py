@@ -9,13 +9,13 @@ import pytest
 
 from gateflow import (ControlGrid, EXACT, ExperimentSpec, GateTarget, MAX_SERIES_ORDER,
                       QuantumSystem, UNITARY_TOL, build_initial_grid, build_two_spin_benchmark,
-                      dagger, descent_rate, flow_evaluation, gate_target, normalize_order,
-                      propagate, slice_hamiltonians)
+                      descent_rate, flow_evaluation, gate_target, normalize_order,
+                      propagate, slice_hamiltonians, unitarity_defect)
 from gateflow.gradient import exact_weights
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
-                     expm_hermitian_generator, finite_difference_gradient, objective,
-                     phi1, slice_hamiltonian, step_propagator)
+                     expm_hermitian_generator, final_propagator, finite_difference_gradient,
+                     objective, phi1, slice_hamiltonian, step_propagator)
 
 # Grid lengths for the oracle comparisons: the doubling scan's edge cases
 # (one slice, powers of two and their neighbours) plus a benchmark length.
@@ -46,11 +46,11 @@ def naive_rhs(sys, grid, target, order):
     prefixes = [np.eye(sys.dim, dtype=complex)]
     for l in range(1, grid.n_slices + 1):
         prefixes.append(step_propagator(sys, grid, l) @ prefixes[-1])
-    a = dagger(target.matrix) @ prefixes[-1]
+    a = target.matrix.conj().T @ prefixes[-1]
     out = np.empty(grid.amplitudes.shape)
     for l in range(1, grid.n_slices + 1):
         p = prefixes[l - 1]
-        w = p @ a @ dagger(p)
+        w = p @ a @ p.conj().T
         h = slice_hamiltonian(sys, grid, l)
         for k in range(len(sys.controls)):
             if order == EXACT:
@@ -68,7 +68,7 @@ class TestObjective:
     @pytest.fixture
     def instance(self):
         sys, grid, _ = random_instance(30, dim=4, n_controls=2)
-        return sys, grid, propagate(sys, grid).total
+        return sys, grid, final_propagator(sys, grid)
 
     @staticmethod
     def objective_at(sys, grid, matrix):
@@ -108,6 +108,17 @@ class TestObjective:
         sys, grid, _ = random_instance(31)
         with pytest.raises(ValueError, match="shape mismatch"):
             flow_evaluation(sys, grid, gate_target("cnot"))
+        assert calls == []
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_control_count_mismatch(self, benchmark_system, monkeypatch, rows):
+        # One amplitude row per control: the two-spin system has two, and a
+        # grid with another count is refused before anything is propagated.
+        calls = []
+        monkeypatch.setattr("gateflow.gradient.propagate", lambda *args: calls.append(args))
+        grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((rows, 10)))
+        with pytest.raises(ValueError, match=f"^control count mismatch: {rows} vs 2$"):
+            flow_evaluation(benchmark_system, grid, gate_target("cnot"))
         assert calls == []
 
 
@@ -277,7 +288,7 @@ class TestFlowRhs:
         # When the target is the propagator itself the overlap is the
         # identity and every trace in the velocity formula is real.
         sys, grid, _ = random_instance(44, dim=4, n_controls=2)
-        target = GateTarget(matrix=propagate(sys, grid).total, label="self")
+        target = GateTarget(matrix=final_propagator(sys, grid), label="self")
         for order in (0, 1, EXACT):
             values = flow_evaluation(sys, grid, target, order=order).values
             assert np.abs(values).max() <= 1e-13
@@ -297,7 +308,7 @@ class TestFlowRhs:
     def test_flow_evaluation_reports_objective(self):
         sys, grid, target = random_instance(45)
         ev = flow_evaluation(sys, grid, target, order=1)
-        assert ev.objective == objective(propagate(sys, grid).total, target)
+        assert ev.objective == objective(final_propagator(sys, grid), target)
         assert ev.unitarity_defect is None
         # The evaluation keeps the inputs descent_rate reads, not a rate, not
         # the propagation cache and no copies derived from the system or
@@ -311,7 +322,8 @@ class TestFlowRhs:
     def test_flow_evaluation_diagnostics(self):
         sys, grid, target = random_instance(46, dim=4, n_controls=2)
         ev = flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
-        assert ev.unitarity_defect is not None
+        # The defect is read off the embedded prefixes, with no complex copy.
+        assert ev.unitarity_defect == unitarity_defect(propagate(sys, grid).embedded)
         assert ev.unitarity_defect <= 1e-10
         assert type(descent_rate(ev)) is float
         plain = flow_evaluation(sys, grid, target, order=1)
@@ -327,6 +339,20 @@ class TestFlowRhs:
         assert not np.allclose(followed, exact)
         expected = -grid.dt * float(np.sum(exact * followed))
         assert abs(rate - expected) <= 1e-12 * abs(expected)
+
+    def test_single_precision_horizon_is_widened(self):
+        # The grid stores T as a Python float, so a float32 5.0 (exactly 5)
+        # gives dt = 5/150 in double precision, not float32's 0.033333335.
+        sys, _, target = random_instance(57, dim=4, n_controls=2)
+        amps = np.random.default_rng(58).uniform(-1, 1, (2, 150))
+        narrow = ControlGrid(t_final=np.float32(5.0), amplitudes=amps)
+        assert type(narrow.t_final) is float and narrow.dt == 5.0 / 150
+        for order in (1, EXACT):
+            a = flow_evaluation(sys, narrow, target, order=order)
+            b = flow_evaluation(sys, ControlGrid(t_final=5.0, amplitudes=amps), target,
+                                order=order)
+            assert np.array_equal(a.values, b.values) and a.objective == b.objective
+            assert descent_rate(a) == descent_rate(b)
 
     def test_slice_hamiltonians_built_once(self, monkeypatch):
         # The series orders run on the system's embedded terms and never form

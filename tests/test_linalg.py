@@ -4,7 +4,7 @@ property tests on random matrices."""
 import numpy as np
 import pytest
 
-from gateflow import dagger, unitarity_defect
+from gateflow import unitarity_defect
 from gateflow.linalg import from_real_embedding, real_embedding
 from helpers import random_hermitian
 from oracles import expm_hermitian_generator
@@ -61,11 +61,6 @@ def test_expm_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="not Hermitian"):
         expm_hermitian_generator(bad, 1.0)
-
-
-def test_dagger():
-    a = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.array_equal(dagger(a), a.conj().T)
 
 
 def test_real_embedding_layout_and_round_trip():

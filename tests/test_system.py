@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gateflow import (GATE_TARGETS, UNITARY_TOL, ControlGrid, GateTarget, QuantumSystem,
-                      build_two_spin_benchmark, dagger, gate_target, propagate,
+                      build_two_spin_benchmark, gate_target, propagate,
                       slice_hamiltonians, unitarity_defect)
 from gateflow.linalg import (MAX_SQUARINGS, from_real_embedding, real_embedding, squarings,
                              step_exponentials)
@@ -63,7 +63,7 @@ class TestGateTargets:
     def test_both_unitary(self):
         assert list(GATE_TARGETS) == ["cnot", "swap"]
         for t in GATE_TARGETS.values():
-            gram = dagger(t.matrix) @ t.matrix
+            gram = t.matrix.conj().T @ t.matrix
             assert np.abs(gram - np.eye(4)).max() <= 1e-15
 
     def test_cnot_squares_to_phase(self):
@@ -93,6 +93,15 @@ class TestGateTargets:
 
     def test_case_insensitive_lookup(self):
         assert gate_target("CNOT").label == "cnot"
+
+    def test_embedded_once_and_read_only(self):
+        # The target is embedded when it is built, as the system's terms are.
+        for t in GATE_TARGETS.values():
+            assert np.array_equal(t.embedded, real_embedding(t.matrix))
+            with pytest.raises(ValueError, match="read-only"):
+                t.embedded[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            GateTarget(matrix=np.eye(2), label="i", embedded=np.eye(4))
 
 
 class TestValidation:
@@ -232,21 +241,21 @@ class TestPropagation:
         grid = ControlGrid(t_final=5.0, amplitudes=rng.uniform(-1, 1, (2, 4)))
         for l in range(1, 5):
             u = step_propagator(benchmark_system, grid, l)
-            assert np.abs(dagger(u) @ u - np.eye(4)).max() <= 1e-12
+            assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
 
     def test_single_slice_total_is_step(self, benchmark_system):
         rng = np.random.default_rng(16)
         grid = ControlGrid(t_final=0.3, amplitudes=rng.uniform(-1, 1, (2, 1)))
         cache = propagate(benchmark_system, grid)
-        assert np.allclose(cache.total, step_propagator(benchmark_system, grid, 1),
-                           atol=1e-14)
-        assert np.array_equal(cache.prefixes[0], np.eye(4))
+        assert np.allclose(from_real_embedding(cache.embedded[-1]),
+                           step_propagator(benchmark_system, grid, 1), atol=1e-14)
+        assert np.array_equal(from_real_embedding(cache.embedded)[0], np.eye(4))
 
     def test_zero_controls_exponentiate_drift(self, benchmark_system):
         grid = ControlGrid(t_final=2.0, amplitudes=np.zeros((2, 7)))
         cache = propagate(benchmark_system, grid)
         expected = expm_hermitian_generator(benchmark_system.h0, 2.0)
-        assert np.abs(cache.total - expected).max() <= 1e-12
+        assert np.abs(from_real_embedding(cache.embedded[-1]) - expected).max() <= 1e-12
 
     def test_against_ode_solver(self):
         # Integrate the Schrodinger equation slice by slice with a generic
@@ -262,8 +271,8 @@ class TestPropagation:
                             (0.0, grid.dt), u.ravel(), method="DOP853",
                             rtol=1e-12, atol=1e-12)
             u = sol.y[:, -1].reshape(2, 2)
-            assert np.abs(cache.prefixes[l] - u).max() <= 1e-8
-        assert np.abs(cache.total - u).max() <= 1e-8
+            assert np.abs(from_real_embedding(cache.embedded)[l] - u).max() <= 1e-8
+        assert np.abs(from_real_embedding(cache.embedded[-1]) - u).max() <= 1e-8
 
     def test_prefix_chain_consistency(self, benchmark_system):
         # The real two-spin system and a complex one, at lengths around
@@ -273,7 +282,7 @@ class TestPropagation:
             for n_slices in (1, 2, 3, 6, 7, 150):
                 amps = rng.uniform(-1, 1, (len(sys.controls), n_slices))
                 grid = ControlGrid(t_final=n_slices / 4, amplitudes=amps)
-                p = propagate(sys, grid).prefixes
+                p = from_real_embedding(propagate(sys, grid).embedded)
                 assert np.array_equal(p[0], np.eye(sys.dim))
                 for l in range(1, n_slices + 1):
                     step = step_propagator(sys, grid, l)
@@ -283,7 +292,7 @@ class TestPropagation:
         rng = np.random.default_rng(18)
         grid = ControlGrid(t_final=5.0, amplitudes=rng.uniform(-1, 1, (2, 300)))
         cache = propagate(benchmark_system, grid)
-        assert unitarity_defect(cache.prefixes) <= 1e-10
+        assert unitarity_defect(from_real_embedding(cache.embedded)) <= 1e-10
 
     def test_unitarity_defect_of_a_matrix_and_a_stack(self):
         # A scaled identity is off by |c|^2 - 1 on the diagonal; a stack
@@ -296,9 +305,8 @@ class TestPropagation:
     def test_cache_shapes(self, benchmark_system):
         grid = ControlGrid(t_final=1.0, amplitudes=np.zeros((2, 5)))
         cache = propagate(benchmark_system, grid)
-        assert cache.prefixes.shape == (6, 4, 4)
         assert cache.embedded.shape == (6, 8, 8)
-        assert np.array_equal(from_real_embedding(cache.embedded), cache.prefixes)
+        assert np.array_equal(cache.embedded[0], np.eye(8))
         assert cache.generators.shape == (5, 8, 8)
         assert [f.name for f in fields(cache)] == ["generators", "embedded"]
         hams = slice_hamiltonians(benchmark_system, grid)
@@ -349,7 +357,8 @@ class TestStepExponentials:
                                    for l in range(1, n_slices + 1)])
                 assert np.abs(steps - real_embedding(oracle)).max() <= 32 * 2**s * EPS
                 assert np.array_equal(cache.embedded[1:2], steps[:1])
-                assert unitarity_defect(cache.prefixes) <= 32 * (n_slices + 2**s) * EPS
+                prefixes = from_real_embedding(cache.embedded)
+                assert unitarity_defect(prefixes) <= 32 * (n_slices + 2**s) * EPS
 
     def test_squaring_limit_keeps_drift_below_unitary_tol(self):
         assert 2.0**MAX_SQUARINGS * EPS < UNITARY_TOL
