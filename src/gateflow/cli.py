@@ -3,7 +3,7 @@ write the comparison table.
 
 Exit codes: 0 when every run reached the objective target, 2 when some
 run stopped on its horizon or budget instead, 1 on configuration, usage
-or I/O errors.
+or I/O errors, 130 when interrupted (Ctrl-C), with no table written.
 """
 
 import argparse
@@ -54,6 +54,9 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # the tables are written only once every run is done
+        print("interrupted", file=sys.stderr)
+        return 130
     for r in records:
         print(f"{run_label(r)}: S={r.s_reported:g} J={r.final_j:.3e} ({r.stop_reason})")
     print(f"wrote {args.out}")

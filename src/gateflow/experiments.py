@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -214,8 +215,11 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         # Specs go only to free workers, so none starts once a failure is seen.
+        # On Ctrl-C workers end silently by SIGINT's default action; an idle one
+        # would otherwise print a KeyboardInterrupt traceback from its queue read.
         outcomes, todo = [None] * len(specs), iter(enumerate(specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
             running = {pool.submit(run, spec): i for i, spec in itertools.islice(todo, workers)}
             while running:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)

@@ -88,10 +88,10 @@ def dormand_prince_step(f, y, h, k1):
     k = np.empty((7,) + y.shape)
     k[0] = k1
     for i in range(1, 6):
-        k[i] = f(y + h * np.tensordot(DP_A[i], k[:i], axes=1))
-    y5 = y + h * np.tensordot(DP_A[6], k[:6], axes=1)
+        k[i] = f(y + h * (DP_A[i] @ k.reshape(7, -1)[:i]).reshape(y.shape))
+    y5 = y + h * (DP_A[6] @ k.reshape(7, -1)[:6]).reshape(y.shape)
     k[6] = f(y5)
-    err = h * np.tensordot(DP_E, k, axes=1)
+    err = h * (DP_E @ k.reshape(7, -1)).reshape(y.shape)
     return y5, err, k[6]
 
 

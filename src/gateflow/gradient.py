@@ -61,9 +61,10 @@ def _slice_velocities(order, sys, grid, w, generators=None):
     if order == EXACT:
         lam, vecs = np.linalg.eigh(slice_hamiltonians(sys, grid))
         v = real_embedding(vecs)
+        vt = np.ascontiguousarray(v.transpose(0, 2, 1))
         weights = exact_weights(grid.dt * (lam[:, None, :] - lam[:, :, None]))
-        w_eig = from_real_embedding(v.transpose(0, 2, 1) @ w @ v) * weights
-        w = v @ real_embedding(w_eig) @ v.transpose(0, 2, 1)
+        w_eig = from_real_embedding(vt @ w @ v) * weights
+        w = v @ real_embedding(w_eig) @ vt
     else:
         cur = w
         for j in range(1, order + 1):
@@ -71,7 +72,8 @@ def _slice_velocities(order, sys, grid, w, generators=None):
             w = w + (grid.dt**j / math.factorial(j + 1)) * cur
     # Tr[real_embedding(Y) real_embedding(i H_k)] = -2 Im Tr[Y H_k]; 2 * 2N = 4N.
     controls = sys.embedded_terms[1:]
-    return np.einsum("lab,kba->kl", w, controls) / (-2 * controls.shape[-1])
+    m = controls.shape[-1]
+    return (controls.transpose(0, 2, 1).reshape(-1, m * m) @ w.reshape(-1, m * m).T) / (-2 * m)
 
 
 def descent_rate(ev):
@@ -117,7 +119,10 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
                            f"max|P^dagger P - I| = {defect:.3e}")
     a = target.embedded.T @ cache.embedded[-1]
     p = cache.embedded[:-1]
-    w = p @ a @ p.transpose(0, 2, 1)
+    # P A as one (L 2N, 2N) product; a transposed view as an operand of a
+    # batched matmul would leave BLAS's fast path, so P^T is made contiguous.
+    pa = (p.reshape(-1, a.shape[0]) @ a).reshape(p.shape)
+    w = pa @ np.ascontiguousarray(p.transpose(0, 2, 1))
     values = _slice_velocities(order, sys, grid, w, cache.generators)
     return RhsEvaluation(values, 0.5 - np.trace(a) / (4 * sys.dim), defect, order=order,
                          w=w, sys=sys, grid=grid)

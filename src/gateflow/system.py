@@ -13,6 +13,9 @@ from .linalg import real_embedding, require_hermitian, step_exponentials
 # products.
 UNITARY_TOL = 1e-10
 
+# Chain length of the blocked prefix scan in propagate.
+SCAN_BLOCK = 8
+
 
 def _readonly(a):
     a.flags.writeable = False
@@ -34,7 +37,8 @@ def require_positive_finite(value, name):
     """Raise ValueError unless value is a number, not a bool, with 0 < value < inf."""
     require_not_bool(value, name)
     if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}")
+        # NaN fails every comparison, so it is reported as not finite.
+        raise ValueError(f"{name} must be {'positive' if value <= 0 else 'finite'}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,25 +152,35 @@ def propagate(sys, grid):
     exponential (linalg.step_exponentials, which raises ValueError for a slice
     too long to exponentiate). By linearity X_l = X_0 + sum_k eps_kl X_k over
     sys.embedded_terms, so no complex H_l is formed. The products run as a
-    Hillis-Steele doubling scan over [I, step_1, ..., step_L]: the pass with
-    offset d = 1, 2, 4, ... multiplies every entry l >= d by entry l - d from
-    the right, after which entry l holds the product of entries
-    max(0, l - 2d + 1)..l. Once 2d >= L every entry covers steps 1..l, so
-    ceil(log2 L) batched matmuls replace L sequential ones.
+    blocked scan over [I, step_1, ..., step_L], padded with identities to whole
+    chains of SCAN_BLOCK entries: the chains are multiplied out side by side, a
+    doubling scan over their totals gives each chain the product of all chains
+    before it, and one batched pass applies that from the right. That is about
+    2L matrix products where a doubling scan over the whole sequence takes
+    L log2 L (Blelloch, CMU-CS-90-190, 1990).
     """
     x = sys.embedded_terms
-    gens = x[0] + np.einsum("kl,kab->lab", grid.amplitudes, x[1:])
-    scan = np.empty((grid.n_slices + 1,) + gens.shape[1:])
-    scan[0] = np.eye(gens.shape[-1])
-    scan[1:] = step_exponentials(gens, grid.dt)
+    n_slices, m = grid.n_slices, x.shape[-1]
+    gens = x[0] + (grid.amplitudes.T @ x[1:].reshape(len(x) - 1, -1)).reshape(n_slices, m, m)
+    chains = n_slices // SCAN_BLOCK + 1  # ceil((L + 1) / SCAN_BLOCK)
+    scan = np.empty((chains, SCAN_BLOCK, m, m))
+    flat = scan.reshape(-1, m, m)
+    flat[0] = flat[n_slices + 1:] = np.eye(m)
+    flat[1:n_slices + 1] = step_exponentials(gens, grid.dt)
+    for j in range(1, SCAN_BLOCK):
+        scan[:, j] = scan[:, j] @ scan[:, j - 1]
+    totals = scan[:-1, -1].copy()  # chain c's total; the last chain's is not needed
     d = 1
-    while d < grid.n_slices:
-        scan[d:] = scan[d:] @ scan[:-d]
+    while d < len(totals):
+        totals[d:] = totals[d:] @ totals[:-d]
         d *= 2
-    return PropagationCache(generators=gens, embedded=scan)
+    tail = scan[1:].reshape(chains - 1, SCAN_BLOCK * m, m)
+    tail[:] = tail @ totals
+    return PropagationCache(generators=gens, embedded=flat[:n_slices + 1])
 
 
 def unitarity_defect(p):
     """max|P^dagger P - I| over a matrix P, or over every matrix of a stack."""
-    gram = np.swapaxes(p.conj(), -1, -2) @ p
+    # A transposed view as the left operand would leave BLAS's fast path.
+    gram = np.conjugate(np.swapaxes(p, -1, -2), order="C") @ p
     return float(np.abs(gram - np.eye(p.shape[-1])).max())

@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, output files and option plumbing."""
 
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gateflow
 from gateflow.cli import build_parser, main
 from helpers import read_rows, write_cfg
 
@@ -301,3 +308,49 @@ def test_parallel_matches_sequential(tmp_path):
     assert main(["run", str(cfg), "--out", str(par), "--scan-cap", "50",
                  "--parallel", "2"]) == 2
     assert drop_wall_time(read_rows(seq)) == drop_wall_time(read_rows(par))
+
+
+# The first spec runs for minutes; the second stops after one step, so in a
+# parallel run one worker sits idle in its queue read when the signal comes.
+LONG_THEN_SHORT = ("gate: cnot\nT: 10\nL: 300\norder: 0\ns_max: 100000\nj_stop: 1e-30\n\n"
+                   "gate: cnot\nT: 5\nL: 20\norder: 1\nmax_rhs_evals: 1\n")
+
+
+def group_ends(pgid, within_s=10.0):
+    """True once no process of the group is left, polling for within_s seconds."""
+    deadline = time.monotonic() + within_s
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.mark.parametrize("flags", [[], ["--parallel", "2"]], ids=["sequential", "parallel"])
+def test_interrupt_exits_130_and_writes_nothing(tmp_path, flags):
+    # Ctrl-C signals the whole foreground process group: the CLI runs in a
+    # session of its own, and the test signals that group.
+    cfg = write_cfg(tmp_path, LONG_THEN_SHORT)
+    out = tmp_path / "results.csv"
+    code = ("import sys; from gateflow.cli import main; print('ready', flush=True); "
+            f"sys.exit(main(['run', {str(cfg)!r}, '--out', {str(out)!r}, *{flags!r}]))")
+    src = str(Path(gateflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(1.0)  # into the runs, with the workers started
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert err == "interrupted\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+        assert group_ends(proc.pid), "a process of the run outlived it"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()

@@ -30,7 +30,7 @@ def recording_pool(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **worker_setup):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -107,6 +107,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=f"^{label} must be finite$"):
             ExperimentSpec(gate="swap", n_slices=50, **kwargs)
 
+    @pytest.mark.parametrize("name, label", [("t_final", "T"),
+                                             ("s_granularity", "s_granularity"),
+                                             ("sine_amplitude", "sine_amplitude")])
+    def test_nan_values_rejected_as_not_finite(self, name, label):
+        kwargs = {"t_final": 5.0, name: float("nan")}
+        with pytest.raises(ValueError, match=f"^{label} must be finite$"):
+            ExperimentSpec(gate="swap", n_slices=50, **kwargs)
 
     @pytest.mark.parametrize("name, label", [("t_final", "T"),
                                              ("s_granularity", "s_granularity"),

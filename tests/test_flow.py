@@ -84,6 +84,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^s_max must be finite$"):
             FlowConfig(s_max=float("inf"))
 
+    @pytest.mark.parametrize("name", ["s_max", "abs_tol", "rel_tol", "j_stop"])
+    def test_rejects_nan_as_not_finite(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            FlowConfig(**{"s_max": 10.0, name: float("nan")})
+
     @pytest.mark.parametrize("name", ["abs_tol", "rel_tol", "j_stop"])
     def test_rejects_infinite_tolerance(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):

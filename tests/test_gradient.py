@@ -12,14 +12,17 @@ from gateflow import (ControlGrid, EXACT, ExperimentSpec, GateTarget, MAX_SERIES
                       descent_rate, flow_evaluation, gate_target, normalize_order,
                       propagate, slice_hamiltonians, unitarity_defect)
 from gateflow.gradient import exact_weights
+from gateflow.system import SCAN_BLOCK
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      expm_hermitian_generator, final_propagator, finite_difference_gradient,
                      objective, phi1, slice_hamiltonian, step_propagator)
 
-# Grid lengths for the oracle comparisons: the doubling scan's edge cases
-# (one slice, powers of two and their neighbours) plus a benchmark length.
-ORACLE_LENGTHS = (1, 2, 3, 7, 150)
+# Grid lengths for the oracle comparisons: the blocked scan's edge cases (one
+# slice, one chain, exactly full chains and one step past them) plus the
+# benchmark lengths. A grid of L slices scans L + 1 entries.
+ORACLE_LENGTHS = (1, 2, 3, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK - 1,
+                  2 * SCAN_BLOCK + 1, 150, 300)
 ALL_ORDERS = (*range(MAX_SERIES_ORDER + 1), EXACT)
 
 

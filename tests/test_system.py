@@ -12,6 +12,7 @@ from gateflow import (GATE_TARGETS, UNITARY_TOL, ControlGrid, GateTarget, Quantu
                       slice_hamiltonians, unitarity_defect)
 from gateflow.linalg import (MAX_SQUARINGS, from_real_embedding, real_embedding, squarings,
                              step_exponentials)
+from gateflow.system import SCAN_BLOCK
 from helpers import random_hermitian
 from oracles import expm_hermitian_generator, slice_hamiltonian, step_propagator
 
@@ -121,6 +122,11 @@ class TestValidation:
     def test_infinite_horizon_rejected(self):
         with pytest.raises(ValueError, match="^T must be finite$"):
             ControlGrid(t_final=np.inf, amplitudes=np.zeros((1, 4)))
+
+    def test_nan_horizon_rejected_as_not_finite(self):
+        # NaN fails 0 < T as well as T < inf; it is not finite, whatever its sign.
+        with pytest.raises(ValueError, match="^T must be finite$"):
+            ControlGrid(t_final=float("nan"), amplitudes=[[0.0]])
 
     def test_non_finite_drift_rejected(self):
         with pytest.raises(ValueError, match="^h0 has non-finite entries$"):
@@ -275,11 +281,13 @@ class TestPropagation:
         assert np.abs(from_real_embedding(cache.embedded[-1]) - u).max() <= 1e-8
 
     def test_prefix_chain_consistency(self, benchmark_system):
-        # The real two-spin system and a complex one, at lengths around
-        # the doubling scan's powers of two.
+        # The real two-spin system and a complex one, at lengths where the
+        # blocked scan's L + 1 entries fill one or two chains exactly, or
+        # spill one entry into a padded chain, and at the benchmark lengths.
         complex_sys, rng = two_level_system(17)
         for sys in (benchmark_system, complex_sys):
-            for n_slices in (1, 2, 3, 6, 7, 150):
+            for n_slices in (1, 2, 3, 6, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+                             2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK + 1, 150, 300):
                 amps = rng.uniform(-1, 1, (len(sys.controls), n_slices))
                 grid = ControlGrid(t_final=n_slices / 4, amplitudes=amps)
                 p = from_real_embedding(propagate(sys, grid).embedded)
