@@ -148,8 +148,8 @@ def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
     wall = time.perf_counter() - started
     s_reported = math.ceil(result.s_stop / spec.s_granularity) * spec.s_granularity
     record = RunRecord(gate=spec.gate, t_final=spec.t_final, n_slices=spec.n_slices,
-                       order=spec.order, s_reported=float(s_reported),
-                       final_j=float(result.j_trace[-1, 1]), rhs_evals=result.rhs_evals,
+                       order=spec.order, s_reported=float(s_reported), rhs_evals=result.rhs_evals,
+                       final_j=float(result.steps["J"][result.steps["accepted"]][-1]),
                        wall_time_s=wall, stop_reason=result.stop_reason)
     return record, result
 

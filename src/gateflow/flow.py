@@ -61,24 +61,37 @@ class FlowConfig:
             raise ValueError("max_rhs_evals must be a positive integer")
 
 
+# One row per step attempt after row 0, the start point (h = err_norm = 0): s and J
+# at the attempt's fifth-order point, the step h tried and its error norm, whether
+# it was accepted, the evaluations so far, and the followed direction's dJ/ds
+# (accepted rows of a tracked run only, NaN elsewhere).
+STEP_DTYPE = np.dtype([("s", float), ("h", float), ("err_norm", float), ("accepted", bool),
+                       ("J", float), ("evals", np.int64), ("dJ_ds", float)])
+
+
 @dataclass
 class FlowResult:
-    """Outcome of one flow run.
-
-    j_trace rows are (s, J) at s = 0 and at every accepted step; s_stop is
-    where integration ended; descent_trace rows are (s, estimated dJ/ds)
-    when descent tracking was on.
-    """
+    """Outcome of one flow run: steps is its STEP_DTYPE record, whose
+    accepted rows trace (s, J) and, when tracked, dJ/ds; s_stop is where
+    integration ended."""
 
     final_grid: ControlGrid
-    j_trace: np.ndarray
+    steps: np.ndarray
     stop_reason: str
     s_stop: float
-    rhs_evals: int
-    accepted_steps: int
-    rejected_steps: int
     max_unitarity_defect: float | None = None
-    descent_trace: np.ndarray | None = None
+
+    @property
+    def rhs_evals(self):
+        return int(self.steps["evals"][-1])
+
+    @property
+    def accepted_steps(self):
+        return int(self.steps["accepted"][1:].sum())
+
+    @property
+    def rejected_steps(self):
+        return len(self.steps) - 1 - self.accepted_steps
 
 
 def dormand_prince_step(f, y, h, k1):
@@ -123,29 +136,26 @@ def integrate_flow(sys, grid0, target, order, cfg):
             max_defect = max(max_defect, ev.unitarity_defect)
         return ev.values
 
-    # Rows are (s, J, dJ/ds) of the last evaluation: the FSAL stage at y.
-    rate = descent_rate if cfg.track_descent else lambda ev: None
     y = grid0.amplitudes
     k1 = f(y)
-    rows = [(0.0, ev.objective, rate(ev))]
-    s, h, n_acc, n_rej = 0.0, cfg.h_init, 0, 0
-    reason = STOP_J_REACHED if ev.objective <= cfg.j_stop else None
+    rows = [(0.0, 0.0, 0.0, True, ev.objective, evals,
+             descent_rate(ev) if cfg.track_descent else np.nan)]
+    s, h, j = 0.0, cfg.h_init, ev.objective
+    reason = STOP_J_REACHED if j <= cfg.j_stop else None
     while reason is None:
         h = min(h, cfg.s_max - s)
         y_new, err, k_last = dormand_prince_step(f, y, h, k1)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.abs(err / scale).max())
-        if err_norm <= 1.0:
-            s += h
-            y, k1 = y_new, k_last
-            n_acc += 1
-            rows.append((s, ev.objective, rate(ev)))
-        else:
-            n_rej += 1
+        accepted = err_norm <= 1.0
+        rows.append((s + h, h, err_norm, accepted, ev.objective, evals,
+                     descent_rate(ev) if accepted and cfg.track_descent else np.nan))
+        if accepted:
+            s, y, k1, j = s + h, y_new, k_last, ev.objective
         factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
         h *= min(MAX_GROW, max(MIN_SHRINK, factor))
-        # A rejected step leaves rows[-1], whose J is above j_stop.
-        if rows[-1][1] <= cfg.j_stop:
+        # j is the last accepted point's J: a rejected attempt cannot stop the run.
+        if j <= cfg.j_stop:
             reason = STOP_J_REACHED
         elif cfg.s_max - s <= cfg.h_min:
             reason = STOP_HORIZON
@@ -153,15 +163,6 @@ def integrate_flow(sys, grid0, target, order, cfg):
             reason = STOP_BUDGET
         elif h < cfg.h_min:
             reason = STOP_UNDERFLOW
-    return FlowResult(
-        final_grid=grid0.with_amplitudes(y),
-        j_trace=np.array([(s, j) for s, j, _ in rows]),
-        stop_reason=reason,
-        s_stop=min(s, cfg.s_max),
-        rhs_evals=evals,
-        accepted_steps=n_acc,
-        rejected_steps=n_rej,
-        max_unitarity_defect=max_defect if cfg.check_unitarity else None,
-        descent_trace=(np.array([(s, r) for s, _, r in rows])
-                       if cfg.track_descent else None),
-    )
+    return FlowResult(final_grid=grid0.with_amplitudes(y), steps=np.array(rows, STEP_DTYPE),
+                      stop_reason=reason, s_stop=min(s, cfg.s_max),
+                      max_unitarity_defect=max_defect if cfg.check_unitarity else None)

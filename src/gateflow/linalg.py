@@ -15,7 +15,7 @@ import numpy as np
 # upstream, so it is an error rather than a silent symmetrization.
 HERMITIAN_RTOL = 1e-10
 
-# Taylor degree of the scaled exponential. After scaling to a 1-norm below 1
+# Taylor degree of the scaled exponential. After scaling to an inf-norm below 1
 # the truncated tail is at most sum_{j>18} 1/j! ~ 8.6e-18, under double
 # rounding. The polynomial runs Paterson-Stockmeyer style in blocks of
 # PS_BLOCK powers: 3 products form A^2..A^4, 4 more run Horner's rule in A^4.
@@ -69,19 +69,19 @@ def from_real_embedding(e):
 
 
 def squarings(x, dt):
-    """The fewest squarings s that bring the largest dt * ||X||_1 of the
+    """The fewest squarings s that bring the largest dt * ||X||_inf of the
     stack x below 1.
 
     Raises ValueError when that norm is not finite or needs more than
     MAX_SQUARINGS. The norm is formed in Python floats, which overflow to
     inf without a warning.
     """
-    # Every column sum in one product: E[a*m + b, c] = delta(b, c) sums |x[l, a, b]| over a.
+    # Every row sum in one product. The norm is submultiplicative, so it bounds
+    # the Taylor tail; for the antisymmetric generators it equals the 1-norm.
     m = x.shape[-1]
-    col_sums = np.abs(x).reshape(-1, m * m) @ np.tile(np.eye(m), (m, 1))
-    norm = float(dt) * float(col_sums.max())
+    norm = float(dt) * float((np.abs(x).reshape(-1, m) @ np.ones(m)).max())
     if not norm < 2.0**MAX_SQUARINGS:
-        raise ValueError(f"slice step too long for the exponential: largest dt*||X||_1 = "
+        raise ValueError(f"slice step too long for the exponential: largest dt*||X||_inf = "
                          f"{norm:.3e} needs more than {MAX_SQUARINGS} squarings; "
                          f"use more slices")
     return max(0, math.frexp(norm)[1])

@@ -1,5 +1,6 @@
 """Small helpers shared by several test modules: random Hermitian
-matrices, config files written to a temporary directory, and CSV rows."""
+matrices, config files written to a temporary directory, CSV rows, and
+the accepted rows of a flow run's step record."""
 
 import csv
 
@@ -18,3 +19,8 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def accepted(result):
+    """The start point and every accepted step of a FlowResult's record."""
+    return result.steps[result.steps["accepted"]]

@@ -1,7 +1,8 @@
 """Acceptance criteria for the package, one test per criterion.
 
 Each test funnels through check_criterion, so the terminal summary ends
-with one PASS/FAIL line per criterion. At large dt * ||H|| the
+with one PASS/FAIL line per criterion; one more test pins criterion 7's
+detail as read from the step record. At large dt * ||H|| the
 truncated-series flow is not monotone, so the descent-band criterion
 measures each rise of the objective against the followed direction's own
 estimated dJ/ds (see the criterion 7 test body).
@@ -16,7 +17,7 @@ from gateflow import ControlGrid, EXACT, GateTarget, QuantumSystem, flow_evaluat
 from gateflow.cli import main as cli_main
 
 from conftest import check_criterion
-from helpers import random_hermitian
+from helpers import accepted, random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      finite_difference_gradient, slice_hamiltonian)
 
@@ -46,8 +47,8 @@ def instances(seed=7, count=20):
 def step_rises(result):
     """Per accepted step: (s at both ends, rise in J, dJ/ds at both ends,
     excess of the rise over h * max(dJ/ds at either end, 0))."""
-    s, j = result.j_trace.T
-    rate = result.descent_trace[:, 1]
+    rows = accepted(result)
+    s, j, rate = rows["s"], rows["J"], rows["dJ_ds"]
     rise = np.diff(j)
     slope = np.maximum(np.maximum(rate[:-1], rate[1:]), 0.0)
     return s[:-1], s[1:], rise, rate[:-1], rate[1:], rise - np.diff(s) * slope
@@ -166,6 +167,15 @@ def test_criterion_7_descent_band(bench_runs):
         f"{s0[i]:.2f} -> {s1[i]:.2f} (dJ/ds {rate0[i]:.3e}, {rate1[i]:.3e}); "
         f"max excess over h * max(dJ/ds, 0) {excess[excess_name]:.3e} "
         f"on {excess_name} (bound {bound:.1e})")
+
+
+def test_criterion_7_largest_rise_from_the_step_record(bench_runs):
+    # The detail criterion 7 prints, read from swap_t5_m0's accepted rows: its
+    # largest rise in J and the followed direction's dJ/ds at both ends.
+    s0, s1, rise, rate0, rate1, _ = step_rises(bench_runs["swap_t5_m0"][1])
+    i = int(np.argmax(rise))
+    assert (round(s0[i], 2), round(s1[i], 2)) == (836.85, 845.28)
+    assert f"{rise[i]:.3e} {rate0[i]:.3e} {rate1[i]:.3e}" == "3.747e-02 4.236e-03 4.566e-03"
 
 
 def test_criterion_8_prefix_unitarity(bench_runs):

@@ -19,6 +19,7 @@ from gateflow import (DEFAULT_GRANULARITY, EXACT, ControlGrid, ExperimentSpec, F
                       integrate_flow)
 
 from conftest import BENCH_CASES
+from helpers import accepted
 from oracles import final_propagator
 
 
@@ -162,15 +163,16 @@ class TestAdaptiveScalar:
         assert result.s_stop == 5.0
         assert abs(result.final_grid.amplitudes[0, 0] - np.exp(-5.0)) <= 1e-7
         assert result.rhs_evals == 1 + 6 * (result.accepted_steps + result.rejected_steps)
-        assert tuple(result.j_trace[0]) == (0.0, 1.0)
-        assert np.all(np.diff(result.j_trace[:, 0]) > 0)
+        rows = accepted(result)
+        assert (rows["s"][0], rows["J"][0]) == (0.0, 1.0)
+        assert np.all(np.diff(rows["s"]) > 0)
 
     def test_objective_stop(self, run_decay):
         cfg = FlowConfig(s_max=100.0, j_stop=0.5, h_init=0.1)
         result = run_decay(1.0, cfg)
         assert result.stop_reason == "j_reached"
         assert result.final_grid.amplitudes[0, 0] <= 0.5
-        assert result.j_trace[-1, 1] <= 0.5
+        assert accepted(result)["J"][-1] <= 0.5
         assert result.s_stop < 100.0
 
     def test_immediate_stop_when_already_converged(self, run_decay):
@@ -179,8 +181,23 @@ class TestAdaptiveScalar:
         assert result.stop_reason == "j_reached"
         assert result.s_stop == 0.0
         assert result.rhs_evals == 1
-        assert result.j_trace.shape == (1, 2)
+        assert len(result.steps) == 1
         assert result.accepted_steps == 0 and result.rejected_steps == 0
+
+    def test_rejected_attempt_below_j_stop_does_not_stop(self, monkeypatch):
+        # dy/ds = -y with J = y on [0, 1] and 0 beyond: only the overlong first
+        # attempt, which its error norm rejects, lands where J is below j_stop.
+        def dip(sys, grid, target, order=1, *, check_unitarity=False):
+            y = grid.amplitudes[0, 0]
+            return RhsEvaluation(values=-grid.amplitudes, objective=y if abs(y) <= 1 else 0.0)
+
+        monkeypatch.setattr("gateflow.flow.flow_evaluation", dip)
+        cfg = FlowConfig(s_max=20.0, j_stop=1e-30, h_init=5.0)
+        result = integrate_flow(None, ControlGrid(t_final=1.0, amplitudes=[[1.0]]), None, 1, cfg)
+        first = result.steps[1]
+        assert not first["accepted"] and first["J"] <= cfg.j_stop
+        assert (result.stop_reason, result.s_stop) == ("horizon", 20.0)
+        assert (accepted(result)["J"] > cfg.j_stop).all()
 
     def test_eval_budget_stop(self, run_decay):
         cfg = FlowConfig(s_max=1e6, abs_tol=1e-10, rel_tol=1e-10, j_stop=1e-30,
@@ -208,7 +225,7 @@ class TestFlowRuns:
         assert result.stop_reason == "horizon"
         assert result.s_stop == 10.0
         assert np.array_equal(result.final_grid.amplitudes, grid.amplitudes)
-        assert np.all(result.j_trace[:, 1] == result.j_trace[0, 1])
+        assert np.all(accepted(result)["J"] == result.steps["J"][0])
         assert result.rejected_steps == 0
 
     def test_descent_on_short_run(self, short_cnot):
@@ -217,10 +234,10 @@ class TestFlowRuns:
                          check_unitarity=True)
         result = integrate_flow(sys, grid, target, 1, cfg)
         assert result.stop_reason == "horizon"
-        assert result.descent_trace is not None
-        assert result.descent_trace.shape[0] == result.j_trace.shape[0]
-        assert (result.descent_trace[:, 1] <= 0).all()
-        assert result.j_trace[-1, 1] < result.j_trace[0, 1]
+        rows = accepted(result)
+        assert not np.isnan(rows["dJ_ds"]).any()
+        assert (rows["dJ_ds"] <= 0).all()
+        assert rows["J"][-1] < rows["J"][0]
         assert result.max_unitarity_defect is not None
         assert result.max_unitarity_defect <= 1e-10
 
@@ -254,7 +271,7 @@ class TestFlowRuns:
         cfg = FlowConfig(s_max=5.0, j_stop=1e-30)
         result = integrate_flow(sys, grid, target, 1, cfg)
         assert result.max_unitarity_defect is None
-        assert result.descent_trace is None
+        assert np.isnan(result.steps["dJ_ds"]).all()
 
     def test_deterministic_rerun(self, short_cnot):
         sys, grid, target = short_cnot
@@ -262,7 +279,7 @@ class TestFlowRuns:
         a = integrate_flow(sys, grid, target, 1, cfg)
         b = integrate_flow(sys, grid, target, 1, cfg)
         assert np.array_equal(a.final_grid.amplitudes, b.final_grid.amplitudes)
-        assert np.array_equal(a.j_trace, b.j_trace)
+        assert a.steps.tobytes() == b.steps.tobytes()  # NaN rates compare as bytes
         assert a.rhs_evals == b.rhs_evals
         assert a.s_stop == b.s_stop
 
@@ -319,6 +336,18 @@ def test_bench_run_counts(bench_runs, case):
     assert result.rhs_evals == 1 + 6 * (result.accepted_steps + result.rejected_steps)
 
 
+@pytest.mark.parametrize("case", list(BENCH_CASES))
+def test_bench_run_record(bench_runs, case):
+    # Every attempt after the start point costs six evaluations; a rejected
+    # one records its J but no descent rate.
+    steps = bench_runs[case][1].steps
+    rejected = steps[~steps["accepted"]]
+    assert len(rejected) == BENCH_COUNTS[case][2]
+    assert steps["evals"][0] == 1 and (np.diff(steps["evals"]) == 6).all()
+    assert np.isnan(rejected["dJ_ds"]).all()
+    assert not np.isnan(accepted(bench_runs[case][1])["dJ_ds"]).any()
+
+
 @pytest.fixture(scope="module")
 def cnot_t5_run():
     cfg = FlowConfig(s_max=5000.0)
@@ -341,8 +370,8 @@ def test_time_energy_scaling_of_a_whole_run(cnot_t5_run, c):
     assert (run.rhs_evals, run.accepted_steps, run.rejected_steps, run.stop_reason) == \
         (ref.rhs_evals, ref.accepted_steps, ref.rejected_steps, ref.stop_reason)
     assert np.array_equal(run.final_grid.amplitudes, ref.final_grid.amplitudes)
-    assert np.array_equal(run.j_trace[:, 1], ref.j_trace[:, 1])
-    assert np.array_equal(run.j_trace[:, 0] * c, ref.j_trace[:, 0])
+    assert np.array_equal(accepted(run)["J"], accepted(ref)["J"])
+    assert np.array_equal(accepted(run)["s"] * c, accepted(ref)["s"])
     assert run.s_stop * c == ref.s_stop
 
 
@@ -378,7 +407,7 @@ def test_target_at_the_start_stops_at_once(benchmark_system, gate, order):
     run = integrate_flow(benchmark_system, grid, target, order, FlowConfig(s_max=5000.0))
     assert (run.stop_reason, run.s_stop, run.rhs_evals) == ("j_reached", 0.0, 1)
     assert (run.accepted_steps, run.rejected_steps) == (0, 0)
-    assert run.j_trace.shape == (1, 2) and run.j_trace[0, 1] <= 1e-12
+    assert len(run.steps) == 1 and run.steps["J"][0] <= 1e-12
     assert np.array_equal(run.final_grid.amplitudes, grid.amplitudes)
 
 
@@ -405,7 +434,7 @@ class TestToleranceBehavior:
                               self.base_cfg(abs_tol=5e-5, rel_tol=5e-5))
         assert base.stop_reason == "horizon"
         assert half.stop_reason == "horizon"
-        assert half.j_trace[-1, 1] <= base.j_trace[-1, 1] * 1.001
+        assert accepted(half)["J"][-1] <= accepted(base)["J"][-1] * 1.001
 
     def test_halving_tolerances_still_converges(self, benchmark_system, cnot):
         grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((2, 150)))
@@ -415,8 +444,8 @@ class TestToleranceBehavior:
         half = integrate_flow(benchmark_system, grid, cnot, 1, cfg_half)
         assert base.stop_reason == "j_reached"
         assert half.stop_reason == "j_reached"
-        assert base.j_trace[-1, 1] <= 1e-7
-        assert half.j_trace[-1, 1] <= 1e-7
+        assert accepted(base)["J"][-1] <= 1e-7
+        assert accepted(half)["J"][-1] <= 1e-7
 
 
 # Two order-1 runs in one fresh interpreter; prints the minor page faults of

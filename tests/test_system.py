@@ -372,7 +372,7 @@ class TestStepExponentials:
         assert 2.0**MAX_SQUARINGS * EPS < UNITARY_TOL
 
     def test_squarings_bring_the_norm_below_one(self):
-        # ||real_embedding(i sigma_x)||_1 = 1, so the norm is dt itself.
+        # ||real_embedding(i sigma_x)||_inf = 1, so the norm is dt itself.
         x = real_embedding(1j * np.array([[[0.0, 1.0], [1.0, 0.0]]]))
         assert squarings(x, 0.5) == 0
         assert squarings(x, 1.0) == 1
@@ -387,7 +387,7 @@ class TestStepExponentials:
         # The norm product overflows to inf in Python floats, without a warning.
         grid = ControlGrid(t_final=t_final, amplitudes=np.zeros((2, 2)))
         with pytest.raises(ValueError, match=rf"^slice step too long for the exponential: "
-                                             rf"largest dt\*\|\|X\|\|_1 = {shown} needs more "
+                                             rf"largest dt\*\|\|X\|\|_inf = {shown} needs more "
                                              rf"than {MAX_SQUARINGS} squarings; use more slices$"):
             propagate(benchmark_system, grid)
 
