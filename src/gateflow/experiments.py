@@ -168,7 +168,8 @@ def output_paths(out_path, json_path):
         target = path if path.exists() else path.parent
         if not os.access(target, os.W_OK):
             raise ValueError(f"{path}: {target} is not writable")
-    if json_path.resolve() == out_path.resolve():
+    if json_path.resolve() == out_path.resolve() or (
+            json_path.exists() and out_path.exists() and json_path.samefile(out_path)):
         raise ValueError(f"{json_path}: the JSON mirror would overwrite the CSV output")
     return out_path, json_path
 
@@ -213,6 +214,7 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
     workers = min(parallel, len(specs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from multiprocessing import active_children
 
         # Specs go only to free workers, so none starts once a failure is seen.
         # On Ctrl-C workers end silently by SIGINT's default action; an idle one
@@ -220,13 +222,21 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
         outcomes, todo = [None] * len(specs), iter(enumerate(specs))
         with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                                  initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
-            running = {pool.submit(run, spec): i for i, spec in itertools.islice(todo, workers)}
-            while running:
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    outcomes[running.pop(future)] = future.result()
-                running.update((pool.submit(run, spec), i)
-                               for i, spec in itertools.islice(todo, len(done)))
+            try:
+                running = {pool.submit(run, spec): i
+                           for i, spec in itertools.islice(todo, workers)}
+                while running:
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        outcomes[running.pop(future)] = future.result()
+                    running.update((pool.submit(run, spec), i)
+                                   for i, spec in itertools.islice(todo, len(done)))
+            except KeyboardInterrupt:
+                # A SIGINT sent to this process alone never reaches the workers,
+                # and leaving the block waits for their running specs.
+                for worker in active_children():
+                    worker.terminate()
+                raise
     else:
         outcomes = [run(spec) for spec in specs]
     records = [record for record, _ in outcomes]
@@ -319,7 +329,7 @@ def load_experiment(path):
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
         data = (json.loads(text, object_pairs_hook=_unique_keys)
                 if text.lstrip()[:1] in ("[", "{") else None)
     except (ValueError, RecursionError) as exc:  # bad UTF-8; bad, too deep or key-repeating JSON

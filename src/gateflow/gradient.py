@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import from_real_embedding, real_embedding
 from .system import (UNITARY_TOL, ControlGrid, QuantumSystem, is_integer, propagate,
-                     slice_hamiltonians, unitarity_defect)
+                     unitarity_defect)
 
 # Truncation orders past this are a sign of misuse: the factorial
 # denominators push the extra terms below rounding while the nested
@@ -47,6 +47,7 @@ class RhsEvaluation:
     unitarity_defect: float | None = None
     order: int | str | None = None
     w: np.ndarray | None = None  # (L, 2N, 2N), real_embedding(W_l)
+    generators: np.ndarray | None = None  # (L, 2N, 2N), X_l = real_embedding(i H_l)
     sys: QuantumSystem | None = None
     grid: ControlGrid | None = None
 
@@ -56,10 +57,16 @@ def exact_weights(theta):
     return np.exp(0.5j * theta) * np.sinc(theta / (2 * np.pi))
 
 
-def _slice_velocities(order, sys, grid, w, generators=None):
+def _slice_velocities(order, sys, grid, w, generators):
     """Entry (k, l): Im Tr[W~_l H_k] / (2N), W~_l the order's slice average of W_l."""
     if order == EXACT:
-        lam, vecs = np.linalg.eigh(slice_hamiltonians(sys, grid))
+        # Re H_l = X_l[N:, :N], Im H_l = -X_l[:N, :N]: a real system's H_l stay
+        # real, so its eigh takes the real-symmetric route.
+        n = sys.dim
+        h = generators[:, n:, :n]
+        if sys.embedded_terms[:, :n, :n].any():
+            h = h - 1j * generators[:, :n, :n]
+        lam, vecs = np.linalg.eigh(h)
         v = real_embedding(vecs)
         vt = np.ascontiguousarray(v.transpose(0, 2, 1))
         weights = exact_weights(grid.dt * (lam[:, None, :] - lam[:, :, None]))
@@ -79,7 +86,8 @@ def _slice_velocities(order, sys, grid, w, generators=None):
 def descent_rate(ev):
     """Estimated dJ/ds along ev.values, negative while they still descend:
     -dt times the exact velocities (ev.values at exact order) contracted with them."""
-    exact = ev.values if ev.order == EXACT else _slice_velocities(EXACT, ev.sys, ev.grid, ev.w)
+    exact = (ev.values if ev.order == EXACT
+             else _slice_velocities(EXACT, ev.sys, ev.grid, ev.w, ev.generators))
     return float(-ev.grid.dt * np.sum(exact * ev.values))
 
 
@@ -100,29 +108,29 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
       (a, b) by exact_weights(theta) with theta = (lam_b - lam_a) dt, so
       W~_l = V_l ((V_l^dagger W_l V_l) o exact_weights(theta)) V_l^dagger.
 
-    All of it runs on real embeddings: the target's, the prefixes and generators
-    of the one propagation pass and the system's embedded_terms. The embedding
-    doubles a trace's real part, so J = 1/2 - Tr(A) / (4N) on the embedded A.
-    Only the exact average forms the complex slice Hamiltonians, to diagonalise
-    them. With check_unitarity the embedded prefixes are verified against
-    UNITARY_TOL and the measured defect is reported; the record keeps only what descent_rate reads.
+    All of it runs on the real embeddings of the target, of the pass's prefixes
+    and generators and of the system's terms; the embedding doubles a trace's
+    real part, so J = 1/2 - Tr(A) / (4N) on the embedded A. The exact average
+    diagonalises H_l as read off the generators, real for a real system. With
+    check_unitarity the prefixes are verified against UNITARY_TOL and the
+    defect is reported; the record keeps only what descent_rate reads.
     """
     order = normalize_order(order)
     if target.matrix.shape != sys.h0.shape:
         raise ValueError(f"shape mismatch: {target.matrix.shape} vs {sys.h0.shape}")
     if len(grid.amplitudes) != len(sys.controls):
         raise ValueError(f"control count mismatch: {len(grid.amplitudes)} vs {len(sys.controls)}")
-    cache = propagate(sys, grid)
-    defect = unitarity_defect(cache.embedded) if check_unitarity else None
+    generators, prefixes = propagate(sys, grid)
+    defect = unitarity_defect(prefixes) if check_unitarity else None
     if defect is not None and defect > UNITARY_TOL:
         raise RuntimeError(f"propagator prefixes drifted off the unitary group: "
                            f"max|P^dagger P - I| = {defect:.3e}")
-    a = target.embedded.T @ cache.embedded[-1]
-    p = cache.embedded[:-1]
+    a = target.embedded.T @ prefixes[-1]
+    p = prefixes[:-1]
     # P A as one (L 2N, 2N) product; a transposed view as an operand of a
     # batched matmul would leave BLAS's fast path, so P^T is made contiguous.
     pa = (p.reshape(-1, a.shape[0]) @ a).reshape(p.shape)
     w = pa @ np.ascontiguousarray(p.transpose(0, 2, 1))
-    values = _slice_velocities(order, sys, grid, w, cache.generators)
+    values = _slice_velocities(order, sys, grid, w, generators)
     return RhsEvaluation(values, 0.5 - np.trace(a) / (4 * sys.dim), defect, order=order,
-                         w=w, sys=sys, grid=grid)
+                         w=w, generators=generators, sys=sys, grid=grid)

@@ -43,13 +43,9 @@ def require_positive_finite(value, name):
 
 @dataclass(frozen=True, eq=False)
 class QuantumSystem:
-    """Drift Hamiltonian plus n control Hamiltonians, all N x N Hermitian.
-
-    When every entry has zero imaginary part the matrices are stored real,
-    so slice Hamiltonians come out real and the batched eigh of the exact
-    slice average takes its cheaper real-symmetric route. Everything
-    downstream is dtype-generic: real and complex systems run the same code.
-    """
+    """Drift Hamiltonian plus n control Hamiltonians, all N x N Hermitian, kept
+    complex as given and read-only. The engine reads only embedded_terms, built
+    once here, so real and complex systems run the same code."""
 
     h0: np.ndarray
     controls: np.ndarray  # shape (n, N, N)
@@ -67,8 +63,6 @@ class QuantumSystem:
         require_hermitian(h0, "h0")
         for k, hk in enumerate(controls):
             require_hermitian(hk, f"controls[{k}]")
-        if not (h0.imag.any() or controls.imag.any()):
-            h0, controls = h0.real.copy(), controls.real.copy()
         object.__setattr__(self, "h0", _readonly(h0))
         object.__setattr__(self, "controls", _readonly(controls))
         terms = real_embedding(1j * np.concatenate([h0[None], controls]))
@@ -130,33 +124,20 @@ class GateTarget:
         object.__setattr__(self, "embedded", _readonly(real_embedding(m)))
 
 
-@dataclass(frozen=True, eq=False)
-class PropagationCache:
-    """Prefix propagators P_l = U(t_l, 0) in real-embedded form, with the step
-    generators that produced them (reused by the series slice averages)."""
-
-    generators: np.ndarray  # (L, 2N, 2N), X_l = real_embedding(i H_l)
-    embedded: np.ndarray    # (L+1, 2N, 2N), real_embedding(P_l), embedded[0] = I
-
-
-def slice_hamiltonians(sys, grid):
-    """All L slice Hamiltonians at once, shape (L, N, N)."""
-    return sys.h0[None, :, :] + np.einsum("kl,kab->lab", grid.amplitudes, sys.controls)
-
-
 def propagate(sys, grid):
-    """All prefix propagators P_0..P_L, with later slices applied on the left.
+    """(generators, prefixes): the slice generators X_l = real_embedding(i H_l),
+    formed by linearity as X_0 + sum_k eps_kl X_k over sys.embedded_terms, and
+    the real-embedded prefix propagators P_0 = I, ..., P_L = U(T, 0), later
+    slices applied on the left; shapes (L, 2N, 2N) and (L+1, 2N, 2N).
 
-    Each step propagator is exp(-dt X_l) with X_l = real_embedding(i H_l), the
-    real 2N x 2N form of exp(-i dt H_l), from one batched scaled Taylor
-    exponential (linalg.step_exponentials, which raises ValueError for a slice
-    too long to exponentiate). By linearity X_l = X_0 + sum_k eps_kl X_k over
-    sys.embedded_terms, so no complex H_l is formed. The products run as a
-    blocked scan over [I, step_1, ..., step_L], padded with identities to whole
-    chains of SCAN_BLOCK entries: the chains are multiplied out side by side, a
-    doubling scan over their totals gives each chain the product of all chains
-    before it, and one batched pass applies that from the right. That is about
-    2L matrix products where a doubling scan over the whole sequence takes
+    The steps exp(-dt X_l), real forms of exp(-i dt H_l), come from one batched
+    scaled Taylor exponential (linalg.step_exponentials, which raises ValueError
+    for a slice too long to exponentiate). The products run as a blocked scan
+    over [I, step_1, ..., step_L], padded with identities to whole chains of
+    SCAN_BLOCK entries: the chains are multiplied out side by side, a doubling
+    scan over their totals gives each chain the product of all chains before
+    it, and one batched pass applies that from the right. That is about 2L
+    matrix products where a doubling scan over the whole sequence takes
     L log2 L (Blelloch, CMU-CS-90-190, 1990).
     """
     x = sys.embedded_terms
@@ -176,7 +157,7 @@ def propagate(sys, grid):
         d *= 2
     tail = scan[1:].reshape(chains - 1, SCAN_BLOCK * m, m)
     tail[:] = tail @ totals
-    return PropagationCache(generators=gens, embedded=flat[:n_slices + 1])
+    return gens, flat[:n_slices + 1]
 
 
 def unitarity_defect(p):

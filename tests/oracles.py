@@ -3,11 +3,11 @@ gateflow compute: slice Hamiltonians, step propagators, phi1, the series
 and exact slice averages, the objective J and a central-difference
 gradient of it.
 
-Each works on one slice (or one perturbation) at a time, independently
-of the doubling scan and the W_l contractions of `propagate` and
-`flow_evaluation`, which makes them oracles for the kernel tests,
-`naive_rhs` and acceptance criteria 1-2. Nothing in the package calls
-them.
+Each works on one slice (or one perturbation) at a time, apart from the
+stack `slice_hamiltonians` of complex H_l, independently of the doubling
+scan and the W_l contractions of `propagate` and `flow_evaluation`, which
+makes them oracles for the kernel tests, `naive_rhs` and acceptance
+criteria 1-2. Nothing in the package calls them.
 """
 
 import math
@@ -48,6 +48,11 @@ def slice_hamiltonian(sys, grid, l):
     if not 1 <= l <= grid.n_slices:
         raise IndexError(f"slice index {l} out of range 1..{grid.n_slices}")
     return sys.h0 + np.tensordot(grid.amplitudes[:, l - 1], sys.controls, axes=1)
+
+
+def slice_hamiltonians(sys, grid):
+    """All L slice Hamiltonians h0 + sum_k eps[k][l] H_k at once, shape (L, N, N)."""
+    return sys.h0[None, :, :] + np.einsum("kl,kab->lab", grid.amplitudes, sys.controls)
 
 
 def step_propagator(sys, grid, l):
@@ -96,7 +101,7 @@ def objective(u_final, target):
 
 def final_propagator(sys, grid):
     """The complex U(T, 0) of a grid, from propagate's embedded prefixes."""
-    return from_real_embedding(propagate(sys, grid).embedded[-1])
+    return from_real_embedding(propagate(sys, grid)[1][-1])
 
 
 def finite_difference_gradient(sys, grid, target, delta):

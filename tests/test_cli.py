@@ -247,6 +247,20 @@ def test_json_mirror_on_the_csv_exits_one(tmp_path, capsys, monkeypatch, flags):
     assert not (tmp_path / flags[1]).exists()
 
 
+def test_hard_linked_json_mirror_exits_one(tmp_path, capsys, monkeypatch):
+    # Two names of one file resolve to two paths, yet the mirror would overwrite the CSV.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, TINY)
+    (tmp_path / "h.csv").write_text("kept\n")
+    os.link(tmp_path / "h.csv", tmp_path / "h.json")
+    code = main(["run", str(cfg), "--out", "h.csv", "--json", "h.json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: h.json: the JSON mirror would overwrite the CSV output\n"
+    assert captured.out == ""
+    assert (tmp_path / "h.csv").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("flags", [["--out", "r.csv", "--json", "nodir/x.json"],
                                    ["--out", "nodir/y.csv"]],
                          ids=["json_missing_dir", "out_missing_dir"])
@@ -310,10 +324,40 @@ def test_parallel_matches_sequential(tmp_path):
     assert drop_wall_time(read_rows(seq)) == drop_wall_time(read_rows(par))
 
 
-# The first spec runs for minutes; the second stops after one step, so in a
-# parallel run one worker sits idle in its queue read when the signal comes.
-LONG_THEN_SHORT = ("gate: cnot\nT: 10\nL: 300\norder: 0\ns_max: 100000\nj_stop: 1e-30\n\n"
-                   "gate: cnot\nT: 5\nL: 20\norder: 1\nmax_rhs_evals: 1\n")
+# LONG runs for minutes; SHORT stops after one step, so in a parallel run of
+# both one worker sits idle in its queue read when the signal comes.
+LONG = "gate: cnot\nT: 10\nL: 300\norder: 0\ns_max: 100000\nj_stop: 1e-30\n"
+SHORT = "gate: cnot\nT: 5\nL: 20\norder: 1\nmax_rhs_evals: 1\n"
+
+# The CLI with every spec reporting 'started' on stdout as it begins, in
+# whichever process runs it.
+REPORTING_CLI = """import os
+import sys
+import gateflow.experiments
+from gateflow.cli import main
+
+run = gateflow.experiments.execute_experiment
+
+
+def started(*args, **kwargs):
+    os.write(1, b"started\\n")  # one write, so two workers' lines cannot interleave
+    return run(*args, **kwargs)
+
+
+if __name__ == "__main__":
+    gateflow.experiments.execute_experiment = started
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+def start_in_own_session(args):
+    """Popen of the Python interpreter with args, in a session of its own and
+    with this checkout's package on the path."""
+    src = str(Path(gateflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
 
 
 def group_ends(pgid, within_s=10.0):
@@ -332,15 +376,11 @@ def group_ends(pgid, within_s=10.0):
 def test_interrupt_exits_130_and_writes_nothing(tmp_path, flags):
     # Ctrl-C signals the whole foreground process group: the CLI runs in a
     # session of its own, and the test signals that group.
-    cfg = write_cfg(tmp_path, LONG_THEN_SHORT)
+    cfg = write_cfg(tmp_path, LONG + "\n" + SHORT)
     out = tmp_path / "results.csv"
     code = ("import sys; from gateflow.cli import main; print('ready', flush=True); "
             f"sys.exit(main(['run', {str(cfg)!r}, '--out', {str(out)!r}, *{flags!r}]))")
-    src = str(Path(gateflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    proc = start_in_own_session(["-c", code])
     try:
         assert proc.stdout.readline() == "ready\n"
         time.sleep(1.0)  # into the runs, with the workers started
@@ -350,6 +390,28 @@ def test_interrupt_exits_130_and_writes_nothing(tmp_path, flags):
         assert err == "interrupted\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
         assert group_ends(proc.pid), "a process of the run outlived it"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+
+
+def test_interrupt_of_the_parent_alone_ends_the_workers(tmp_path):
+    # `kill -INT` on the qoc process signals it alone: its workers never see
+    # the signal, so it must end them itself rather than wait for their specs.
+    cfg = write_cfg(tmp_path, LONG + "\n" + LONG)
+    script = tmp_path / "reporting_cli.py"
+    script.write_text(REPORTING_CLI)
+    proc = start_in_own_session([str(script), "run", str(cfg), "--parallel", "2",
+                                 "--out", str(tmp_path / "results.csv")])
+    try:
+        assert [proc.stdout.readline() for _ in range(2)] == ["started\n"] * 2
+        os.kill(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=20)  # the specs would run for minutes
+        assert proc.returncode == 130
+        assert err == "interrupted\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "reporting_cli.py"]
+        assert group_ends(proc.pid), "a worker outlived the run"
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)

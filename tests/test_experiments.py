@@ -397,6 +397,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=r"^broken\.cfg: "):
             load_experiment(path)
 
+    @pytest.mark.parametrize("text", ["gate: cnot\nT: 5\nL: 150\n",
+                                      '[{"gate": "cnot", "T": 5, "L": 150}]'],
+                             ids=["native", "json"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        # Some editors save UTF-8 with a leading byte-order mark.
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        [spec] = load_experiment(path)
+        assert (spec.gate, spec.t_final, spec.n_slices) == ("cnot", 5.0, 150)
+
     def test_shipped_comparison_grid(self):
         specs = load_experiment("configs/table1.cfg")
         assert [(s.gate, s.t_final, s.n_slices, s.order) for s in specs] == [

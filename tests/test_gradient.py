@@ -10,13 +10,13 @@ import pytest
 from gateflow import (ControlGrid, EXACT, ExperimentSpec, GateTarget, MAX_SERIES_ORDER,
                       QuantumSystem, UNITARY_TOL, build_initial_grid, build_two_spin_benchmark,
                       descent_rate, flow_evaluation, gate_target, normalize_order,
-                      propagate, slice_hamiltonians, unitarity_defect)
+                      propagate, unitarity_defect)
 from gateflow.gradient import exact_weights
 from gateflow.system import SCAN_BLOCK
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      expm_hermitian_generator, final_propagator, finite_difference_gradient,
-                     objective, phi1, slice_hamiltonian, step_propagator)
+                     objective, phi1, slice_hamiltonian, slice_hamiltonians, step_propagator)
 
 # Grid lengths for the oracle comparisons: the blocked scan's edge cases (one
 # slice, one chain, exactly full chains and one step past them) plus the
@@ -314,10 +314,10 @@ class TestFlowRhs:
         assert ev.objective == objective(final_propagator(sys, grid), target)
         assert ev.unitarity_defect is None
         # The evaluation keeps the inputs descent_rate reads, not a rate, not
-        # the propagation cache and no copies derived from the system or
-        # grid, and it is finished when it is returned.
+        # the prefixes and nothing derived from the system or grid but the
+        # pass's own generators, and it is finished when it is returned.
         assert ev.order == 1 and ev.sys is sys and ev.grid is grid
-        for derived in ("cache", "hamiltonians", "probes", "dt"):
+        for derived in ("cache", "prefixes", "hamiltonians", "probes", "dt"):
             assert not hasattr(ev, derived)
         with pytest.raises(FrozenInstanceError):
             ev.values = None
@@ -326,7 +326,7 @@ class TestFlowRhs:
         sys, grid, target = random_instance(46, dim=4, n_controls=2)
         ev = flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
         # The defect is read off the embedded prefixes, with no complex copy.
-        assert ev.unitarity_defect == unitarity_defect(propagate(sys, grid).embedded)
+        assert ev.unitarity_defect == unitarity_defect(propagate(sys, grid)[1])
         assert ev.unitarity_defect <= 1e-10
         assert type(descent_rate(ev)) is float
         plain = flow_evaluation(sys, grid, target, order=1)
@@ -357,23 +357,43 @@ class TestFlowRhs:
             assert np.array_equal(a.values, b.values) and a.objective == b.objective
             assert descent_rate(a) == descent_rate(b)
 
-    def test_slice_hamiltonians_built_once(self, monkeypatch):
-        # The series orders run on the system's embedded terms and never form
-        # the complex H_l; only the exact average does, once, to diagonalise
-        # them. Patched in both modules, so a build anywhere counts.
-        calls = []
+    @pytest.mark.parametrize("kind", ["benchmark", "complex", "complex_control"])
+    def test_exact_average_diagonalises_the_generators(self, benchmark_system, monkeypatch,
+                                                       kind):
+        # The exact average reads H_l off the one propagation's generators
+        # X_l = real_embedding(i H_l): Re H_l = X_l[N:, :N], Im H_l = -X_l[:N, :N].
+        # A real system hands eigh a real view of them, its real-symmetric
+        # route; an imaginary part in any term makes the stack complex. The
+        # rate of a series-order record diagonalises that record's generators.
+        rng = np.random.default_rng(56)
+        if kind == "benchmark":
+            sys, target = benchmark_system, gate_target("cnot")
+        elif kind == "complex":
+            sys, _, target = random_instance(56, dim=4, n_controls=2)
+        else:
+            sys = QuantumSystem(h0=np.diag([1.0, -1.0]),
+                                controls=np.stack([np.array([[0, -1j], [1j, 0]])]))
+            target = random_target(rng, 2)
+        grid = ControlGrid(5.0, rng.uniform(-1, 1, (len(sys.controls), 9)))
+        passes, stacks, eigh = [], [], np.linalg.eigh
 
-        def counting(*args):
-            calls.append(args)
-            return slice_hamiltonians(*args)
+        def recording_propagate(*args):
+            passes.append(propagate(*args))
+            return passes[-1]
 
-        monkeypatch.setattr("gateflow.system.slice_hamiltonians", counting)
-        monkeypatch.setattr("gateflow.gradient.slice_hamiltonians", counting)
-        sys, grid, target = random_instance(56, dim=4, n_controls=2)
-        flow_evaluation(sys, grid, target, order=1)
-        assert len(calls) == 0
+        def recording_eigh(a):
+            stacks.append(a)
+            return eigh(a)
+
+        monkeypatch.setattr("gateflow.gradient.propagate", recording_propagate)
+        monkeypatch.setattr("numpy.linalg.eigh", recording_eigh)
         flow_evaluation(sys, grid, target, order=EXACT)
-        assert len(calls) == 1
+        descent_rate(flow_evaluation(sys, grid, target, order=1))
+        assert len(passes) == len(stacks) == 2
+        for (generators, _), h in zip(passes, stacks):
+            assert h.dtype == (float if kind == "benchmark" else complex)
+            assert np.shares_memory(h, generators) == (kind == "benchmark")
+            assert np.abs(h - slice_hamiltonians(sys, grid)).max() <= 1e-14
 
     def test_unitarity_check_raises_on_drift(self, monkeypatch):
         sys, grid, target = random_instance(53)

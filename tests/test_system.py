@@ -2,19 +2,17 @@
 Hamiltonians, the scaled Taylor step exponentials, unitarity of the prefix
 chain, and an ODE cross-check."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from gateflow import (GATE_TARGETS, UNITARY_TOL, ControlGrid, GateTarget, QuantumSystem,
-                      build_two_spin_benchmark, gate_target, propagate,
-                      slice_hamiltonians, unitarity_defect)
+                      build_two_spin_benchmark, gate_target, propagate, unitarity_defect)
 from gateflow.linalg import (MAX_SQUARINGS, from_real_embedding, real_embedding, squarings,
                              step_exponentials)
 from gateflow.system import SCAN_BLOCK
 from helpers import random_hermitian
-from oracles import expm_hermitian_generator, slice_hamiltonian, step_propagator
+from oracles import (expm_hermitian_generator, slice_hamiltonian, slice_hamiltonians,
+                     step_propagator)
 
 
 def two_level_system(seed):
@@ -151,17 +149,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="not unitary"):
             GateTarget(matrix=np.full((2, 2), np.nan), label="nan")
 
-    def test_real_input_is_stored_real(self, benchmark_system):
-        # Zero imaginary parts put the exact average's eigh on its real path;
-        # any nonzero imaginary part keeps the system complex.
-        assert benchmark_system.h0.dtype == float
-        assert benchmark_system.controls.dtype == float
-        sys, _ = two_level_system(24)
-        assert sys.h0.dtype == complex and sys.controls.dtype == complex
-        mixed = QuantumSystem(h0=np.eye(2, dtype=complex),
-                              controls=np.stack([np.array([[0, -1j], [1j, 0]])]))
-        assert mixed.h0.dtype == complex
-
     def test_grid_amplitudes_read_only(self):
         grid = ControlGrid(t_final=1.0, amplitudes=np.zeros((1, 4)))
         with pytest.raises(ValueError):
@@ -252,16 +239,16 @@ class TestPropagation:
     def test_single_slice_total_is_step(self, benchmark_system):
         rng = np.random.default_rng(16)
         grid = ControlGrid(t_final=0.3, amplitudes=rng.uniform(-1, 1, (2, 1)))
-        cache = propagate(benchmark_system, grid)
-        assert np.allclose(from_real_embedding(cache.embedded[-1]),
+        _, prefixes = propagate(benchmark_system, grid)
+        assert np.allclose(from_real_embedding(prefixes[-1]),
                            step_propagator(benchmark_system, grid, 1), atol=1e-14)
-        assert np.array_equal(from_real_embedding(cache.embedded)[0], np.eye(4))
+        assert np.array_equal(from_real_embedding(prefixes)[0], np.eye(4))
 
     def test_zero_controls_exponentiate_drift(self, benchmark_system):
         grid = ControlGrid(t_final=2.0, amplitudes=np.zeros((2, 7)))
-        cache = propagate(benchmark_system, grid)
+        _, prefixes = propagate(benchmark_system, grid)
         expected = expm_hermitian_generator(benchmark_system.h0, 2.0)
-        assert np.abs(from_real_embedding(cache.embedded[-1]) - expected).max() <= 1e-12
+        assert np.abs(from_real_embedding(prefixes[-1]) - expected).max() <= 1e-12
 
     def test_against_ode_solver(self):
         # Integrate the Schrodinger equation slice by slice with a generic
@@ -269,7 +256,7 @@ class TestPropagation:
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         sys, rng = two_level_system(21)
         grid = ControlGrid(t_final=1.0, amplitudes=rng.uniform(-1, 1, (1, 4)))
-        cache = propagate(sys, grid)
+        prefixes = from_real_embedding(propagate(sys, grid)[1])
         u = np.eye(2, dtype=complex)
         for l in range(1, 5):
             h = slice_hamiltonian(sys, grid, l)
@@ -277,8 +264,8 @@ class TestPropagation:
                             (0.0, grid.dt), u.ravel(), method="DOP853",
                             rtol=1e-12, atol=1e-12)
             u = sol.y[:, -1].reshape(2, 2)
-            assert np.abs(from_real_embedding(cache.embedded)[l] - u).max() <= 1e-8
-        assert np.abs(from_real_embedding(cache.embedded[-1]) - u).max() <= 1e-8
+            assert np.abs(prefixes[l] - u).max() <= 1e-8
+        assert np.abs(prefixes[-1] - u).max() <= 1e-8
 
     def test_prefix_chain_consistency(self, benchmark_system):
         # The real two-spin system and a complex one, at lengths where the
@@ -290,7 +277,7 @@ class TestPropagation:
                              2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK + 1, 150, 300):
                 amps = rng.uniform(-1, 1, (len(sys.controls), n_slices))
                 grid = ControlGrid(t_final=n_slices / 4, amplitudes=amps)
-                p = from_real_embedding(propagate(sys, grid).embedded)
+                p = from_real_embedding(propagate(sys, grid)[1])
                 assert np.array_equal(p[0], np.eye(sys.dim))
                 for l in range(1, n_slices + 1):
                     step = step_propagator(sys, grid, l)
@@ -299,8 +286,8 @@ class TestPropagation:
     def test_unitarity_defect_small_on_long_grid(self, benchmark_system):
         rng = np.random.default_rng(18)
         grid = ControlGrid(t_final=5.0, amplitudes=rng.uniform(-1, 1, (2, 300)))
-        cache = propagate(benchmark_system, grid)
-        assert unitarity_defect(from_real_embedding(cache.embedded)) <= 1e-10
+        _, prefixes = propagate(benchmark_system, grid)
+        assert unitarity_defect(from_real_embedding(prefixes)) <= 1e-10
 
     def test_unitarity_defect_of_a_matrix_and_a_stack(self):
         # A scaled identity is off by |c|^2 - 1 on the diagonal; a stack
@@ -312,20 +299,20 @@ class TestPropagation:
 
     def test_cache_shapes(self, benchmark_system):
         grid = ControlGrid(t_final=1.0, amplitudes=np.zeros((2, 5)))
-        cache = propagate(benchmark_system, grid)
-        assert cache.embedded.shape == (6, 8, 8)
-        assert np.array_equal(cache.embedded[0], np.eye(8))
-        assert cache.generators.shape == (5, 8, 8)
-        assert [f.name for f in fields(cache)] == ["generators", "embedded"]
+        generators, prefixes = propagate(benchmark_system, grid)
+        assert prefixes.shape == (6, 8, 8)
+        assert np.array_equal(prefixes[0], np.eye(8))
+        assert generators.shape == (5, 8, 8)
         hams = slice_hamiltonians(benchmark_system, grid)
-        assert np.array_equal(cache.generators, real_embedding(1j * hams))
+        assert np.array_equal(generators, real_embedding(1j * hams))
 
     @pytest.mark.parametrize("complex_system", [False, True])
     def test_generators_from_the_embedded_terms(self, benchmark_system, complex_system):
-        # The system embeds i h0 and i H_k once, read-only; by linearity the
-        # slice generators built from that stack equal the embedded slice
-        # Hamiltonians exactly (a zero may differ in sign).
+        # The system keeps its inputs complex and embeds i h0 and i H_k once,
+        # read-only; by linearity the slice generators built from that stack
+        # equal the embedded slice Hamiltonians exactly (a zero may differ in sign).
         sys = two_level_system(5)[0] if complex_system else benchmark_system
+        assert sys.h0.dtype == sys.controls.dtype == complex
         n = sys.controls.shape[0]
         assert sys.embedded_terms.shape == (n + 1, 2 * sys.dim, 2 * sys.dim)
         assert np.array_equal(sys.embedded_terms[0], real_embedding(1j * sys.h0))
@@ -334,7 +321,7 @@ class TestPropagation:
             sys.embedded_terms[0, 0, 0] = 1.0
         grid = ControlGrid(3.0, np.random.default_rng(6).uniform(-2, 2, (n, 9)))
         expected = real_embedding(1j * slice_hamiltonians(sys, grid))
-        assert np.array_equal(propagate(sys, grid).generators, expected)
+        assert np.array_equal(propagate(sys, grid)[0], expected)
 
 
 EPS = np.finfo(float).eps
@@ -358,15 +345,15 @@ class TestStepExponentials:
             h_norm = np.linalg.norm(hams, 2, axis=(-2, -1)).max()
             for dt_norm in 10.0 ** np.arange(-3, 4):
                 grid = ControlGrid(dt_norm * n_slices / h_norm, amps)
-                cache = propagate(sys, grid)
-                s = squarings(cache.generators, grid.dt)
-                steps = step_exponentials(cache.generators, grid.dt)
+                generators, prefixes = propagate(sys, grid)
+                s = squarings(generators, grid.dt)
+                steps = step_exponentials(generators, grid.dt)
                 oracle = np.stack([step_propagator(sys, grid, l)
                                    for l in range(1, n_slices + 1)])
                 assert np.abs(steps - real_embedding(oracle)).max() <= 32 * 2**s * EPS
-                assert np.array_equal(cache.embedded[1:2], steps[:1])
-                prefixes = from_real_embedding(cache.embedded)
-                assert unitarity_defect(prefixes) <= 32 * (n_slices + 2**s) * EPS
+                assert np.array_equal(prefixes[1:2], steps[:1])
+                bound = 32 * (n_slices + 2**s) * EPS
+                assert unitarity_defect(from_real_embedding(prefixes)) <= bound
 
     def test_squaring_limit_keeps_drift_below_unitary_tol(self):
         assert 2.0**MAX_SQUARINGS * EPS < UNITARY_TOL
