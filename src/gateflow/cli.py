@@ -7,6 +7,7 @@ or I/O errors, 130 when interrupted (Ctrl-C), with no table written.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -57,9 +58,14 @@ def main(argv=None):
     except KeyboardInterrupt:  # the tables are written only once every run is done
         print("interrupted", file=sys.stderr)
         return 130
-    for r in records:
-        print(f"{run_label(r)}: S={r.s_reported:g} J={r.final_j:.3e} ({r.stop_reason})")
-    print(f"wrote {args.out}")
+    try:
+        for r in records:
+            print(f"{run_label(r)}: S={r.s_reported:g} J={r.final_j:.3e} ({r.stop_reason})")
+        print(f"wrote {args.out}", flush=True)
+    except OSError as exc:  # the tables stay as written; devnull takes the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: stdout: {exc}", file=sys.stderr)
+        return 1
     return 0 if all(r.stop_reason == STOP_J_REACHED for r in records) else 2
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import from_real_embedding, real_embedding
+from .linalg import real_embedding
 from .system import (UNITARY_TOL, ControlGrid, QuantumSystem, is_integer, propagate,
                      unitarity_defect)
 
@@ -69,9 +69,14 @@ def _slice_velocities(order, sys, grid, w, generators):
         lam, vecs = np.linalg.eigh(h)
         v = real_embedding(vecs)
         vt = np.ascontiguousarray(v.transpose(0, 2, 1))
-        weights = exact_weights(grid.dt * (lam[:, None, :] - lam[:, :, None]))
-        w_eig = from_real_embedding(vt @ w @ v) * weights
-        w = v @ real_embedding(w_eig) @ vt
+        # C = V^dagger W V is weighed in its real embedding emb: emb(C o phi) =
+        # emb(C) o Re phi + emb(iC) o Im phi, with phi tiled over the 2 x 2 blocks.
+        c = vt @ w @ v
+        phi = exact_weights(grid.dt * (lam[:, None, :] - lam[:, :, None]))
+        ic = np.concatenate([-c[:, n:], c[:, :n]], axis=1)  # emb(iC): emb(C)'s row blocks swapped
+        ic *= np.tile(phi.imag, (2, 2))
+        c *= np.tile(phi.real, (2, 2))
+        w = v @ (c + ic) @ vt
     else:
         cur = w
         for j in range(1, order + 1):
@@ -121,16 +126,16 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
     if len(grid.amplitudes) != len(sys.controls):
         raise ValueError(f"control count mismatch: {len(grid.amplitudes)} vs {len(sys.controls)}")
     generators, prefixes = propagate(sys, grid)
-    defect = unitarity_defect(prefixes) if check_unitarity else None
+    # One contiguous P^T, the embedded P^dagger, serves W and the unitarity check.
+    pt = np.ascontiguousarray(prefixes.transpose(0, 2, 1))
+    defect = unitarity_defect(prefixes, pt) if check_unitarity else None
     if defect is not None and defect > UNITARY_TOL:
         raise RuntimeError(f"propagator prefixes drifted off the unitary group: "
                            f"max|P^dagger P - I| = {defect:.3e}")
     a = target.embedded.T @ prefixes[-1]
     p = prefixes[:-1]
-    # P A as one (L 2N, 2N) product; a transposed view as an operand of a
-    # batched matmul would leave BLAS's fast path, so P^T is made contiguous.
-    pa = (p.reshape(-1, a.shape[0]) @ a).reshape(p.shape)
-    w = pa @ np.ascontiguousarray(p.transpose(0, 2, 1))
+    pa = (p.reshape(-1, a.shape[0]) @ a).reshape(p.shape)  # P A as one (L 2N, 2N) product
+    w = pa @ pt[:-1]
     values = _slice_velocities(order, sys, grid, w, generators)
     return RhsEvaluation(values, 0.5 - np.trace(a) / (4 * sys.dim), defect, order=order,
                          w=w, generators=generators, sys=sys, grid=grid)

@@ -62,12 +62,6 @@ def real_embedding(z):
     return out
 
 
-def from_real_embedding(e):
-    """The complex matrix (or stack) whose real_embedding is e."""
-    n = e.shape[-1] // 2
-    return e[..., :n, :n] + 1j * e[..., n:, :n]
-
-
 def squarings(x, dt):
     """The fewest squarings s that bring the largest dt * ||X||_inf of the
     stack x below 1.

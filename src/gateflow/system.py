@@ -118,7 +118,7 @@ class GateTarget:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("target must be a square matrix")
-        if not unitarity_defect(m) <= UNITARY_TOL:
+        if not unitarity_defect(m, m.conj().T) <= UNITARY_TOL:
             raise ValueError(f"target '{self.label}' is not unitary to {UNITARY_TOL:g}")
         object.__setattr__(self, "matrix", _readonly(m))
         object.__setattr__(self, "embedded", _readonly(real_embedding(m)))
@@ -160,8 +160,7 @@ def propagate(sys, grid):
     return gens, flat[:n_slices + 1]
 
 
-def unitarity_defect(p):
-    """max|P^dagger P - I| over a matrix P, or over every matrix of a stack."""
-    # A transposed view as the left operand would leave BLAS's fast path.
-    gram = np.conjugate(np.swapaxes(p, -1, -2), order="C") @ p
-    return float(np.abs(gram - np.eye(p.shape[-1])).max())
+def unitarity_defect(p, p_dagger):
+    """max|P^dagger P - I| over a matrix P, or over every matrix of a stack, given its adjoint
+    (for a stack, contiguous: a transposed view would leave BLAS's fast path)."""
+    return float(np.abs(p_dagger @ p - np.eye(p.shape[-1])).max())

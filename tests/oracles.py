@@ -1,7 +1,7 @@
 """Single-slice reference implementations of what the batched kernels in
 gateflow compute: slice Hamiltonians, step propagators, phi1, the series
 and exact slice averages, the objective J and a central-difference
-gradient of it.
+gradient of it, with the complex matrices read back from real embeddings.
 
 Each works on one slice (or one perturbation) at a time, apart from the
 stack `slice_hamiltonians` of complex H_l, independently of the doubling
@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from gateflow import EXACT, normalize_order, propagate
-from gateflow.linalg import from_real_embedding, require_hermitian
+from gateflow.linalg import require_hermitian
 
 
 def expm_hermitian_generator(h, theta):
@@ -97,6 +97,12 @@ def objective(u_final, target):
         raise ValueError(f"shape mismatch: {target.matrix.shape} vs {u_final.shape}")
     n = u_final.shape[0]
     return 0.5 - np.trace(target.matrix.conj().T @ u_final).real / (2 * n)
+
+
+def from_real_embedding(e):
+    """The complex matrix (or stack) whose real_embedding is e."""
+    n = e.shape[-1] // 2
+    return e[..., :n, :n] + 1j * e[..., n:, :n]
 
 
 def final_propagator(sys, grid):

@@ -350,13 +350,13 @@ if __name__ == "__main__":
 """
 
 
-def start_in_own_session(args):
+def start_in_own_session(args, stdout=subprocess.PIPE):
     """Popen of the Python interpreter with args, in a session of its own and
     with this checkout's package on the path."""
     src = str(Path(gateflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=stdout,
                             stderr=subprocess.PIPE, text=True, start_new_session=True)
 
 
@@ -416,3 +416,25 @@ def test_interrupt_of_the_parent_alone_ends_the_workers(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
+
+
+@pytest.mark.parametrize("stream", ["closed_pipe", "full_device"])
+def test_unwritable_stdout_exits_one_after_the_tables(tmp_path, stream):
+    # `qoc run ... | head -c 0` and `qoc run ... > /dev/full`: the summary cannot be
+    # written, but the tables already are.
+    if stream == "full_device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    cfg = write_cfg(tmp_path, TINY)
+    out = tmp_path / "results.csv"
+    args = ["-m", "gateflow.cli", "run", str(cfg), "--out", str(out), "--scan-cap", "50"]
+    with contextlib.ExitStack() as stack:
+        if stream == "closed_pipe":
+            proc = start_in_own_session(args)
+            proc.stdout.close()  # the reader is gone before the summary is printed
+        else:
+            proc = start_in_own_session(args, stdout=stack.enter_context(open("/dev/full", "w")))
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err.startswith("error: stdout: ") and err.count("\n") == 1, err
+    assert len(read_rows(out)) == 2
+    assert len(json.loads((tmp_path / "results.json").read_text())) == 1

@@ -16,7 +16,8 @@ from gateflow.system import SCAN_BLOCK
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      expm_hermitian_generator, final_propagator, finite_difference_gradient,
-                     objective, phi1, slice_hamiltonian, slice_hamiltonians, step_propagator)
+                     from_real_embedding, objective, phi1, slice_hamiltonian,
+                     slice_hamiltonians, step_propagator)
 
 # Grid lengths for the oracle comparisons: the blocked scan's edge cases (one
 # slice, one chain, exactly full chains and one step past them) plus the
@@ -40,6 +41,25 @@ def random_instance(seed, dim=2, n_controls=1, n_slices=4, t_final=1.0):
     grid = ControlGrid(t_final=t_final,
                        amplitudes=rng.uniform(-1, 1, (n_controls, n_slices)))
     return sys, grid, random_target(rng, dim)
+
+
+# The exact average's systems: the real benchmark, a complex one, and one whose
+# only complex term is its control.
+EXACT_AVERAGE_CASES = ("benchmark", "complex", "complex_control")
+
+
+def exact_average_case(kind, benchmark_system):
+    """(sys, grid, target) of an EXACT_AVERAGE_CASES kind, on a 9-slice grid at T = 5."""
+    rng = np.random.default_rng(56)
+    if kind == "benchmark":
+        sys, target = benchmark_system, gate_target("cnot")
+    elif kind == "complex":
+        sys, _, target = random_instance(56, dim=4, n_controls=2)
+    else:
+        sys = QuantumSystem(h0=np.diag([1.0, -1.0]),
+                            controls=np.stack([np.array([[0, -1j], [1j, 0]])]))
+        target = random_target(rng, 2)
+    return sys, ControlGrid(5.0, rng.uniform(-1, 1, (len(sys.controls), 9))), target
 
 
 def naive_rhs(sys, grid, target, order):
@@ -326,7 +346,9 @@ class TestFlowRhs:
         sys, grid, target = random_instance(46, dim=4, n_controls=2)
         ev = flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
         # The defect is read off the embedded prefixes, with no complex copy.
-        assert ev.unitarity_defect == unitarity_defect(propagate(sys, grid)[1])
+        prefixes = propagate(sys, grid)[1]
+        assert ev.unitarity_defect == unitarity_defect(prefixes,
+                                                       prefixes.transpose(0, 2, 1).copy())
         assert ev.unitarity_defect <= 1e-10
         assert type(descent_rate(ev)) is float
         plain = flow_evaluation(sys, grid, target, order=1)
@@ -357,7 +379,7 @@ class TestFlowRhs:
             assert np.array_equal(a.values, b.values) and a.objective == b.objective
             assert descent_rate(a) == descent_rate(b)
 
-    @pytest.mark.parametrize("kind", ["benchmark", "complex", "complex_control"])
+    @pytest.mark.parametrize("kind", EXACT_AVERAGE_CASES)
     def test_exact_average_diagonalises_the_generators(self, benchmark_system, monkeypatch,
                                                        kind):
         # The exact average reads H_l off the one propagation's generators
@@ -365,16 +387,7 @@ class TestFlowRhs:
         # A real system hands eigh a real view of them, its real-symmetric
         # route; an imaginary part in any term makes the stack complex. The
         # rate of a series-order record diagonalises that record's generators.
-        rng = np.random.default_rng(56)
-        if kind == "benchmark":
-            sys, target = benchmark_system, gate_target("cnot")
-        elif kind == "complex":
-            sys, _, target = random_instance(56, dim=4, n_controls=2)
-        else:
-            sys = QuantumSystem(h0=np.diag([1.0, -1.0]),
-                                controls=np.stack([np.array([[0, -1j], [1j, 0]])]))
-            target = random_target(rng, 2)
-        grid = ControlGrid(5.0, rng.uniform(-1, 1, (len(sys.controls), 9)))
+        sys, grid, target = exact_average_case(kind, benchmark_system)
         passes, stacks, eigh = [], [], np.linalg.eigh
 
         def recording_propagate(*args):
@@ -395,10 +408,54 @@ class TestFlowRhs:
             assert np.shares_memory(h, generators) == (kind == "benchmark")
             assert np.abs(h - slice_hamiltonians(sys, grid)).max() <= 1e-14
 
+    @pytest.mark.parametrize("kind", EXACT_AVERAGE_CASES)
+    def test_exact_average_weighs_the_embedded_eigenbasis_matrix(self, benchmark_system, kind):
+        # The weights applied to the embedded V^dagger W V against
+        # V ((V^dagger W V) o phi) V^dagger formed slice by slice in complex arithmetic.
+        sys, grid, target = exact_average_case(kind, benchmark_system)
+        p = from_real_embedding(propagate(sys, grid)[1])
+        a = target.matrix.conj().T @ p[-1]
+        want = np.empty(grid.amplitudes.shape)
+        for l, h in enumerate(slice_hamiltonians(sys, grid)):
+            lam, v = np.linalg.eigh(h)
+            w_eig = v.conj().T @ p[l] @ a @ p[l].conj().T @ v
+            w = v @ (w_eig * exact_weights(grid.dt * (lam[None, :] - lam[:, None]))) @ v.conj().T
+            want[:, l] = np.trace(w @ sys.controls, axis1=1, axis2=2).imag / (2 * sys.dim)
+        got = flow_evaluation(sys, grid, target, order=EXACT).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_checked_evaluation_transposes_the_prefixes_once(self, monkeypatch):
+        # W and the unitarity check share one contiguous P^T of all L + 1 prefixes.
+        sys, grid, target = random_instance(48, dim=4, n_controls=2, n_slices=9)
+        passes, copies, checks, contiguous = [], [], [], np.ascontiguousarray
+
+        def recording_propagate(*args):
+            passes.append(propagate(*args))
+            return passes[-1]
+
+        def recording_contiguous(a, *args, **kwargs):
+            copies.append((a, contiguous(a, *args, **kwargs)))
+            return copies[-1][1]
+
+        def recording_defect(*args):
+            checks.append(args)
+            return unitarity_defect(*args)
+
+        monkeypatch.setattr("gateflow.gradient.propagate", recording_propagate)
+        monkeypatch.setattr("numpy.ascontiguousarray", recording_contiguous)
+        monkeypatch.setattr("gateflow.gradient.unitarity_defect", recording_defect)
+        flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
+        prefixes = passes[0][1]
+        transposed = [out for a, out in copies if np.shares_memory(a, prefixes)]
+        assert len(transposed) == 1 and len(checks) == 1
+        assert checks[0][0] is prefixes and checks[0][1] is transposed[0]
+        assert np.array_equal(transposed[0], prefixes.transpose(0, 2, 1))
+        assert transposed[0].flags.c_contiguous
+
     def test_unitarity_check_raises_on_drift(self, monkeypatch):
         sys, grid, target = random_instance(53)
         monkeypatch.setattr("gateflow.gradient.unitarity_defect",
-                            lambda cache: 2 * UNITARY_TOL)
+                            lambda p, p_dagger: 2 * UNITARY_TOL)
         flow_evaluation(sys, grid, target, order=1)
         with pytest.raises(RuntimeError, match="drifted off the unitary group"):
             flow_evaluation(sys, grid, target, order=1, check_unitarity=True)

@@ -7,12 +7,11 @@ import pytest
 
 from gateflow import (GATE_TARGETS, UNITARY_TOL, ControlGrid, GateTarget, QuantumSystem,
                       build_two_spin_benchmark, gate_target, propagate, unitarity_defect)
-from gateflow.linalg import (MAX_SQUARINGS, from_real_embedding, real_embedding, squarings,
-                             step_exponentials)
+from gateflow.linalg import MAX_SQUARINGS, real_embedding, squarings, step_exponentials
 from gateflow.system import SCAN_BLOCK
 from helpers import random_hermitian
-from oracles import (expm_hermitian_generator, slice_hamiltonian, slice_hamiltonians,
-                     step_propagator)
+from oracles import (expm_hermitian_generator, from_real_embedding, slice_hamiltonian,
+                     slice_hamiltonians, step_propagator)
 
 
 def two_level_system(seed):
@@ -286,16 +285,25 @@ class TestPropagation:
     def test_unitarity_defect_small_on_long_grid(self, benchmark_system):
         rng = np.random.default_rng(18)
         grid = ControlGrid(t_final=5.0, amplitudes=rng.uniform(-1, 1, (2, 300)))
-        _, prefixes = propagate(benchmark_system, grid)
-        assert unitarity_defect(from_real_embedding(prefixes)) <= 1e-10
+        p = from_real_embedding(propagate(benchmark_system, grid)[1])
+        assert unitarity_defect(p, p.conj().transpose(0, 2, 1)) <= 1e-10
 
     def test_unitarity_defect_of_a_matrix_and_a_stack(self):
         # A scaled identity is off by |c|^2 - 1 on the diagonal; a stack
         # reports its worst member.
-        assert unitarity_defect(np.eye(3)) == 0.0
-        assert unitarity_defect(1.5j * np.eye(2)) == 1.25
+        assert unitarity_defect(np.eye(3), np.eye(3)) == 0.0
+        assert unitarity_defect(1.5j * np.eye(2), -1.5j * np.eye(2)) == 1.25
         stack = np.stack([np.eye(2), 0.5 * np.eye(2), np.eye(2)])
-        assert unitarity_defect(stack) == 0.75
+        assert unitarity_defect(stack, stack) == 0.75
+        # P^dagger P - I from the adjoint the caller passes: a complex matrix with
+        # its conjugate transpose, a real stack with its contiguous transpose.
+        rng = np.random.default_rng(19)
+        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        assert unitarity_defect(z, z.conj().T) == np.abs(z.conj().T @ z - np.eye(3)).max()
+        stack = rng.normal(size=(5, 4, 4))
+        want = max(np.abs(s.T @ s - np.eye(4)).max() for s in stack)
+        got = unitarity_defect(stack, np.ascontiguousarray(stack.transpose(0, 2, 1)))
+        assert abs(got - want) <= 1e-14 * want
 
     def test_cache_shapes(self, benchmark_system):
         grid = ControlGrid(t_final=1.0, amplitudes=np.zeros((2, 5)))
@@ -353,7 +361,8 @@ class TestStepExponentials:
                 assert np.abs(steps - real_embedding(oracle)).max() <= 32 * 2**s * EPS
                 assert np.array_equal(prefixes[1:2], steps[:1])
                 bound = 32 * (n_slices + 2**s) * EPS
-                assert unitarity_defect(from_real_embedding(prefixes)) <= bound
+                p = from_real_embedding(prefixes)
+                assert unitarity_defect(p, p.conj().transpose(0, 2, 1)) <= bound
 
     def test_squaring_limit_keeps_drift_below_unitary_tol(self):
         assert 2.0**MAX_SQUARINGS * EPS < UNITARY_TOL
