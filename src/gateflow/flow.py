@@ -140,21 +140,10 @@ def integrate_flow(sys, grid0, target, order, cfg):
     k1 = f(y)
     rows = [(0.0, 0.0, 0.0, True, ev.objective, evals,
              descent_rate(ev) if cfg.track_descent else np.nan)]
-    s, h, j = 0.0, cfg.h_init, ev.objective
-    reason = STOP_J_REACHED if j <= cfg.j_stop else None
+    s, h, j, reason = 0.0, cfg.h_init, ev.objective, None
     while reason is None:
-        h = min(h, cfg.s_max - s)
-        y_new, err, k_last = dormand_prince_step(f, y, h, k1)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.abs(err / scale).max())
-        accepted = err_norm <= 1.0
-        rows.append((s + h, h, err_norm, accepted, ev.objective, evals,
-                     descent_rate(ev) if accepted and cfg.track_descent else np.nan))
-        if accepted:
-            s, y, k1, j = s + h, y_new, k_last, ev.objective
-        factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
-        h *= min(MAX_GROW, max(MIN_SHRINK, factor))
-        # j is the last accepted point's J: a rejected attempt cannot stop the run.
+        # Tested before every step, the first included. j is the last accepted
+        # point's J: a rejected attempt cannot stop the run.
         if j <= cfg.j_stop:
             reason = STOP_J_REACHED
         elif cfg.s_max - s <= cfg.h_min:
@@ -163,6 +152,18 @@ def integrate_flow(sys, grid0, target, order, cfg):
             reason = STOP_BUDGET
         elif h < cfg.h_min:
             reason = STOP_UNDERFLOW
+        else:
+            h = min(h, cfg.s_max - s)
+            y_new, err, k_last = dormand_prince_step(f, y, h, k1)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = float(np.abs(err / scale).max())
+            accepted = err_norm <= 1.0
+            rows.append((s + h, h, err_norm, accepted, ev.objective, evals,
+                         descent_rate(ev) if accepted and cfg.track_descent else np.nan))
+            if accepted:
+                s, y, k1, j = s + h, y_new, k_last, ev.objective
+            factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
+            h *= min(MAX_GROW, max(MIN_SHRINK, factor))
     return FlowResult(final_grid=grid0.with_amplitudes(y), steps=np.array(rows, STEP_DTYPE),
                       stop_reason=reason, s_stop=min(s, cfg.s_max),
                       max_unitarity_defect=max_defect if cfg.check_unitarity else None)

@@ -69,14 +69,9 @@ def _slice_velocities(order, sys, grid, w, generators):
         lam, vecs = np.linalg.eigh(h)
         v = real_embedding(vecs)
         vt = np.ascontiguousarray(v.transpose(0, 2, 1))
-        # C = V^dagger W V is weighed in its real embedding emb: emb(C o phi) =
-        # emb(C) o Re phi + emb(iC) o Im phi, with phi tiled over the 2 x 2 blocks.
-        c = vt @ w @ v
+        c = vt @ w @ v  # real_embedding(C), C = V^dagger W V
         phi = exact_weights(grid.dt * (lam[:, None, :] - lam[:, :, None]))
-        ic = np.concatenate([-c[:, n:], c[:, :n]], axis=1)  # emb(iC): emb(C)'s row blocks swapped
-        ic *= np.tile(phi.imag, (2, 2))
-        c *= np.tile(phi.real, (2, 2))
-        w = v @ (c + ic) @ vt
+        w = v @ real_embedding((c[:, :n, :n] + 1j * c[:, n:, :n]) * phi) @ vt
     else:
         cur = w
         for j in range(1, order + 1):

@@ -324,8 +324,9 @@ def test_parallel_matches_sequential(tmp_path):
     assert drop_wall_time(read_rows(seq)) == drop_wall_time(read_rows(par))
 
 
-# LONG runs for minutes; SHORT stops after one step, so in a parallel run of
-# both one worker sits idle in its queue read when the signal comes.
+# LONG runs for minutes; SHORT meets its budget with its first evaluation and
+# stops before taking a step, so in a parallel run of both one worker sits idle
+# in its queue read when the signal comes.
 LONG = "gate: cnot\nT: 10\nL: 300\norder: 0\ns_max: 100000\nj_stop: 1e-30\n"
 SHORT = "gate: cnot\nT: 5\nL: 20\norder: 1\nmax_rhs_evals: 1\n"
 

@@ -200,11 +200,14 @@ class TestAdaptiveScalar:
         assert (accepted(result)["J"] > cfg.j_stop).all()
 
     def test_eval_budget_stop(self, run_decay):
-        cfg = FlowConfig(s_max=1e6, abs_tol=1e-10, rel_tol=1e-10, j_stop=1e-30,
-                         h_init=0.5, max_rhs_evals=20)
-        result = run_decay(1.0, cfg)
-        assert result.stop_reason == "eval_budget"
-        assert 20 <= result.rhs_evals <= 25
+        # The budget is tested before every step, the first included, and a
+        # step makes 6 evaluations: a run ends at most 5 past its budget.
+        for budget in (1, 2, 7, 20):
+            cfg = FlowConfig(s_max=1e6, abs_tol=1e-10, rel_tol=1e-10, j_stop=1e-30,
+                             h_init=0.5, max_rhs_evals=budget)
+            result = run_decay(1.0, cfg)
+            assert result.stop_reason == "eval_budget"
+            assert budget <= result.rhs_evals <= budget + 5, budget
 
 
 class TestFlowRuns:
