@@ -24,6 +24,8 @@ DEFAULT_GRANULARITY = 100.0
 # Largest slice count a spec may ask for, about 33x the largest in any
 # shipped config; each propagation holds O(L) 2N x 2N blocks.
 MAX_SLICES = 10_000
+# Largest config file read, about a thousand times the largest shipped one.
+MAX_CONFIG_BYTES = 1 << 20
 
 # Table header, one column per RunRecord field in field order.
 CSV_COLUMNS = ("gate", "T", "L", "order", "S_reported", "final_J",
@@ -244,18 +246,14 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
     return records
 
 
-def _real(value):
-    if isinstance(value, bool):
-        raise TypeError("booleans are not numbers")
-    return float(value)
-
-
 def _count(value):
-    if isinstance(value, str):  # native text: a whole '150.0' or '1e3' counts, as in JSON
-        value = int(value) if value.lstrip("+-").isdigit() else float(value)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise TypeError("not an integer")
-    return int(value)
+    """A whole number: '150', '150.0' and '1e3' count, '2.5' does not."""
+    if value.lstrip("+-").isdigit():
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError("not an integer")
+    return int(number)
 
 
 def _order(value):
@@ -263,20 +261,20 @@ def _order(value):
 
 
 # Config keys: the ExperimentSpec or FlowConfig field each one sets and the
-# parser of its raw value (a string, or a JSON scalar). Any other key is
-# rejected so typos fail loudly instead of silently running defaults.
+# parser of its raw value string. Any other key is rejected so typos fail
+# loudly instead of silently running defaults.
 _KEYS = {
     "gate": ("gate", str), "initial_controls": ("initial_controls", str),
-    "T": ("t_final", _real), "L": ("n_slices", _count), "order": ("order", _order),
+    "T": ("t_final", float), "L": ("n_slices", _count), "order": ("order", _order),
     "max_rhs_evals": ("max_rhs_evals", _count),
-    **{key: (key, _real) for key in ("s_granularity", "sine_amplitude", "s_max", "abs_tol",
+    **{key: (key, float) for key in ("s_granularity", "sine_amplitude", "s_max", "abs_tol",
                                      "rel_tol", "j_stop", "h_init", "h_min")},
 }
 _FLOW_FIELDS = {f.name for f in fields(FlowConfig)}
 
 
 def parse_config_value(key, value, where):
-    """Parse one raw value of a known config key; errors name where."""
+    """Parse the raw value string of a known config key; errors name where."""
     parse = _KEYS[key][1]
     try:
         parsed = parse(value)
@@ -307,61 +305,45 @@ def _spec_from_mapping(entries, where):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _unique_keys(pairs):
-    """json object_pairs_hook: the object as a dict, unless a key repeats."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key '{key}'")
-        obj[key] = value
-    return obj
-
-
 def load_experiment(path):
     """Parse a config file into a list of ExperimentSpec.
 
-    The native format is blocks of 'key: value' lines separated by blank
-    lines, with '#' starting a comment; a comment-only line does not end a
-    block. A file whose first non-space character is '[' or '{' is read as
-    JSON instead: a list of objects with the same keys, or a single object
-    for one spec. A file of either format that holds no experiment is an
-    error.
+    The format is blocks of 'key: value' lines separated by blank lines,
+    with '#' starting a comment; a comment-only line does not end a block.
+    The file is read as UTF-8 with any leading byte-order mark dropped. A
+    file larger than MAX_CONFIG_BYTES, one that starts like JSON ('[' or
+    '{'), and one that holds no experiment are errors that name the file.
     """
     path = Path(path)
+    with path.open("rb") as fh:
+        data = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ValueError(f"{path.name}: config is larger than {MAX_CONFIG_BYTES >> 20} MiB")
     try:
-        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
-        data = (json.loads(text, object_pairs_hook=_unique_keys)
-                if text.lstrip()[:1] in ("[", "{") else None)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8; bad, too deep or key-repeating JSON
+        text = data.decode("utf-8-sig")
+    except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
-    specs = []
-    if data is not None:
-        for i, item in enumerate(data if isinstance(data, list) else [data]):
-            where = f"{path.name} entry {i + 1}"
-            if not isinstance(item, dict):
-                raise ValueError(f"{where}: expected an object of key/value pairs")
-            entries = {k: (v, where) for k, v in item.items()}
-            specs.append(_spec_from_mapping(entries, where))
-    else:
-        block, block_line = {}, None
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:  # only a blank line ends a block; comment lines do not
-                if block and not raw.strip():
-                    specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
-                    block, block_line = {}, None
-                continue
-            key, sep, value = line.partition(":")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise ValueError(f"{path.name} line {lineno}: expected 'key: value'")
-            if key in block:
-                raise ValueError(f"{path.name} line {lineno}: duplicate key '{key}'")
-            if block_line is None:
-                block_line = lineno
-            block[key] = (value, f"{path.name} line {lineno}")
-        if block:
-            specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
+    if text.lstrip()[:1] in ("[", "{"):
+        raise ValueError(f"{path.name}: JSON configs are not supported; use 'key: value' blocks")
+    specs, block, block_line = [], {}, None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:  # only a blank line ends a block; comment lines do not
+            if block and not raw.strip():
+                specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
+                block, block_line = {}, None
+            continue
+        key, sep, value = line.partition(":")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise ValueError(f"{path.name} line {lineno}: expected 'key: value'")
+        if key in block:
+            raise ValueError(f"{path.name} line {lineno}: duplicate key '{key}'")
+        if block_line is None:
+            block_line = lineno
+        block[key] = (value, f"{path.name} line {lineno}")
+    if block:
+        specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
     if not specs:
         raise ValueError(f"{path.name}: no experiments found")
     return specs

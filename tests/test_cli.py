@@ -163,9 +163,7 @@ def test_granularity_too_small_for_the_scan_cap_names_its_spec(tmp_path, capsys)
 def test_output_on_the_config_exits_one(tmp_path, capsys, monkeypatch, config, flags):
     # Rejected before any run: the config keeps its bytes and no table is written.
     monkeypatch.chdir(tmp_path)
-    text = ('{"gate": "cnot", "T": 5, "L": 50, "s_max": 50}\n' if config.endswith(".json")
-            else TINY)
-    cfg = write_cfg(tmp_path, text, name=config)
+    cfg = write_cfg(tmp_path, TINY, name=config)
     before = cfg.read_bytes()
     monkeypatch.setattr("gateflow.experiments.execute_experiment", None)
     code = main(["run", config] + flags)
@@ -224,12 +222,30 @@ def test_help_exits_zero(capsys):
     assert "--scan-cap" in capsys.readouterr().out
 
 
-def test_empty_json_config_exits_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[]\n", name="exp.json")
+@pytest.mark.parametrize("content", [
+    b"[]\n", b'{"gate": "cnot", "T": 5, "L": 50}\n', b' \n\t[{"gate": "cnot"}]',
+    b"\xef\xbb\xbf[]",
+], ids=["empty_list", "one_spec_object", "leading_whitespace", "byte_order_mark"])
+def test_json_config_exits_one(tmp_path, capsys, content):
+    cfg = tmp_path / "x.json"
+    cfg.write_bytes(content)
     code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == "error: exp.json: no experiments found\n"
+    assert captured.err == ("error: x.json: JSON configs are not supported; "
+                            "use 'key: value' blocks\n")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_config_exits_one(tmp_path, capsys):
+    # Read to its end, /dev/zero would exhaust memory.
+    code = main(["run", "/dev/zero", "--out", str(tmp_path / "results.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: zero: config is larger than 1 MiB\n"
+    assert captured.out == ""
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -1,7 +1,6 @@
-"""Config loader fuzz: any native text or JSON document either loads or
-raises a ValueError whose message starts with the file name."""
-
-import json
+"""Config loader fuzz: any text either loads or raises a ValueError whose
+message starts with the file name. The alphabet holds '[', '{' and '"', so
+text that starts like JSON, which the loader refuses, is drawn too."""
 
 import pytest
 from hypothesis import given, settings
@@ -27,34 +26,10 @@ native_line = st.one_of(
 native_text = st.one_of(st.text(ALPHABET, max_size=120),
                         st.lists(native_line, max_size=20).map("\n".join))
 
-scalars = (st.none() | st.booleans() | st.integers() | st.floats()
-           | st.sampled_from(WORDS) | st.text(ALPHABET, max_size=6))
-entries = st.fixed_dictionaries(
-    {"gate": st.sampled_from(("cnot", "swap", "CNOT", "toffoli")),
-     "T": st.floats(0.5, 20) | scalars, "L": st.integers(1, 300) | scalars},
-    optional={key: scalars for key in KEYS[3:]})
-json_keys = st.sampled_from(KEYS) | st.text(ALPHABET, max_size=4)
-json_docs = st.recursive(
-    scalars | entries,
-    lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(json_keys, children, max_size=5)),
-    max_leaves=12,
-)
-
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
-
-
-def loads_or_names_the_file(path):
-    try:
-        specs = load_experiment(path)
-    except ValueError as exc:
-        assert str(exc).startswith((f"{path.name}:", f"{path.name} line ",
-                                    f"{path.name} entry ")), str(exc)
-    else:
-        assert all(isinstance(spec, ExperimentSpec) for spec in specs)
 
 
 @FUZZ
@@ -62,12 +37,9 @@ def loads_or_names_the_file(path):
 def test_native_text_loads_or_names_the_file(fuzz_dir, text):
     path = fuzz_dir / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
-    loads_or_names_the_file(path)
-
-
-@FUZZ
-@given(doc=json_docs)
-def test_json_document_loads_or_names_the_file(fuzz_dir, doc):
-    path = fuzz_dir / "fuzz.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    loads_or_names_the_file(path)
+    try:
+        specs = load_experiment(path)
+    except ValueError as exc:
+        assert str(exc).startswith(("fuzz.cfg:", "fuzz.cfg line ")), str(exc)
+    else:
+        assert all(isinstance(spec, ExperimentSpec) for spec in specs)
