@@ -9,10 +9,9 @@ or I/O errors, 130 when interrupted (Ctrl-C), with no table written.
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-from .experiments import (DEFAULT_SCAN_CAP, compare_methods, load_experiment,
-                          output_paths, parse_config_value, run_label)
+from .experiments import (DEFAULT_SCAN_CAP, compare_methods, load_experiment, output_paths,
+                          run_label)
 from .flow import STOP_J_REACHED
 
 
@@ -30,8 +29,6 @@ def build_parser():
                      help="JSON mirror path (default: CSV path with .json suffix)")
     run.add_argument("--parallel", type=int, default=1, metavar="N",
                      help="run up to N experiments in parallel processes")
-    run.add_argument("--order-override", default=None, metavar="M",
-                     help="force every run to correction order M (integer or 'exact')")
     run.add_argument("--scan-cap", type=float, default=DEFAULT_SCAN_CAP, metavar="S",
                      help=f"largest horizon the scan may reach (default: {DEFAULT_SCAN_CAP:g})")
     return parser
@@ -47,9 +44,6 @@ def main(argv=None):
         for path in output_paths(args.out, args.json):
             if path.exists() and path.samefile(args.config):
                 raise ValueError(f"{path}: would overwrite the config file")
-        if args.order_override is not None:
-            order = parse_config_value("order", args.order_override, "--order-override")
-            specs = [replace(spec, order=order) for spec in specs]
         records = compare_methods(specs, args.out, json_path=args.json,
                                   parallel=args.parallel, scan_cap=args.scan_cap)
     except (OSError, ValueError) as exc:

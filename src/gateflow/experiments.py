@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -20,7 +21,8 @@ from .system import ControlGrid, is_integer, require_positive_finite
 from .twospin import build_two_spin_benchmark, gate_target
 
 DEFAULT_SCAN_CAP = 5000.0
-DEFAULT_GRANULARITY = 100.0
+# S_reported is the stopping flow time rounded up to a multiple of this.
+S_GRANULARITY = 100.0
 # Largest slice count a spec may ask for, about 33x the largest in any
 # shipped config; each propagation holds O(L) 2N x 2N blocks.
 MAX_SLICES = 10_000
@@ -51,7 +53,6 @@ class ExperimentSpec:
     t_final: float
     n_slices: int
     order: int | str = 1  # integer order or "exact"
-    s_granularity: float = DEFAULT_GRANULARITY
     cfg: FlowConfig = field(default_factory=_default_cfg)
     initial_controls: str | None = None
     sine_amplitude: float = 1e-5
@@ -64,7 +65,6 @@ class ExperimentSpec:
                              f"got {self.n_slices!r}")
         object.__setattr__(self, "n_slices", int(self.n_slices))
         object.__setattr__(self, "order", normalize_order(self.order))
-        require_positive_finite(self.s_granularity, "s_granularity")
         if self.initial_controls is None:
             object.__setattr__(self, "initial_controls",
                                "zero" if self.gate == "cnot" else "sine_seed")
@@ -73,9 +73,8 @@ class ExperimentSpec:
                 f"initial_controls must be one of: {', '.join(SEED_MODES)}")
         require_positive_finite(self.sine_amplitude, "sine_amplitude")
         # Plain floats, so that the CSV and JSON writers see a float.
-        for name in ("t_final", "s_granularity", "sine_amplitude"):
+        for name in ("t_final", "sine_amplitude"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        _require_granularity_fits(self.s_granularity, self.cfg.s_max)
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,6 @@ def run_label(run):
     return f"{run.gate} T={run.t_final:g} L={run.n_slices} order={run.order}"
 
 
-def _require_granularity_fits(step, horizon, label=None):
-    """Raise ValueError when horizon / step overflows a float."""
-    if not math.isfinite(horizon / step):
-        where = f"{label}: " if label else ""
-        raise ValueError(f"{where}s_granularity {step!r} is too small for horizon {horizon:g}")
-
-
 def build_initial_grid(spec):
     """The starting control grid for a spec: all zeros, or both controls
     seeded with amplitude * sin(t / T) sampled at slice midpoints."""
@@ -120,25 +112,25 @@ def build_initial_grid(spec):
 
 
 def _effective_horizon(spec, scan_cap):
-    """s_max pushed out by whole s_granularity steps while within scan_cap."""
+    """s_max pushed out by whole S_GRANULARITY steps while within scan_cap."""
     cap = float(scan_cap)
     if not math.isfinite(cap):
         raise ValueError(f"scan cap must be finite, got {cap}")
-    s_max, step = spec.cfg.s_max, spec.s_granularity
-    _require_granularity_fits(step, max(cap, s_max), run_label(spec))
-    return s_max + max(0, math.floor((cap - s_max) / step)) * step
+    s_max = spec.cfg.s_max
+    return s_max + math.floor(max(0.0, cap - s_max) / S_GRANULARITY) * S_GRANULARITY
 
 
 def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
     """Run one spec and return (RunRecord, FlowResult).
 
     The horizon scan quotes the smallest horizon multiple that converges:
-    s_max is pushed out by whole s_granularity steps while it stays within
+    s_max is pushed out by whole S_GRANULARITY steps while it stays within
     scan_cap, and the flow is integrated once to that effective horizon.
     The adaptive integrator uses the horizon only to clip the step that
     would cross it, so any shorter multiple would follow the same
-    trajectory up to its own end. S_reported is s_stop rounded up to the
-    granularity. A ValueError from the run comes back with the spec's label in front.
+    trajectory up to its own end. S_reported is s_stop rounded up to a
+    multiple of S_GRANULARITY. A ValueError from the run comes back with
+    the spec's label in front.
     """
     cfg = replace(spec.cfg, s_max=_effective_horizon(spec, scan_cap))
     started = time.perf_counter()
@@ -148,7 +140,7 @@ def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
     except ValueError as exc:
         raise ValueError(f"{run_label(spec)}: {exc}") from exc
     wall = time.perf_counter() - started
-    s_reported = math.ceil(result.s_stop / spec.s_granularity) * spec.s_granularity
+    s_reported = math.ceil(result.s_stop / S_GRANULARITY) * S_GRANULARITY
     record = RunRecord(gate=spec.gate, t_final=spec.t_final, n_slices=spec.n_slices,
                        order=spec.order, s_reported=float(s_reported), rhs_evals=result.rhs_evals,
                        final_j=float(result.steps["J"][result.steps["accepted"]][-1]),
@@ -201,7 +193,7 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
 
     Every spec's horizon and the two output paths (see output_paths) are
     checked before any run starts. Specs may run in parallel (they share
-    no state) on at most min(parallel, number of specs, CPU count) worker
+    no state) on at most min(parallel, number of specs, usable CPUs) worker
     processes; rows are written in spec order regardless of completion
     order. Returns the records.
     """
@@ -213,7 +205,10 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAUL
         _effective_horizon(spec, scan_cap)
     output_paths(out_path, json_path)
     run = functools.partial(execute_experiment, scan_cap=scan_cap)
-    workers = min(parallel, len(specs), os.cpu_count() or 1)
+    # The CPUs this process may run on: an affinity mask can allow fewer than cpu_count.
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    workers = min(parallel, len(specs), usable)
     if workers > 1:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from multiprocessing import active_children
@@ -267,35 +262,29 @@ _KEYS = {
     "gate": ("gate", str), "initial_controls": ("initial_controls", str),
     "T": ("t_final", float), "L": ("n_slices", _count), "order": ("order", _order),
     "max_rhs_evals": ("max_rhs_evals", _count),
-    **{key: (key, float) for key in ("s_granularity", "sine_amplitude", "s_max", "abs_tol",
-                                     "rel_tol", "j_stop", "h_init", "h_min")},
+    **{key: (key, float) for key in ("sine_amplitude", "s_max", "abs_tol", "rel_tol",
+                                     "j_stop", "h_init", "h_min")},
 }
 _FLOW_FIELDS = {f.name for f in fields(FlowConfig)}
 
 
-def parse_config_value(key, value, where):
-    """Parse the raw value string of a known config key; errors name where."""
-    parse = _KEYS[key][1]
-    try:
-        parsed = parse(value)
-    except (TypeError, ValueError, OverflowError):
-        expected = f"an integer or '{EXACT}'" if parse is _order else "a number"
-        raise ValueError(f"{where}: {key} must be {expected}, got {value!r}") from None
-    if isinstance(parsed, float) and not math.isfinite(parsed):
-        raise ValueError(f"{where}: {key} must be finite, got {value!r}")
-    return parsed
-
-
 def _spec_from_mapping(entries, where):
-    """Build one ExperimentSpec from {key: (value, where)} entries; keys
-    left out take the dataclass defaults."""
+    """Build one ExperimentSpec from {key: (raw value string, where)}
+    entries; keys left out take the dataclass defaults. Errors name the
+    line of the key at fault, or where for a missing key or a bad spec."""
     spec_kwargs, cfg_kwargs = {}, {}
     for key, (raw, item_where) in entries.items():
         if key not in _KEYS:
             raise ValueError(f"{item_where}: unknown key '{key}'")
-        name = _KEYS[key][0]
-        kwargs = cfg_kwargs if name in _FLOW_FIELDS else spec_kwargs
-        kwargs[name] = parse_config_value(key, raw, item_where)
+        name, parse = _KEYS[key]
+        try:
+            value = parse(raw)
+        except ValueError:
+            expected = f"an integer or '{EXACT}'" if parse is _order else "a number"
+            raise ValueError(f"{item_where}: {key} must be {expected}, got {raw!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{item_where}: {key} must be finite, got {raw!r}")
+        (cfg_kwargs if name in _FLOW_FIELDS else spec_kwargs)[name] = value
     for required in ("gate", "T", "L"):
         if required not in entries:
             raise ValueError(f"{where}: missing required key '{required}'")
@@ -310,6 +299,7 @@ def load_experiment(path):
 
     The format is blocks of 'key: value' lines separated by blank lines,
     with '#' starting a comment; a comment-only line does not end a block.
+    Lines end only at '\n', '\r\n' or '\r', so line numbers match an editor's.
     The file is read as UTF-8 with any leading byte-order mark dropped. A
     file larger than MAX_CONFIG_BYTES, one that starts like JSON ('[' or
     '{'), and one that holds no experiment are errors that name the file.
@@ -326,7 +316,7 @@ def load_experiment(path):
     if text.lstrip()[:1] in ("[", "{"):
         raise ValueError(f"{path.name}: JSON configs are not supported; use 'key: value' blocks")
     specs, block, block_line = [], {}, None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:  # only a blank line ends a block; comment lines do not
             if block and not raw.strip():

@@ -29,7 +29,6 @@ def test_parser_defaults():
     assert args.out == "results.csv"
     assert args.json is None
     assert args.parallel == 1
-    assert args.order_override is None
     assert args.scan_cap == 5000.0
 
 
@@ -120,39 +119,29 @@ def test_non_positive_parallel_exits_one(tmp_path, capsys, value):
     assert captured.out == ""
 
 
-def test_bad_order_override_exits_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TINY)
-    code = main(["run", str(cfg), "--order-override", "fast"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("error: --order-override: order must be")
-
-
-def test_tiny_granularity_exits_one(tmp_path, capsys):
-    # The spec checks its granularity against its own horizon, so the
-    # loader's prefix names the block that set it.
-    cfg = write_cfg(tmp_path, TINY + "\n" + TINY + "s_granularity: 5e-324\n")
+def test_granularity_key_exits_one(tmp_path, capsys):
+    # The reporting granularity is the constant 100, not a config key.
+    cfg = write_cfg(tmp_path, TINY + "\n" + TINY + "s_granularity: 50\n")
     code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == ("error: exp.cfg line 7: s_granularity 5e-324 is too small "
-                            "for horizon 50\n")
+    assert captured.err == "error: exp.cfg line 12: unknown key 's_granularity'\n"
     assert captured.out == ""
     assert not (tmp_path / "results.csv").exists()
 
 
-def test_granularity_too_small_for_the_scan_cap_names_its_spec(tmp_path, capsys):
-    # 1e-10 fits the spec's horizon of 50 but not the scan cap; the check
-    # before any run puts the spec's label in front.
-    cfg = write_cfg(tmp_path, TINY + "\n" + TINY + "s_granularity: 1e-10\n")
-    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"),
-                 "--scan-cap", "1e300"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ("error: cnot T=5 L=50 order=1: s_granularity 1e-10 is too small "
-                            "for horizon 1e+300\n")
-    assert captured.out == ""
-    assert not (tmp_path / "results.csv").exists()
+def test_parallel_is_bounded_by_usable_cpus(tmp_path, capsys, monkeypatch):
+    # As under `taskset -c 0` on two CPUs: cpu_count reads 2, one CPU is usable.
+    monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("gateflow.experiments.os.sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
+    cfg = write_cfg(tmp_path, TINY + "\n" + TINY)
+    out = tmp_path / "results.csv"
+    assert main(["run", str(cfg), "--out", str(out), "--scan-cap", "50",
+                 "--parallel", "2"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(read_rows(out)) == 3
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -206,8 +195,9 @@ def test_run_time_error_names_its_spec(tmp_path, capsys, flags):
     assert not (tmp_path / "results.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [["--scan-cap", "abc"], ["--parallel", "x"], ["--bogus"]],
-                         ids=["scan_cap", "parallel", "unknown"])
+@pytest.mark.parametrize("flags", [["--scan-cap", "abc"], ["--parallel", "x"], ["--bogus"],
+                                   ["--order-override", "0"]],
+                         ids=["scan_cap", "parallel", "unknown", "order_override"])
 def test_usage_errors_exit_one(tmp_path, capsys, flags):
     cfg = write_cfg(tmp_path, TINY)
     code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")] + flags)
@@ -219,7 +209,8 @@ def test_usage_errors_exit_one(tmp_path, capsys, flags):
 
 def test_help_exits_zero(capsys):
     assert main(["run", "--help"]) == 0
-    assert "--scan-cap" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--scan-cap" in out and "--order-override" not in out
 
 
 @pytest.mark.parametrize("content", [
@@ -305,17 +296,6 @@ def test_directory_output_path_exits_one(tmp_path, capsys, monkeypatch, flags):
     assert captured.err == "error: outdir: is a directory, not a file\n"
     assert captured.out == ""
     assert not (tmp_path / "r.csv").exists()
-
-
-def test_order_override(tmp_path):
-    cfg = write_cfg(tmp_path, TINY)
-    out = tmp_path / "results.csv"
-    main(["run", str(cfg), "--out", str(out), "--scan-cap", "50",
-          "--order-override", "exact"])
-    assert read_rows(out)[1][3] == "exact"
-    main(["run", str(cfg), "--out", str(out), "--scan-cap", "50",
-          "--order-override", "0"])
-    assert read_rows(out)[1][3] == "0"
 
 
 def test_explicit_json_path(tmp_path):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from gateflow import ExperimentSpec, load_experiment
 
-KEYS = ("gate", "T", "L", "order", "s_granularity", "initial_controls",
-        "sine_amplitude", "s_max", "abs_tol", "rel_tol", "j_stop", "h_init", "h_min",
-        "max_rhs_evals")
-ALPHABET = "cnotswapexT L:#.-+e0123456789_[{}]\"',\n\t\r\x00\u2028é"
+KEYS = ("gate", "T", "L", "order", "initial_controls", "sine_amplitude", "s_max",
+        "abs_tol", "rel_tol", "j_stop", "h_init", "h_min", "max_rhs_evals")
+# Besides '\n' and '\r' it holds \x0c, \x85 and \u2028, at which str.splitlines()
+# breaks a line and an editor does not.
+ALPHABET = "cnotswapexT L:#.-+e0123456789_[{}]\"',\n\t\r\x00\x0c\x85\u2028é"
 WORDS = ("cnot", "swap", "exact", "zero", "sine_seed", "inf", "nan", "1e400", "5e-324",
          "true", "1.5", "150", "5", "0", "-1", "")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gateflow import (CSV_COLUMNS, DEFAULT_GRANULARITY, DEFAULT_SCAN_CAP, MAX_SLICES,
+from gateflow import (CSV_COLUMNS, DEFAULT_SCAN_CAP, MAX_SLICES, S_GRANULARITY,
                       ExperimentSpec, FlowConfig, RunRecord, build_initial_grid,
                       compare_methods, execute_experiment, flow_evaluation,
                       gate_target, integrate_flow, load_experiment, write_comparison)
@@ -52,6 +52,12 @@ def recording_pool(monkeypatch):
     return sizes
 
 
+def set_usable_cpus(monkeypatch, n):
+    """Make compare_methods see n usable CPUs, whatever this machine has."""
+    monkeypatch.setattr("gateflow.experiments.os.sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
 def rows_without_wall_time(path):
     rows = read_rows(path)
     wall = CSV_COLUMNS.index("wall_time_s")
@@ -62,7 +68,6 @@ class TestExperimentSpec:
     def test_defaults(self):
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150)
         assert spec.order == 1
-        assert spec.s_granularity == DEFAULT_GRANULARITY
         assert spec.cfg.s_max == DEFAULT_SCAN_CAP
         assert spec.initial_controls == "zero"
         assert spec.sine_amplitude == 1e-5
@@ -96,11 +101,8 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="sine_amplitude must be positive"):
             ExperimentSpec(gate="swap", t_final=5.0, n_slices=300,
                            sine_amplitude=0.0)
-        with pytest.raises(ValueError, match="s_granularity must be positive"):
-            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, s_granularity=-1.0)
 
     @pytest.mark.parametrize("name, label", [("t_final", "T"),
-                                             ("s_granularity", "s_granularity"),
                                              ("sine_amplitude", "sine_amplitude")])
     def test_infinite_values_rejected(self, name, label):
         # Rejected up front, not as a late non-finite velocity or horizon.
@@ -109,7 +111,6 @@ class TestExperimentSpec:
             ExperimentSpec(gate="swap", n_slices=50, **kwargs)
 
     @pytest.mark.parametrize("name, label", [("t_final", "T"),
-                                             ("s_granularity", "s_granularity"),
                                              ("sine_amplitude", "sine_amplitude")])
     def test_nan_values_rejected_as_not_finite(self, name, label):
         kwargs = {"t_final": 5.0, name: float("nan")}
@@ -117,7 +118,6 @@ class TestExperimentSpec:
             ExperimentSpec(gate="swap", n_slices=50, **kwargs)
 
     @pytest.mark.parametrize("name, label", [("t_final", "T"),
-                                             ("s_granularity", "s_granularity"),
                                              ("sine_amplitude", "sine_amplitude")])
     def test_boolean_values_rejected(self, name, label):
         # True would otherwise pass 0 < value < inf and be stored as 1.0.
@@ -142,10 +142,8 @@ class TestExperimentSpec:
         # and the CSV writes only float values through %.17g.
         t_final = np.float32(4.9)
         spec = ExperimentSpec(gate="cnot", t_final=t_final, n_slices=50,
-                              s_granularity=np.float32(100.0),
                               sine_amplitude=np.float32(1e-5), cfg=FlowConfig(s_max=50.0))
-        assert all(type(v) is float
-                   for v in (spec.t_final, spec.s_granularity, spec.sine_amplitude))
+        assert all(type(v) is float for v in (spec.t_final, spec.sine_amplitude))
         out = tmp_path / "out.csv"
         compare_methods([spec], out, scan_cap=50.0)
         (row,) = json.loads((tmp_path / "out.json").read_text())
@@ -231,13 +229,12 @@ class TestConfigParsing:
     def test_flow_config_keys(self, tmp_path):
         text = ("gate: cnot\nT: 5\nL: 150\ns_max: 250\nabs_tol: 1e-5\n"
                 "rel_tol: 2e-5\nj_stop: 1e-8\nh_init: 0.5\nh_min: 1e-10\n"
-                "max_rhs_evals: 500\ns_granularity: 50\n"
+                "max_rhs_evals: 500\n"
                 "initial_controls: sine_seed\nsine_amplitude: 1e-4\n")
         (spec,) = load_experiment(write_cfg(tmp_path, text))
         assert spec.cfg == FlowConfig(s_max=250.0, abs_tol=1e-5, rel_tol=2e-5,
                                       j_stop=1e-8, h_init=0.5, h_min=1e-10,
                                       max_rhs_evals=500)
-        assert spec.s_granularity == 50.0
         assert spec.initial_controls == "sine_seed"
         assert spec.sine_amplitude == 1e-4
 
@@ -268,8 +265,8 @@ class TestConfigParsing:
 
     def test_non_finite_values_name_the_line(self, tmp_path):
         # Every float key; the offending key sits on line 4.
-        for key in ("T", "s_granularity", "sine_amplitude", "s_max", "abs_tol",
-                    "rel_tol", "j_stop", "h_init", "h_min"):
+        for key in ("T", "sine_amplitude", "s_max", "abs_tol", "rel_tol", "j_stop",
+                    "h_init", "h_min"):
             for value in ("inf", "-inf", "nan"):
                 lines = [("gate", "cnot"), ("L", "150"), ("order", "1"), (key, value)]
                 if key != "T":
@@ -324,6 +321,21 @@ class TestConfigParsing:
             with pytest.raises(ValueError, match=re.escape(
                     f"{where[key]}: {key} must be {expected}, got '{bad}'")):
                 load_experiment(path)
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"],
+                             ids=["vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"])
+    def test_lines_end_only_at_universal_newlines(self, tmp_path, char):
+        # str.splitlines() breaks at these and an editor does not: at the end of a
+        # value or inside a comment they neither end the block nor shift line numbers.
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"gate: cnot\nT: 5{char}\nL: 150\n", encoding="utf-8")
+        [spec] = load_experiment(path)
+        assert (spec.t_final, spec.n_slices) == (5.0, 150)
+        path.write_text(f"gate: cnot\n# a{char}b\nT: 5\nL: 150\n\ngate: cnot\nT: 5\nL: x\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="^exp.cfg line 8: L must be a number"):
+            load_experiment(path)
 
     @pytest.mark.parametrize("content", [
         b'[{"gate":"cnot",',
@@ -423,25 +435,20 @@ class TestRunner:
         assert record.s_reported == 300.0
         assert record.final_j > 1e-7
 
-    def test_granularity_too_small_for_the_horizon(self):
-        # Against the spec's own horizon the spec itself refuses it; against
-        # the scan cap the run names its spec.
-        with pytest.raises(ValueError,
-                           match=r"^s_granularity 5e-324 is too small for horizon 50$"):
-            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=50, s_granularity=5e-324,
-                           cfg=FlowConfig(s_max=50.0))
-        spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=50, s_granularity=1e-10,
-                              cfg=FlowConfig(s_max=50.0))
-        with pytest.raises(ValueError, match=r"^cnot T=5 L=50 order=1: s_granularity 1e-10 "
-                                             r"is too small for horizon 1e\+300$"):
-            execute_experiment(spec, scan_cap=1e300)
+    def test_scan_cap_far_below_the_horizon_keeps_it(self):
+        # cap - s_max overflows to -inf here; the horizon stays s_max.
+        spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=50,
+                              cfg=FlowConfig(s_max=1e308, max_rhs_evals=1))
+        record, result = execute_experiment(spec, scan_cap=-1.7e308)
+        assert (record.stop_reason, record.s_reported, result.rhs_evals) == ("eval_budget", 0, 1)
 
     def test_reported_horizon_is_granularity_multiple(self):
         spec = fast_spec(s_max=50.0)
         record = execute_experiment(spec, scan_cap=50.0)[0]
         assert record.stop_reason == "horizon"
         assert record.s_reported == 100.0
-        assert record.s_reported % spec.s_granularity == 0
+        assert S_GRANULARITY == 100.0
+        assert record.s_reported % S_GRANULARITY == 0
 
 
 class TestComparisonTable:
@@ -533,9 +540,22 @@ class TestComparisonTable:
     def test_parallel_pool_is_clamped(self, tmp_path, monkeypatch, recording_pool):
         specs = [fast_spec(order=0), fast_spec(order=1)]
         out = tmp_path / "out.csv"
-        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 1)
+        set_usable_cpus(monkeypatch, 1)
         compare_methods(specs, out, parallel=2, scan_cap=50.0)
         compare_methods(specs[:1], out, parallel=2, scan_cap=50.0)
+        assert recording_pool == []
+        set_usable_cpus(monkeypatch, 2)
+        compare_methods(specs, out, parallel=2, scan_cap=50.0)
+        assert recording_pool == [2]
+
+    def test_parallel_pool_without_affinity_is_clamped_by_cpu_count(self, tmp_path, monkeypatch,
+                                                                    recording_pool):
+        # As where the OS has no affinity call (macOS, Windows).
+        monkeypatch.delattr("gateflow.experiments.os.sched_getaffinity", raising=False)
+        specs = [fast_spec(order=0), fast_spec(order=1)]
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 1)
+        compare_methods(specs, out, parallel=2, scan_cap=50.0)
         assert recording_pool == []
         monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
         compare_methods(specs, out, parallel=2, scan_cap=50.0)
@@ -553,7 +573,7 @@ class TestComparisonTable:
                 raise ValueError("first spec failed")
             return None, None
 
-        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr("gateflow.experiments.execute_experiment", run)
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="^first spec failed$"):
@@ -563,7 +583,7 @@ class TestComparisonTable:
 
     def test_parallel_runs_every_spec_once_in_spec_order(self, tmp_path, monkeypatch,
                                                          recording_pool):
-        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         specs = [fast_spec(order=0, n_slices=n) for n in (46, 47, 48, 49, 50)]
         out = tmp_path / "out.csv"
         records = compare_methods(specs, out, parallel=2, scan_cap=50.0)
@@ -572,7 +592,7 @@ class TestComparisonTable:
         assert [row[2] for row in read_rows(out)[1:]] == ["46", "47", "48", "49", "50"]
 
     def test_scan_cap_checked_before_the_pool(self, tmp_path, monkeypatch, recording_pool):
-        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="scan cap must be finite"):
             compare_methods([fast_spec(order=0), fast_spec(order=1)], out, parallel=2,
@@ -586,7 +606,7 @@ class TestComparisonTable:
     def test_json_mirror_must_not_be_the_csv(self, tmp_path, monkeypatch, recording_pool,
                                               out_name, json_name):
         # Checked before any run or pool starts, like the horizon.
-        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         (tmp_path / "sub").mkdir()
         out = tmp_path / out_name
         mirror = None if json_name is None else tmp_path / json_name
@@ -607,7 +627,7 @@ class TestComparisonTable:
     def test_output_directories_must_exist(self, tmp_path, monkeypatch, recording_pool,
                                            out_name, json_name, bad_name):
         # Checked before any run or pool starts, like the horizon.
-        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         (tmp_path / "afile").write_text("")
         out = tmp_path / out_name
         mirror = None if json_name is None else tmp_path / json_name
@@ -628,7 +648,7 @@ class TestComparisonTable:
                                                   recording_pool, out_name, json_name,
                                                   bad_name):
         # Checked before any run or pool starts, like the horizon.
-        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         (tmp_path / "adir").mkdir()
         out = tmp_path / out_name
         mirror = tmp_path / json_name
@@ -651,7 +671,7 @@ class TestComparisonTable:
         # Checked before any run or pool starts: an existing file for its own
         # permission, a new one for its directory's. Mode bits do not bind
         # root, so the permission answer is stubbed rather than set by chmod.
-        monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         for name in existing:
             (tmp_path / name).write_text("old")
         real_access = os.access

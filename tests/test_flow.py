@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gateflow
-from gateflow import (DEFAULT_GRANULARITY, EXACT, ControlGrid, ExperimentSpec, FlowConfig,
+from gateflow import (EXACT, S_GRANULARITY, ControlGrid, ExperimentSpec, FlowConfig,
                       GateTarget, QuantumSystem, RhsEvaluation, build_initial_grid,
                       build_two_spin_benchmark, dormand_prince_step, gate_target,
                       integrate_flow)
@@ -394,7 +394,7 @@ def test_spin_exchange_of_a_whole_run(bench_runs, case):
     run = integrate_flow(build_two_spin_benchmark(omega1=30.0, omega2=20.0),
                          ControlGrid(t_final, np.zeros((2, n_slices))), target, order,
                          FlowConfig(s_max=s_max))
-    s_reported = math.ceil(run.s_stop / DEFAULT_GRANULARITY) * DEFAULT_GRANULARITY
+    s_reported = math.ceil(run.s_stop / S_GRANULARITY) * S_GRANULARITY
     assert (run.stop_reason, run.rhs_evals, run.accepted_steps, s_reported) == \
         (ref.stop_reason, ref.rhs_evals, ref.accepted_steps, record.s_reported)
     assert np.abs(run.final_grid.amplitudes[::-1] - ref.final_grid.amplitudes).max() <= 1e-9
