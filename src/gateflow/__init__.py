@@ -8,9 +8,9 @@ from .experiments import (CSV_COLUMNS, DEFAULT_SCAN_CAP, MAX_SLICES, S_GRANULARI
 from .flow import FlowConfig, FlowResult, dormand_prince_step, integrate_flow
 from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, descent_rate, flow_evaluation,
                        normalize_order)
-from .linalg import HERMITIAN_RTOL, require_hermitian
+from .linalg import require_hermitian
 from .system import (UNITARY_TOL, ControlGrid, GateTarget, QuantumSystem, propagate,
                      unitarity_defect)
-from .twospin import GATE_TARGETS, I2, SX, SY, SZ, build_two_spin_benchmark, gate_target
+from .twospin import GATE_TARGETS, build_two_spin_benchmark, gate_target
 
 __version__ = "0.1.0"

@@ -39,8 +39,7 @@ class FlowConfig:
     """Integration limits and tolerances for one flow run."""
 
     s_max: float
-    abs_tol: float = 1e-4
-    rel_tol: float = 1e-4
+    tol: float = 1e-4
     j_stop: float = 1e-7
     h_init: float = 1.0
     h_min: float = 1e-12
@@ -49,7 +48,7 @@ class FlowConfig:
     track_descent: bool = False
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "j_stop"):
+        for name in ("tol", "j_stop"):
             require_positive_finite(getattr(self, name), name)
         for name in ("h_init", "h_min"):
             require_not_bool(getattr(self, name), name)
@@ -155,7 +154,8 @@ def integrate_flow(sys, grid0, target, order, cfg):
         else:
             h = min(h, cfg.s_max - s)
             y_new, err, k_last = dormand_prince_step(f, y, h, k1)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            # Not tol * (1 + ...), which rounds differently and so changes runs' bytes.
+            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y_new))
             err_norm = float(np.abs(err / scale).max())
             accepted = err_norm <= 1.0
             rows.append((s + h, h, err_norm, accepted, ev.objective, evals,

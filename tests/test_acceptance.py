@@ -145,10 +145,10 @@ def test_criterion_7_descent_band(bench_runs):
     # the trajectory and J genuinely climbs, while order='exact' does not.
     # So every accepted step i must satisfy
     #   J(s_{i+1}) - J(s_i) <= h_i * max(dJ/ds(s_i), dJ/ds(s_{i+1}), 0)
-    #                          + 10 * abs_tol,
+    #                          + 10 * tol,
     # with dJ/ds the followed direction's estimated slope from descent
     # tracking. Where the direction descends at both ends this is the
-    # plain band of 10 * abs_tol; where it ascends, J may climb only as
+    # plain band of 10 * tol; where it ascends, J may climb only as
     # fast as its own slope allows. A step that overshoots because the
     # error control let it through breaks the rule either way.
     names = ["cnot_t5_m0", "cnot_t5_m1", "swap_t5_m0", "swap_t5_m1",

@@ -130,6 +130,18 @@ def test_granularity_key_exits_one(tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("prefix", ["abs", "rel"])
+def test_split_tolerance_key_exits_one(tmp_path, capsys, prefix):
+    # The step error has one tolerance, tol, not an absolute and a relative key.
+    cfg = write_cfg(tmp_path, TINY + f"{prefix}_tol: 1e-4\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: exp.cfg line 6: unknown key '{prefix}_tol'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_parallel_is_bounded_by_usable_cpus(tmp_path, capsys, monkeypatch):
     # As under `taskset -c 0` on two CPUs: cpu_count reads 2, one CPU is usable.
     monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)

@@ -45,17 +45,16 @@ def run_decay(monkeypatch):
 class TestConfigValidation:
     def test_accepts_defaults(self):
         cfg = FlowConfig(s_max=100.0)
-        assert cfg.abs_tol == 1e-4
-        assert cfg.rel_tol == 1e-4
+        assert cfg.tol == 1e-4
         assert cfg.j_stop == 1e-7
         assert cfg.h_init == 1.0
         assert cfg.h_min == 1e-12
 
     def test_rejects_bad_tolerances(self):
-        with pytest.raises(ValueError, match="abs_tol"):
-            FlowConfig(s_max=10.0, abs_tol=0.0)
-        with pytest.raises(ValueError, match="rel_tol"):
-            FlowConfig(s_max=10.0, rel_tol=-1e-4)
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            FlowConfig(s_max=10.0, tol=0.0)
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            FlowConfig(s_max=10.0, tol=-1e-4)
         with pytest.raises(ValueError, match="j_stop"):
             FlowConfig(s_max=10.0, j_stop=0.0)
 
@@ -85,12 +84,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^s_max must be finite$"):
             FlowConfig(s_max=float("inf"))
 
-    @pytest.mark.parametrize("name", ["s_max", "abs_tol", "rel_tol", "j_stop"])
+    @pytest.mark.parametrize("name", ["s_max", "tol", "j_stop"])
     def test_rejects_nan_as_not_finite(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             FlowConfig(**{"s_max": 10.0, name: float("nan")})
 
-    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol", "j_stop"])
+    @pytest.mark.parametrize("name", ["tol", "j_stop"])
     def test_rejects_infinite_tolerance(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             FlowConfig(s_max=10.0, **{name: float("inf")})
@@ -98,8 +97,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy_bool"])
     def test_rejects_boolean_tolerance(self, value):
         # True would otherwise pass 0 < value < inf and be kept as 1.
-        with pytest.raises(ValueError, match="^abs_tol must be a number, not a bool$"):
-            FlowConfig(s_max=10.0, abs_tol=value)
+        with pytest.raises(ValueError, match="^tol must be a number, not a bool$"):
+            FlowConfig(s_max=10.0, tol=value)
 
     @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy_bool"])
     def test_rejects_boolean_step_bounds(self, value):
@@ -120,10 +119,10 @@ class TestConfigValidation:
         # and checks a new one.
         cfg = FlowConfig(s_max=10.0)
         with pytest.raises(FrozenInstanceError):
-            cfg.abs_tol = -1.0
+            cfg.tol = -1.0
         with pytest.raises(FrozenInstanceError):
             cfg.s_max = float("nan")
-        assert (cfg.abs_tol, cfg.s_max) == (1e-4, 10.0)
+        assert (cfg.tol, cfg.s_max) == (1e-4, 10.0)
 
 
 class TestStepper:
@@ -156,8 +155,7 @@ class TestStepper:
 
 class TestAdaptiveScalar:
     def test_matches_exponential_decay(self, run_decay):
-        cfg = FlowConfig(s_max=5.0, abs_tol=1e-8, rel_tol=1e-8, j_stop=1e-30,
-                         h_init=0.5)
+        cfg = FlowConfig(s_max=5.0, tol=1e-8, j_stop=1e-30, h_init=0.5)
         result = run_decay(1.0, cfg)
         assert result.stop_reason == "horizon"
         assert result.s_stop == 5.0
@@ -203,8 +201,8 @@ class TestAdaptiveScalar:
         # The budget is tested before every step, the first included, and a
         # step makes 6 evaluations: a run ends at most 5 past its budget.
         for budget in (1, 2, 7, 20):
-            cfg = FlowConfig(s_max=1e6, abs_tol=1e-10, rel_tol=1e-10, j_stop=1e-30,
-                             h_init=0.5, max_rhs_evals=budget)
+            cfg = FlowConfig(s_max=1e6, tol=1e-10, j_stop=1e-30, h_init=0.5,
+                             max_rhs_evals=budget)
             result = run_decay(1.0, cfg)
             assert result.stop_reason == "eval_budget"
             assert budget <= result.rhs_evals <= budget + 5, budget
@@ -290,8 +288,7 @@ class TestFlowRuns:
         # Demanding an impossible tolerance with the step floor right under
         # the initial step leaves the controller nowhere to go.
         sys, grid, target = short_cnot
-        cfg = FlowConfig(s_max=5.0, abs_tol=1e-14, rel_tol=1e-14, j_stop=1e-30,
-                         h_init=0.5, h_min=0.4)
+        cfg = FlowConfig(s_max=5.0, tol=1e-14, j_stop=1e-30, h_init=0.5, h_min=0.4)
         result = integrate_flow(sys, grid, target, 1, cfg)
         assert result.stop_reason == "step_underflow"
         assert result.accepted_steps == 0
@@ -433,8 +430,7 @@ class TestToleranceBehavior:
         # of demanding strict improvement.
         grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((2, 150)))
         base = integrate_flow(benchmark_system, grid, cnot, 1, self.base_cfg())
-        half = integrate_flow(benchmark_system, grid, cnot, 1,
-                              self.base_cfg(abs_tol=5e-5, rel_tol=5e-5))
+        half = integrate_flow(benchmark_system, grid, cnot, 1, self.base_cfg(tol=5e-5))
         assert base.stop_reason == "horizon"
         assert half.stop_reason == "horizon"
         assert accepted(half)["J"][-1] <= accepted(base)["J"][-1] * 1.001
@@ -442,7 +438,7 @@ class TestToleranceBehavior:
     def test_halving_tolerances_still_converges(self, benchmark_system, cnot):
         grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((2, 150)))
         cfg = FlowConfig(s_max=5000.0)
-        cfg_half = FlowConfig(s_max=5000.0, abs_tol=5e-5, rel_tol=5e-5)
+        cfg_half = FlowConfig(s_max=5000.0, tol=5e-5)
         base = integrate_flow(benchmark_system, grid, cnot, 1, cfg)
         half = integrate_flow(benchmark_system, grid, cnot, 1, cfg_half)
         assert base.stop_reason == "j_reached"
