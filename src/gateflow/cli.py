@@ -2,8 +2,9 @@
 write the comparison table.
 
 Exit codes: 0 when every run reached the objective target, 2 when some
-run stopped on its horizon or budget instead, 1 on configuration, usage
-or I/O errors, 130 when interrupted (Ctrl-C), with no table written.
+run stopped on its horizon, budget or a step underflow instead, 1 on
+configuration, usage or I/O errors, 130 when interrupted (Ctrl-C), with
+no table written.
 """
 
 import argparse

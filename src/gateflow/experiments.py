@@ -262,8 +262,7 @@ _KEYS = {
     "gate": ("gate", str), "initial_controls": ("initial_controls", str),
     "T": ("t_final", float), "L": ("n_slices", _count), "order": ("order", _order),
     "max_rhs_evals": ("max_rhs_evals", _count),
-    **{key: (key, float) for key in ("sine_amplitude", "s_max", "tol", "j_stop", "h_init",
-                                     "h_min")},
+    **{key: (key, float) for key in ("sine_amplitude", "s_max", "tol", "j_stop", "h_init")},
 }
 _FLOW_FIELDS = {f.name for f in fields(FlowConfig)}
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient import descent_rate, flow_evaluation
-from .system import ControlGrid, is_integer, require_not_bool, require_positive_finite
+from .system import ControlGrid, is_integer, require_positive_finite
 
 # Dormand-Prince 5(4) tableau: stage matrix A and embedded error weights
 # E = B - B_hat. The last row of A doubles as the fifth-order propagation
@@ -27,6 +27,9 @@ DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 
 SAFETY = 0.9
 MIN_SHRINK = 0.2
 MAX_GROW = 5.0
+# Step floor in units of s: a run stops on its horizon within H_MIN of s_max,
+# and on a step underflow once the controller asks for a step below it.
+H_MIN = 1e-12
 
 STOP_J_REACHED = "j_reached"
 STOP_HORIZON = "horizon"
@@ -42,20 +45,16 @@ class FlowConfig:
     tol: float = 1e-4
     j_stop: float = 1e-7
     h_init: float = 1.0
-    h_min: float = 1e-12
     max_rhs_evals: int = 1_000_000
     check_unitarity: bool = False
     track_descent: bool = False
 
     def __post_init__(self):
-        for name in ("tol", "j_stop"):
+        for name in ("s_max", "tol", "j_stop", "h_init"):
             require_positive_finite(getattr(self, name), name)
-        for name in ("h_init", "h_min"):
-            require_not_bool(getattr(self, name), name)
-        require_positive_finite(self.s_max, "s_max")
-        if not 0 < self.h_min < self.h_init < self.s_max:
-            raise ValueError(f"step bounds must satisfy 0 < h_min < h_init < s_max, got "
-                             f"h_min={self.h_min:g}, h_init={self.h_init:g}, s_max={self.s_max:g}")
+        # An h_init at or past s_max is fine: the first step is clipped to the horizon.
+        if self.h_init <= H_MIN:
+            raise ValueError(f"h_init must be larger than {H_MIN:g}, got {self.h_init:g}")
         if not (is_integer(self.max_rhs_evals) and self.max_rhs_evals >= 1):
             raise ValueError("max_rhs_evals must be a positive integer")
 
@@ -145,11 +144,11 @@ def integrate_flow(sys, grid0, target, order, cfg):
         # point's J: a rejected attempt cannot stop the run.
         if j <= cfg.j_stop:
             reason = STOP_J_REACHED
-        elif cfg.s_max - s <= cfg.h_min:
+        elif cfg.s_max - s <= H_MIN:
             reason = STOP_HORIZON
         elif evals >= cfg.max_rhs_evals:
             reason = STOP_BUDGET
-        elif h < cfg.h_min:
+        elif h < H_MIN:
             reason = STOP_UNDERFLOW
         else:
             h = min(h, cfg.s_max - s)

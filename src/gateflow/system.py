@@ -27,15 +27,10 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def require_not_bool(value, name):
-    """Raise ValueError for a Python or numpy bool, which compares as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, not a bool")
-
-
 def require_positive_finite(value, name):
     """Raise ValueError unless value is a number, not a bool, with 0 < value < inf."""
-    require_not_bool(value, name)
+    if isinstance(value, (bool, np.bool_)):  # a bool compares as 0 or 1
+        raise ValueError(f"{name} must be a number, not a bool")
     if not 0 < value < np.inf:
         # NaN fails every comparison, so it is reported as not finite.
         raise ValueError(f"{name} must be {'positive' if value <= 0 else 'finite'}")

@@ -86,8 +86,7 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("s_max, message", [
     ("-5", "s_max must be positive"),
-    ("0.5", "step bounds must satisfy 0 < h_min < h_init < s_max, "
-            "got h_min=1e-12, h_init=1, s_max=0.5")], ids=["negative", "below_h_init"])
+    ("0", "s_max must be positive")], ids=["negative", "zero"])
 def test_bad_horizon_names_the_failing_bound(tmp_path, capsys, s_max, message):
     cfg = write_cfg(tmp_path, f"s_max: {s_max}\ngate: cnot\nT: 5\nL: 50\n")
     code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
@@ -95,6 +94,27 @@ def test_bad_horizon_names_the_failing_bound(tmp_path, capsys, s_max, message):
     assert code == 1
     assert captured.err == f"error: exp.cfg line 1: {message}\n"
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_horizon_below_h_init_passes_validation(tmp_path, capsys):
+    # The first step, h_init = 1 by default, is clipped to the horizon 0.5.
+    cfg = write_cfg(tmp_path, "s_max: 0.5\ngate: cnot\nT: 5\nL: 50\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"), "--scan-cap", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert "(horizon)" in captured.out
+
+
+def test_step_underflow_exits_two(tmp_path, capsys):
+    # An unreachable tolerance shrinks every step until it falls below the floor.
+    cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 20\norder: 1\ntol: 1e-300\n")
+    out = tmp_path / "results.csv"
+    code = main(["run", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "(step_underflow)" in captured.out
+    assert read_rows(out)[1][8] == "step_underflow"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -126,6 +146,17 @@ def test_granularity_key_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "error: exp.cfg line 12: unknown key 's_granularity'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_step_floor_key_exits_one(tmp_path, capsys):
+    # The step floor is the constant flow.H_MIN, not a config key.
+    cfg = write_cfg(tmp_path, TINY + "h_min: 1e-12\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: exp.cfg line 6: unknown key 'h_min'\n"
     assert captured.out == ""
     assert not (tmp_path / "results.csv").exists()
 

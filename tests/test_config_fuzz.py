@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gateflow import ExperimentSpec, load_experiment
 
 KEYS = ("gate", "T", "L", "order", "initial_controls", "sine_amplitude", "s_max", "tol",
-        "j_stop", "h_init", "h_min", "max_rhs_evals")
+        "j_stop", "h_init", "max_rhs_evals")
 # Besides '\n' and '\r' it holds \x0c, \x85 and \u2028, at which str.splitlines()
 # breaks a line and an editor does not.
 ALPHABET = "cnotswapexT L:#.-+e0123456789_[{}]\"',\n\t\r\x00\x0c\x85\u2028é"

@@ -228,11 +228,11 @@ class TestConfigParsing:
 
     def test_flow_config_keys(self, tmp_path):
         text = ("gate: cnot\nT: 5\nL: 150\ns_max: 250\ntol: 1e-5\n"
-                "j_stop: 1e-8\nh_init: 0.5\nh_min: 1e-10\nmax_rhs_evals: 500\n"
+                "j_stop: 1e-8\nh_init: 0.5\nmax_rhs_evals: 500\n"
                 "initial_controls: sine_seed\nsine_amplitude: 1e-4\n")
         (spec,) = load_experiment(write_cfg(tmp_path, text))
         assert spec.cfg == FlowConfig(s_max=250.0, tol=1e-5, j_stop=1e-8, h_init=0.5,
-                                      h_min=1e-10, max_rhs_evals=500)
+                                      max_rhs_evals=500)
         assert spec.initial_controls == "sine_seed"
         assert spec.sine_amplitude == 1e-4
 
@@ -263,7 +263,7 @@ class TestConfigParsing:
 
     def test_non_finite_values_name_the_line(self, tmp_path):
         # Every float key; the offending key sits on line 4.
-        for key in ("T", "sine_amplitude", "s_max", "tol", "j_stop", "h_init", "h_min"):
+        for key in ("T", "sine_amplitude", "s_max", "tol", "j_stop", "h_init"):
             for value in ("inf", "-inf", "nan"):
                 lines = [("gate", "cnot"), ("L", "150"), ("order", "1"), (key, value)]
                 if key != "T":

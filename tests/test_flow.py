@@ -6,7 +6,7 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from gateflow import (EXACT, S_GRANULARITY, ControlGrid, ExperimentSpec, FlowCon
                       GateTarget, QuantumSystem, RhsEvaluation, build_initial_grid,
                       build_two_spin_benchmark, dormand_prince_step, gate_target,
                       integrate_flow)
+from gateflow.flow import H_MIN, MIN_SHRINK
 
 from conftest import BENCH_CASES
 from helpers import accepted
@@ -48,7 +49,7 @@ class TestConfigValidation:
         assert cfg.tol == 1e-4
         assert cfg.j_stop == 1e-7
         assert cfg.h_init == 1.0
-        assert cfg.h_min == 1e-12
+        assert len(fields(FlowConfig)) == 7  # the step floor is the constant H_MIN
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError, match="^tol must be positive$"):
@@ -59,21 +60,24 @@ class TestConfigValidation:
             FlowConfig(s_max=10.0, j_stop=0.0)
 
     def test_rejects_bad_step_bounds(self):
-        with pytest.raises(ValueError, match="step bounds"):
-            FlowConfig(s_max=10.0, h_min=2.0, h_init=1.0)
-        with pytest.raises(ValueError, match="step bounds"):
-            FlowConfig(s_max=10.0, h_init=20.0)
-        with pytest.raises(ValueError, match="step bounds"):
-            FlowConfig(s_max=10.0, h_min=0.0)
+        # h_init is checked like tol and must clear the step floor; an h_init
+        # past the horizon is kept, since the first step is clipped to it.
+        with pytest.raises(ValueError, match="^h_init must be positive$"):
+            FlowConfig(s_max=10.0, h_init=0.0)
+        with pytest.raises(ValueError, match="^h_init must be finite$"):
+            FlowConfig(s_max=10.0, h_init=float("inf"))
+        with pytest.raises(ValueError, match="^h_init must be larger than 1e-12, got 1e-12$"):
+            FlowConfig(s_max=10.0, h_init=H_MIN)
+        assert FlowConfig(s_max=10.0, h_init=20.0).h_init == 20.0
+        assert FlowConfig(s_max=10.0, h_init=2 * H_MIN).h_init == 2 * H_MIN
 
     def test_step_bound_errors_name_the_failing_bound(self):
-        # s_max is checked on its own first; a horizon below the default
-        # h_init then fails on the step bounds, which the message spells out.
+        # s_max is checked on its own; a horizon below the default h_init is valid.
         with pytest.raises(ValueError, match="^s_max must be positive$"):
             FlowConfig(s_max=-5.0)
-        with pytest.raises(ValueError, match=r"^step bounds must satisfy 0 < h_min < h_init < "
-                                             r"s_max, got h_min=1e-12, h_init=1, s_max=0\.5$"):
-            FlowConfig(s_max=0.5)
+        with pytest.raises(ValueError, match="^h_init must be larger than 1e-12, got 1e-13$"):
+            FlowConfig(s_max=0.5, h_init=1e-13)
+        assert FlowConfig(s_max=0.5).s_max == 0.5
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError, match="max_rhs_evals"):
@@ -102,11 +106,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy_bool"])
     def test_rejects_boolean_step_bounds(self, value):
-        # True would otherwise pass 0 < h_min < h_init < s_max and be kept.
+        # True would otherwise pass H_MIN < h_init < inf and be kept as 1.
         with pytest.raises(ValueError, match="^h_init must be a number, not a bool$"):
             FlowConfig(s_max=10.0, h_init=value)
-        with pytest.raises(ValueError, match="^h_min must be a number, not a bool$"):
-            FlowConfig(s_max=10.0, h_min=value, h_init=2.0)
 
     @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
     def test_budget_must_be_an_integer(self, budget):
@@ -285,13 +287,22 @@ class TestFlowRuns:
         assert a.s_stop == b.s_stop
 
     def test_step_underflow(self, short_cnot):
-        # Demanding an impossible tolerance with the step floor right under
-        # the initial step leaves the controller nowhere to go.
+        # An unreachable tolerance rejects every step, so the controller
+        # shrinks h by MIN_SHRINK per attempt until it falls below H_MIN.
         sys, grid, target = short_cnot
-        cfg = FlowConfig(s_max=5.0, tol=1e-14, j_stop=1e-30, h_init=0.5, h_min=0.4)
+        cfg = FlowConfig(s_max=5.0, tol=1e-300, j_stop=1e-30, h_init=0.5)
         result = integrate_flow(sys, grid, target, 1, cfg)
         assert result.stop_reason == "step_underflow"
         assert result.accepted_steps == 0
+        assert result.steps["h"][-1] * MIN_SHRINK < H_MIN <= result.steps["h"][-1]
+
+    def test_horizon_shorter_than_the_first_step(self, short_cnot):
+        # The default h_init of 1 is clipped to the horizon 0.5.
+        sys, grid, target = short_cnot
+        result = integrate_flow(sys, grid, target, 1, FlowConfig(s_max=0.5))
+        assert result.stop_reason == "horizon"
+        assert result.s_stop == 0.5
+        assert result.steps["h"][1] == 0.5
 
     def test_eval_budget(self, short_cnot):
         sys, grid, target = short_cnot
@@ -357,13 +368,14 @@ def cnot_t5_run():
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
 def test_time_energy_scaling_of_a_whole_run(cnot_t5_run, c):
-    # Energies times c with T, s_max, h_init and h_min over c: every dt * H_l
+    # Energies times c with T, s_max and h_init over c: every dt * H_l
     # is unchanged, velocities grow by c and flow time shrinks by c, so each
     # Dormand-Prince increment h * v, the error norm and the step controller
     # are unchanged. A power of two scales without rounding: bit for bit.
+    # The step floor H_MIN is not scaled, but no step of this run comes near it.
     base = build_two_spin_benchmark()
     sys = QuantumSystem(h0=c * base.h0, controls=c * base.controls)
-    cfg = FlowConfig(s_max=5000.0 / c, h_init=1.0 / c, h_min=1e-12 / c)
+    cfg = FlowConfig(s_max=5000.0 / c, h_init=1.0 / c)
     run = integrate_flow(sys, ControlGrid(5.0 / c, np.zeros((2, 150))), gate_target("cnot"),
                          1, cfg)
     ref = cnot_t5_run
