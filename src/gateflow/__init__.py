@@ -2,9 +2,9 @@
 corrected descent directions and a benchmark harness comparing correction
 orders."""
 
-from .experiments import (CSV_COLUMNS, DEFAULT_SCAN_CAP, MAX_SLICES, S_GRANULARITY,
-                          ExperimentSpec, RunRecord, build_initial_grid, compare_methods,
-                          execute_experiment, load_experiment, write_comparison)
+from .experiments import (CSV_COLUMNS, MAX_SLICES, S_GRANULARITY, ExperimentSpec, RunRecord,
+                          build_initial_grid, compare_methods, execute_experiment,
+                          load_experiment, write_comparison)
 from .flow import FlowConfig, FlowResult, dormand_prince_step, integrate_flow
 from .gradient import (EXACT, MAX_SERIES_ORDER, RhsEvaluation, descent_rate, flow_evaluation,
                        normalize_order)

@@ -11,8 +11,7 @@ import argparse
 import os
 import sys
 
-from .experiments import (DEFAULT_SCAN_CAP, compare_methods, load_experiment, output_paths,
-                          run_label)
+from .experiments import compare_methods, load_experiment, output_paths, run_label
 from .flow import STOP_J_REACHED
 
 
@@ -30,8 +29,8 @@ def build_parser():
                      help="JSON mirror path (default: CSV path with .json suffix)")
     run.add_argument("--parallel", type=int, default=1, metavar="N",
                      help="run up to N experiments in parallel processes")
-    run.add_argument("--scan-cap", type=float, default=DEFAULT_SCAN_CAP, metavar="S",
-                     help=f"largest horizon the scan may reach (default: {DEFAULT_SCAN_CAP:g})")
+    run.add_argument("--scan-cap", type=float, default=0.0, metavar="S",
+                     help="lift every horizon below S to S (default: 0, none lifted)")
     return parser
 
 

@@ -1,6 +1,7 @@
 """Benchmark experiment descriptions, the runner, and the comparison
 table writer behind the command-line interface."""
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -20,7 +21,7 @@ from .gradient import EXACT, normalize_order
 from .system import ControlGrid, is_integer, require_positive_finite
 from .twospin import build_two_spin_benchmark, gate_target
 
-DEFAULT_SCAN_CAP = 5000.0
+DEFAULT_S_MAX = 5000.0
 # S_reported is the stopping flow time rounded up to a multiple of this.
 S_GRANULARITY = 100.0
 # Largest slice count a spec may ask for, about 33x the largest in any
@@ -37,7 +38,7 @@ SEED_MODES = ("zero", "sine_seed")
 
 
 def _default_cfg():
-    return FlowConfig(s_max=DEFAULT_SCAN_CAP)
+    return FlowConfig(s_max=DEFAULT_S_MAX)
 
 
 @dataclass(frozen=True)
@@ -111,28 +112,20 @@ def build_initial_grid(spec):
     return ControlGrid(t_final=spec.t_final, amplitudes=amps)
 
 
-def _effective_horizon(spec, scan_cap):
-    """s_max pushed out by whole S_GRANULARITY steps while within scan_cap."""
-    cap = float(scan_cap)
-    if not math.isfinite(cap):
+def _finite_cap(scan_cap):
+    if not math.isfinite(cap := float(scan_cap)):
         raise ValueError(f"scan cap must be finite, got {cap}")
-    s_max = spec.cfg.s_max
-    return s_max + math.floor(max(0.0, cap - s_max) / S_GRANULARITY) * S_GRANULARITY
+    return cap
 
 
-def execute_experiment(spec, scan_cap=DEFAULT_SCAN_CAP):
+def execute_experiment(spec, scan_cap=0.0):
     """Run one spec and return (RunRecord, FlowResult).
 
-    The horizon scan quotes the smallest horizon multiple that converges:
-    s_max is pushed out by whole S_GRANULARITY steps while it stays within
-    scan_cap, and the flow is integrated once to that effective horizon.
-    The adaptive integrator uses the horizon only to clip the step that
-    would cross it, so any shorter multiple would follow the same
-    trajectory up to its own end. S_reported is s_stop rounded up to a
-    multiple of S_GRANULARITY. A ValueError from the run comes back with
-    the spec's label in front.
+    The flow runs once to the horizon max(s_max, scan_cap), where scan_cap
+    must be finite. S_reported is s_stop rounded up to a multiple of
+    S_GRANULARITY. A ValueError from the run comes back naming the spec.
     """
-    cfg = replace(spec.cfg, s_max=_effective_horizon(spec, scan_cap))
+    cfg = replace(spec.cfg, s_max=max(spec.cfg.s_max, _finite_cap(scan_cap)))
     started = time.perf_counter()
     try:
         result = integrate_flow(build_two_spin_benchmark(), build_initial_grid(spec),
@@ -168,41 +161,49 @@ def output_paths(out_path, json_path):
     return out_path, json_path
 
 
+@contextlib.contextmanager
+def _writing(path, **open_kwargs):
+    try:
+        with open(path, "w", **open_kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def write_comparison(records, out_path, json_path=None):
     """Write records as CSV plus a JSON mirror (out path with .json suffix
     unless given explicitly; a mirror path naming the CSV file is an error).
 
     Both carry the same rows; the CSV writes floats as %.17g, which
-    round-trips them exactly.
+    round-trips them exactly. An OSError writing either file names its path.
     """
     rows = [dict(zip(CSV_COLUMNS, astuple(r))) for r in records]
     out_path, json_path = output_paths(out_path, json_path)
-    with open(out_path, "w", newline="") as fh:
+    with _writing(out_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
                              for v in row.values()])
-    with open(json_path, "w") as fh:
+    with _writing(json_path) as fh:
         json.dump(rows, fh, indent=2)
         fh.write("\n")
 
 
-def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=DEFAULT_SCAN_CAP):
+def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
     """Run every spec and write the comparison table.
 
-    Every spec's horizon and the two output paths (see output_paths) are
-    checked before any run starts. Specs may run in parallel (they share
-    no state) on at most min(parallel, number of specs, usable CPUs) worker
-    processes; rows are written in spec order regardless of completion
-    order. Returns the records.
+    The scan cap (see execute_experiment) and the two output paths (see
+    output_paths) are checked before any run starts. Specs may run in
+    parallel (they share no state) on at most min(parallel, number of
+    specs, usable CPUs) worker processes; rows are written in spec order
+    regardless of completion order. Returns the records.
     """
     if not is_integer(parallel):
         raise ValueError(f"parallel must be an integer, got {parallel!r}")
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
-    for spec in specs:
-        _effective_horizon(spec, scan_cap)
+    _finite_cap(scan_cap)
     output_paths(out_path, json_path)
     run = functools.partial(execute_experiment, scan_cap=scan_cap)
     # The CPUs this process may run on: an affinity mask can allow fewer than cpu_count.

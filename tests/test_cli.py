@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files and option plumbing."""
 
 import contextlib
+import errno
 import json
 import os
 import signal
@@ -9,11 +10,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gateflow
+from conftest import BENCH_CASES
+from gateflow import ExperimentSpec, FlowConfig, FlowResult, execute_experiment, load_experiment
 from gateflow.cli import build_parser, main
+from gateflow.flow import STEP_DTYPE
 from helpers import read_rows, write_cfg
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def drop_wall_time(rows):
@@ -29,7 +36,7 @@ def test_parser_defaults():
     assert args.out == "results.csv"
     assert args.json is None
     assert args.parallel == 1
-    assert args.scan_cap == 5000.0
+    assert args.scan_cap == 0.0
 
 
 def test_convergent_run_exits_zero(tmp_path, capsys):
@@ -57,6 +64,48 @@ def test_horizon_run_exits_two(tmp_path, capsys):
     assert code == 2
     assert "(horizon)" in captured.out
     assert read_rows(out)[1][8] == "horizon"
+
+
+def test_run_stops_on_its_own_horizon(tmp_path, capsys):
+    # With no --scan-cap, s_max is the horizon: this run would reach j_stop near s = 1136.
+    cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 150\norder: 0\ns_max: 300\n")
+    out = tmp_path / "results.csv"
+    code = main(["run", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "cnot T=5 L=150 order=0: S=300 " in captured.out
+    assert "(horizon)" in captured.out
+    header, row = read_rows(out)
+    assert [row[header.index(k)] for k in ("S_reported", "rhs_evals", "stop_reason")] == [
+        "300", "229", "horizon"]
+
+
+def test_benchmark_horizons(tmp_path, monkeypatch):
+    # Pinned without integrating: table1 runs its default s_max, horizon_scan's
+    # s_max of 100 is lifted to its cap of 1200, and each acceptance case runs
+    # to its own s_max, as the benchmark's workloads call them.
+    horizons = []
+
+    def recording(system, grid, target, order, cfg):
+        horizons.append(cfg.s_max)
+        steps = np.zeros(1, STEP_DTYPE)
+        steps["accepted"] = True
+        return FlowResult(final_grid=grid, steps=steps, stop_reason="horizon", s_stop=cfg.s_max)
+
+    monkeypatch.setattr("gateflow.experiments.integrate_flow", recording)
+    for config, flags, horizon in [(ROOT / "configs" / "table1.cfg", [], 5000.0),
+                                   (ROOT / "perfbench" / "horizon_scan.cfg",
+                                    ["--scan-cap", "1200"], 1200.0)]:
+        horizons.clear()
+        assert main(["run", str(config), "--out", str(tmp_path / "r.csv"), *flags]) == 2
+        assert horizons == [horizon] * len(load_experiment(config)), config.name
+    horizons.clear()
+    for gate, t_final, n_slices, order, s_max in BENCH_CASES.values():
+        spec = ExperimentSpec(gate=gate, t_final=t_final, n_slices=n_slices, order=order,
+                              cfg=FlowConfig(s_max=s_max, check_unitarity=True,
+                                             track_descent=True))
+        execute_experiment(spec, scan_cap=s_max)
+    assert horizons == [case[-1] for case in BENCH_CASES.values()]
 
 
 def test_missing_config_exits_one(tmp_path, capsys):
@@ -456,6 +505,23 @@ def test_interrupt_of_the_parent_alone_ends_the_workers(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("table", ["csv", "mirror"])
+def test_full_device_table_exits_one_naming_it(tmp_path, capsys, table):
+    # The CSV is written first, so a full mirror leaves it written.
+    cfg = write_cfg(tmp_path, TINY)
+    out, mirror = tmp_path / "r.csv", tmp_path / "m.json"
+    flags = (["--out", "/dev/full", "--json", str(mirror)] if table == "csv"
+             else ["--out", str(out), "--json", "/dev/full"])
+    code = main(["run", str(cfg), *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: /dev/full: {os.strerror(errno.ENOSPC)}\n"
+    assert captured.out == ""
+    assert not mirror.exists()
+    assert out.exists() == (table == "mirror")
 
 
 @pytest.mark.parametrize("stream", ["closed_pipe", "full_device"])

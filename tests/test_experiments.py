@@ -1,4 +1,4 @@
-"""Experiment specs, config parsing, the scan runner and the comparison
+"""Experiment specs, config parsing, the runner and the comparison
 table writer."""
 
 import concurrent.futures
@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gateflow import (CSV_COLUMNS, DEFAULT_SCAN_CAP, MAX_SLICES, S_GRANULARITY,
-                      ExperimentSpec, FlowConfig, RunRecord, build_initial_grid,
-                      compare_methods, execute_experiment, flow_evaluation,
-                      gate_target, integrate_flow, load_experiment, write_comparison)
-from gateflow.experiments import MAX_CONFIG_BYTES
+from gateflow import (CSV_COLUMNS, MAX_SLICES, S_GRANULARITY, ExperimentSpec, FlowConfig,
+                      RunRecord, build_initial_grid, compare_methods, execute_experiment,
+                      flow_evaluation, gate_target, integrate_flow, load_experiment,
+                      write_comparison)
+from gateflow.experiments import DEFAULT_S_MAX, MAX_CONFIG_BYTES
 from helpers import read_rows, write_cfg
 
 
@@ -68,7 +68,7 @@ class TestExperimentSpec:
     def test_defaults(self):
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150)
         assert spec.order == 1
-        assert spec.cfg.s_max == DEFAULT_SCAN_CAP
+        assert spec.cfg.s_max == DEFAULT_S_MAX
         assert spec.initial_controls == "zero"
         assert spec.sine_amplitude == 1e-5
 
@@ -203,7 +203,7 @@ class TestConfigParsing:
         assert spec.t_final == 5.0
         assert spec.n_slices == 150
         assert spec.order == 1
-        assert spec.cfg.s_max == DEFAULT_SCAN_CAP
+        assert spec.cfg.s_max == DEFAULT_S_MAX
 
     def test_comments_and_blank_lines(self, tmp_path):
         text = ("# comparison pair\n\n"
@@ -404,10 +404,9 @@ class TestRunner:
         assert record.wall_time_s > 0
         assert record.gate == "cnot" and record.order == 1
 
-    def test_scan_extends_horizon_until_convergence(self, monkeypatch):
-        # The run converges near s = 354, past its horizon of 300, so the
-        # scan pushes the horizon out to the cap and integrates once; the
-        # report quotes the granularity multiple above s_stop.
+    @pytest.fixture
+    def horizons(self, monkeypatch):
+        """The horizon of every integration execute_experiment starts."""
         calls = []
 
         def counting(*args):
@@ -415,14 +414,38 @@ class TestRunner:
             return integrate_flow(*args)
 
         monkeypatch.setattr("gateflow.experiments.integrate_flow", counting)
+        return calls
+
+    def test_scan_extends_horizon_until_convergence(self, horizons):
+        # The run converges near s = 375, past its horizon of 300, so the
+        # cap lifts the horizon to 600 and the flow is integrated once; the
+        # report quotes the granularity multiple above s_stop.
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,
                               cfg=FlowConfig(s_max=300.0))
         record, result = execute_experiment(spec, scan_cap=600.0)
         assert record.stop_reason == "j_reached"
         assert record.s_reported == 400.0
         assert 300.0 < result.s_stop <= 400.0
-        assert calls == [600.0]
+        assert horizons == [600.0]
         assert record.rhs_evals == result.rhs_evals
+
+    def test_scan_cap_is_the_lifted_horizon(self, horizons):
+        # The horizon is the cap itself, not s_max plus whole steps of 100
+        # (350 here, which would stop this run short of its j_stop near 375).
+        spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,
+                              cfg=FlowConfig(s_max=150.0))
+        record, result = execute_experiment(spec, scan_cap=420.0)
+        assert horizons == [420.0]
+        assert (record.s_reported, record.stop_reason) == (400.0, "j_reached")
+        assert 350.0 < result.s_stop < 420.0
+
+    def test_run_without_a_cap_stops_on_its_own_horizon(self, horizons):
+        spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,
+                              cfg=FlowConfig(s_max=300.0))
+        record, result = execute_experiment(spec)
+        assert horizons == [300.0]
+        assert (record.s_reported, record.stop_reason) == (300.0, "horizon")
+        assert result.s_stop == 300.0
 
     def test_scan_cap_limits_extension(self):
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,
@@ -433,7 +456,7 @@ class TestRunner:
         assert record.final_j > 1e-7
 
     def test_scan_cap_far_below_the_horizon_keeps_it(self):
-        # cap - s_max overflows to -inf here; the horizon stays s_max.
+        # A cap far below s_max leaves the horizon at s_max.
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=50,
                               cfg=FlowConfig(s_max=1e308, max_rhs_evals=1))
         record, result = execute_experiment(spec, scan_cap=-1.7e308)
