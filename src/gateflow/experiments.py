@@ -4,7 +4,6 @@ table writer behind the command-line interface."""
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -191,13 +190,15 @@ def write_comparison(records, out_path, json_path=None):
 
 
 def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
-    """Run every spec and write the comparison table.
+    """Run every spec, write the comparison table and return the records.
 
     The scan cap (see execute_experiment) and the two output paths (see
     output_paths) are checked before any run starts. Specs may run in
     parallel (they share no state) on at most min(parallel, number of
-    specs, usable CPUs) worker processes; rows are written in spec order
-    regardless of completion order. Returns the records.
+    specs, usable CPUs) worker processes, which ignore SIGINT; rows keep
+    spec order. A failed spec, an interrupt or a lost worker (ValueError
+    '<spec>: worker process ended abruptly') ends the run at once: queued
+    specs are cancelled, running ones ended and no table is written.
     """
     if not is_integer(parallel):
         raise ValueError(f"parallel must be an integer, got {parallel!r}")
@@ -211,27 +212,26 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
               else os.cpu_count() or 1)
     workers = min(parallel, len(specs), usable)
     if workers > 1:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
         from multiprocessing import active_children
 
-        # Specs go only to free workers, so none starts once a failure is seen.
-        # On Ctrl-C workers end silently by SIGINT's default action; an idle one
-        # would otherwise print a KeyboardInterrupt traceback from its queue read.
-        outcomes, todo = [None] * len(specs), iter(enumerate(specs))
+        # Workers ignore SIGINT, so only this process acts on it.
         with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
-                                 initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             try:
-                running = {pool.submit(run, spec): i
-                           for i, spec in itertools.islice(todo, workers)}
-                while running:
-                    done, _ = wait(running, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        outcomes[running.pop(future)] = future.result()
-                    running.update((pool.submit(run, spec), i)
-                                   for i, spec in itertools.islice(todo, len(done)))
-            except KeyboardInterrupt:
-                # A SIGINT sent to this process alone never reaches the workers,
-                # and leaving the block waits for their running specs.
+                futures = {pool.submit(run, spec): spec for spec in specs}
+                wait(futures, return_when=FIRST_EXCEPTION)
+                for future, spec in futures.items():
+                    # Only a done future is read, so a failure never waits on a running spec.
+                    error = future.exception() if future.done() else None
+                    if isinstance(error, BrokenProcessPool):
+                        raise ValueError(f"{run_label(spec)}: worker process ended abruptly")
+                    if error is not None:
+                        raise error
+                outcomes = [future.result() for future in futures]
+            except BaseException:
+                pool.shutdown(wait=False, cancel_futures=True)
                 for worker in active_children():
                     worker.terminate()
                 raise

@@ -418,9 +418,15 @@ def test_parallel_matches_sequential(tmp_path):
 LONG = "gate: cnot\nT: 10\nL: 300\norder: 0\ns_max: 100000\nj_stop: 1e-30\n"
 SHORT = "gate: cnot\nT: 5\nL: 20\norder: 1\nmax_rhs_evals: 1\n"
 
-# The CLI with every spec reporting 'started' on stdout as it begins, in
-# whichever process runs it.
+# A spec that fails at once: its one slice step is too long for the exponential.
+FAILING = "gate: cnot\nT: 1e300\nL: 2\n"
+
+# The CLI with every spec reporting 'started <pid>' on stdout as it begins, in
+# whichever process runs it. SIGINT raises KeyboardInterrupt however the test
+# run was launched: a background job of a non-interactive shell starts with it
+# ignored, and the CLI would inherit that.
 REPORTING_CLI = """import os
+import signal
 import sys
 import gateflow.experiments
 from gateflow.cli import main
@@ -429,24 +435,33 @@ run = gateflow.experiments.execute_experiment
 
 
 def started(*args, **kwargs):
-    os.write(1, b"started\\n")  # one write, so two workers' lines cannot interleave
+    # One write, so two workers' lines cannot interleave.
+    os.write(1, f"started {os.getpid()}\\n".encode())
     return run(*args, **kwargs)
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     gateflow.experiments.execute_experiment = started
     sys.exit(main(sys.argv[1:]))
 """
 
 
-def start_in_own_session(args, stdout=subprocess.PIPE):
+def start_in_own_session(args, stdout=subprocess.PIPE, preexec_fn=None):
     """Popen of the Python interpreter with args, in a session of its own and
     with this checkout's package on the path."""
     src = str(Path(gateflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.Popen([sys.executable, *args], env=env, stdout=stdout,
-                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            preexec_fn=preexec_fn)
+
+
+def cli_after_ready(args):
+    """`python -c` code that prints 'ready', then runs the CLI on args."""
+    return ("import sys; from gateflow.cli import main; print('ready', flush=True); "
+            f"sys.exit(main({args!r}))")
 
 
 def group_ends(pgid, within_s=10.0):
@@ -465,10 +480,11 @@ def group_ends(pgid, within_s=10.0):
 def test_interrupt_exits_130_and_writes_nothing(tmp_path, flags):
     # Ctrl-C signals the whole foreground process group: the CLI runs in a
     # session of its own, and the test signals that group.
+    # SIGINT raises KeyboardInterrupt however the test run was launched.
     cfg = write_cfg(tmp_path, LONG + "\n" + SHORT)
     out = tmp_path / "results.csv"
-    code = ("import sys; from gateflow.cli import main; print('ready', flush=True); "
-            f"sys.exit(main(['run', {str(cfg)!r}, '--out', {str(out)!r}, *{flags!r}]))")
+    code = ("import signal; signal.signal(signal.SIGINT, signal.default_int_handler); "
+            + cli_after_ready(["run", str(cfg), "--out", str(out), *flags]))
     proc = start_in_own_session(["-c", code])
     try:
         assert proc.stdout.readline() == "ready\n"
@@ -494,7 +510,7 @@ def test_interrupt_of_the_parent_alone_ends_the_workers(tmp_path):
     proc = start_in_own_session([str(script), "run", str(cfg), "--parallel", "2",
                                  "--out", str(tmp_path / "results.csv")])
     try:
-        assert [proc.stdout.readline() for _ in range(2)] == ["started\n"] * 2
+        assert all(proc.stdout.readline().startswith("started ") for _ in range(2))
         os.kill(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=20)  # the specs would run for minutes
         assert proc.returncode == 130
@@ -505,6 +521,76 @@ def test_interrupt_of_the_parent_alone_ends_the_workers(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
+
+
+def test_failure_ends_a_parallel_run_at_once(tmp_path):
+    # The failing spec fails beside a running LONG one, with another LONG queued:
+    # the run ends with its error rather than wait minutes for either.
+    cfg = write_cfg(tmp_path, LONG + "\n" + FAILING + "\n" + LONG)
+    proc = start_in_own_session(["-m", "gateflow.cli", "run", str(cfg), "--parallel", "2",
+                                 "--out", str(tmp_path / "results.csv")])
+    try:
+        _, err = proc.communicate(timeout=20)
+        assert proc.returncode == 1
+        assert err.startswith(
+            "error: cnot T=1e+300 L=2 order=1: slice step too long for the exponential")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+        assert group_ends(proc.pid), "a worker outlived the run"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+
+
+def test_lost_worker_ends_the_run_with_one_error_line(tmp_path):
+    # As when the OOM killer takes a worker: the run ends naming a spec, not in a traceback.
+    cfg = write_cfg(tmp_path, LONG + "\n" + LONG)
+    script = tmp_path / "reporting_cli.py"
+    script.write_text(REPORTING_CLI)
+    proc = start_in_own_session([str(script), "run", str(cfg), "--parallel", "2",
+                                 "--out", str(tmp_path / "results.csv")])
+    try:
+        worker = int(proc.stdout.readline().split()[1])
+        os.kill(worker, signal.SIGKILL)
+        _, err = proc.communicate(timeout=20)
+        assert proc.returncode == 1
+        assert err == "error: cnot T=10 L=300 order=0: worker process ended abruptly\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "reporting_cli.py"]
+        assert group_ends(proc.pid), "a worker outlived the run"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+
+
+def test_ignored_interrupt_is_ignored_with_or_without_a_pool(tmp_path):
+    # Started with SIGINT ignored, as `nohup qoc ...` or `qoc ... &` in a script is,
+    # a run finishes through a group SIGINT, and a parallel run just as a sequential one.
+    spec = "gate: cnot\nT: 10\nL: 300\ns_max: 100000\nj_stop: 1e-30\nmax_rhs_evals: 2000\n"
+    cfg = write_cfg(tmp_path, spec + "order: 0\n\n" + spec + "order: 1\n")
+    procs = {}
+    try:
+        for name, flags in [("sequential", []), ("parallel", ["--parallel", "2"])]:
+            args = ["run", str(cfg), "--out", str(tmp_path / f"{name}.csv"), *flags]
+            procs[name] = start_in_own_session(
+                ["-c", cli_after_ready(args)],
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+        for proc in procs.values():
+            assert proc.stdout.readline() == "ready\n"
+        time.sleep(1.0)  # into the runs, with the workers started
+        for proc in procs.values():
+            os.killpg(proc.pid, signal.SIGINT)
+        for name, proc in procs.items():
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (2, ""), name
+        assert drop_wall_time(read_rows(tmp_path / "parallel.csv")) == drop_wall_time(
+            read_rows(tmp_path / "sequential.csv"))
+    finally:
+        for proc in procs.values():
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

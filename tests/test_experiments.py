@@ -5,6 +5,7 @@ import concurrent.futures
 import json
 import os
 import re
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,9 @@ def recording_pool(monkeypatch):
 
         def __exit__(self, *exc):
             return False
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
         def submit(self, fn, *args):
             future = concurrent.futures.Future()
@@ -581,24 +585,25 @@ class TestComparisonTable:
         compare_methods(specs, out, parallel=2, scan_cap=50.0)
         assert recording_pool == [2]
 
-    def test_parallel_starts_no_spec_after_a_failure(self, tmp_path, monkeypatch,
-                                                     recording_pool):
-        # Specs go to the pool only as workers free up, so once the first one
-        # fails, the two still waiting never start and no table is written.
-        runs = []
-
+    @pytest.mark.parametrize("lost", [False, True], ids=["spec_fails", "worker_lost"])
+    def test_parallel_failure_ends_the_run(self, tmp_path, monkeypatch, recording_pool, lost):
+        # Every spec is submitted at once; the first failure in spec order ends the
+        # run with no table, and a broken pool is reported as the spec it broke.
         def run(spec, scan_cap):
-            runs.append(spec.order)
-            if spec.order == 0:
-                raise ValueError("first spec failed")
+            if spec.order == 1:
+                raise BrokenProcessPool("terminated abruptly") if lost else ValueError("failed")
+            if spec.order == 2:
+                raise ValueError("a later failure")
             return None, None
 
         set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr("gateflow.experiments.execute_experiment", run)
         out = tmp_path / "out.csv"
-        with pytest.raises(ValueError, match="^first spec failed$"):
+        message = ("cnot T=5 L=50 order=1: worker process ended abruptly" if lost
+                   else "failed")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             compare_methods([fast_spec(order=m) for m in range(4)], out, parallel=2)
-        assert runs == [0, 1] and recording_pool == [2]
+        assert recording_pool == [2]
         assert not out.exists()
 
     def test_parallel_runs_every_spec_once_in_spec_order(self, tmp_path, monkeypatch,
