@@ -33,8 +33,6 @@ MAX_CONFIG_BYTES = 1 << 20
 CSV_COLUMNS = ("gate", "T", "L", "order", "S_reported", "final_J",
                "rhs_evals", "wall_time_s", "stop_reason")
 
-SEED_MODES = ("zero", "sine_seed")
-
 
 def _default_cfg():
     return FlowConfig(s_max=DEFAULT_S_MAX)
@@ -42,11 +40,13 @@ def _default_cfg():
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One benchmark run: gate, time grid, correction order and limits.
+    """One benchmark run: gate, time grid, correction order, limits and
+    the amplitude of the start grid (see build_initial_grid).
 
-    initial_controls defaults by gate: zero for cnot, sine_seed for swap
-    (the all-zero grid is a stationary point of the swap flow, so it needs
-    the seed to move at all).
+    sine_amplitude must be finite and at least 0, which is the all-zero
+    grid. It defaults by gate: 0 for cnot, 1e-5 for swap (the all-zero grid
+    is a stationary point of the swap flow, so it needs the seed to move
+    at all).
     """
 
     gate: str
@@ -54,8 +54,7 @@ class ExperimentSpec:
     n_slices: int
     order: int | str = 1  # integer order or "exact"
     cfg: FlowConfig = field(default_factory=_default_cfg)
-    initial_controls: str | None = None
-    sine_amplitude: float = 1e-5
+    sine_amplitude: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gate", gate_target(self.gate).label)
@@ -65,13 +64,9 @@ class ExperimentSpec:
                              f"got {self.n_slices!r}")
         object.__setattr__(self, "n_slices", int(self.n_slices))
         object.__setattr__(self, "order", normalize_order(self.order))
-        if self.initial_controls is None:
-            object.__setattr__(self, "initial_controls",
-                               "zero" if self.gate == "cnot" else "sine_seed")
-        if self.initial_controls not in SEED_MODES:
-            raise ValueError(
-                f"initial_controls must be one of: {', '.join(SEED_MODES)}")
-        require_positive_finite(self.sine_amplitude, "sine_amplitude")
+        if self.sine_amplitude is None:
+            object.__setattr__(self, "sine_amplitude", 0.0 if self.gate == "cnot" else 1e-5)
+        require_positive_finite(self.sine_amplitude, "sine_amplitude", zero_ok=True)
         # Plain floats, so that the CSV and JSON writers see a float.
         for name in ("t_final", "sine_amplitude"):
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -99,15 +94,11 @@ def run_label(run):
 
 
 def build_initial_grid(spec):
-    """The starting control grid for a spec: all zeros, or both controls
-    seeded with amplitude * sin(t / T) sampled at slice midpoints."""
-    n_slices = spec.n_slices
-    if spec.initial_controls == "zero":
-        amps = np.zeros((2, n_slices))
-    else:
-        dt = spec.t_final / n_slices
-        t_mid = (np.arange(1, n_slices + 1) - 0.5) * dt
-        amps = np.tile(spec.sine_amplitude * np.sin(t_mid / spec.t_final), (2, 1))
+    """The starting control grid for a spec: both controls set to
+    sine_amplitude * sin(t / T) sampled at slice midpoints, so an amplitude
+    of 0 gives the all-zero grid."""
+    t_mid = (np.arange(1, spec.n_slices + 1) - 0.5) * (spec.t_final / spec.n_slices)
+    amps = np.tile(spec.sine_amplitude * np.sin(t_mid / spec.t_final), (2, 1))
     return ControlGrid(t_final=spec.t_final, amplitudes=amps)
 
 
@@ -197,8 +188,9 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
     parallel (they share no state) on at most min(parallel, number of
     specs, usable CPUs) worker processes, which ignore SIGINT; rows keep
     spec order. A failed spec, an interrupt or a lost worker (ValueError
-    '<spec>: worker process ended abruptly') ends the run at once: queued
-    specs are cancelled, running ones ended and no table is written.
+    'a worker process ended abruptly', naming no spec: a lost worker fails
+    every pending spec alike) ends the run at once: queued specs are
+    cancelled, running ones ended and no table is written.
     """
     if not is_integer(parallel):
         raise ValueError(f"parallel must be an integer, got {parallel!r}")
@@ -220,13 +212,13 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
         with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             try:
-                futures = {pool.submit(run, spec): spec for spec in specs}
+                futures = [pool.submit(run, spec) for spec in specs]
                 wait(futures, return_when=FIRST_EXCEPTION)
-                for future, spec in futures.items():
+                for future in futures:
                     # Only a done future is read, so a failure never waits on a running spec.
                     error = future.exception() if future.done() else None
                     if isinstance(error, BrokenProcessPool):
-                        raise ValueError(f"{run_label(spec)}: worker process ended abruptly")
+                        raise ValueError("a worker process ended abruptly")
                     if error is not None:
                         raise error
                 outcomes = [future.result() for future in futures]
@@ -260,9 +252,8 @@ def _order(value):
 # parser of its raw value string. Any other key is rejected so typos fail
 # loudly instead of silently running defaults.
 _KEYS = {
-    "gate": ("gate", str), "initial_controls": ("initial_controls", str),
-    "T": ("t_final", float), "L": ("n_slices", _count), "order": ("order", _order),
-    "max_rhs_evals": ("max_rhs_evals", _count),
+    "gate": ("gate", str), "T": ("t_final", float), "L": ("n_slices", _count),
+    "order": ("order", _order), "max_rhs_evals": ("max_rhs_evals", _count),
     **{key: (key, float) for key in ("sine_amplitude", "s_max", "tol", "j_stop", "h_init")},
 }
 _FLOW_FIELDS = {f.name for f in fields(FlowConfig)}

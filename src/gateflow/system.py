@@ -27,13 +27,16 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def require_positive_finite(value, name):
-    """Raise ValueError unless value is a number, not a bool, with 0 < value < inf."""
+def require_positive_finite(value, name, zero_ok=False):
+    """Raise ValueError unless value is a number, not a bool, with 0 < value < inf
+    (0 <= value < inf if zero_ok)."""
     if isinstance(value, (bool, np.bool_)):  # a bool compares as 0 or 1
         raise ValueError(f"{name} must be a number, not a bool")
-    if not 0 < value < np.inf:
+    if value < 0 or (value == 0 and not zero_ok):
+        raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'positive'}")
+    if not value < np.inf:
         # NaN fails every comparison, so it is reported as not finite.
-        raise ValueError(f"{name} must be {'positive' if value <= 0 else 'finite'}")
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -188,36 +188,27 @@ def test_non_positive_parallel_exits_one(tmp_path, capsys, value):
     assert captured.out == ""
 
 
-def test_granularity_key_exits_one(tmp_path, capsys):
-    # The reporting granularity is the constant 100, not a config key.
-    cfg = write_cfg(tmp_path, TINY + "\n" + TINY + "s_granularity: 50\n")
-    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == "error: exp.cfg line 12: unknown key 's_granularity'\n"
-    assert captured.out == ""
-    assert not (tmp_path / "results.csv").exists()
-
-
-def test_step_floor_key_exits_one(tmp_path, capsys):
-    # The step floor is the constant flow.H_MIN, not a config key.
-    cfg = write_cfg(tmp_path, TINY + "h_min: 1e-12\n")
-    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == "error: exp.cfg line 6: unknown key 'h_min'\n"
-    assert captured.out == ""
-    assert not (tmp_path / "results.csv").exists()
-
-
-@pytest.mark.parametrize("prefix", ["abs", "rel"])
-def test_split_tolerance_key_exits_one(tmp_path, capsys, prefix):
+# Removed config keys, each with the text before it and the line it lands on.
+REMOVED_KEYS = [
+    # The reporting granularity is the constant 100; this case sits in a second block.
+    ("s_granularity", "50", TINY + "\n" + TINY, 12),
+    # The step floor is the constant flow.H_MIN.
+    ("h_min", "1e-12", TINY, 6),
     # The step error has one tolerance, tol, not an absolute and a relative key.
-    cfg = write_cfg(tmp_path, TINY + f"{prefix}_tol: 1e-4\n")
+    *((f"{prefix}_tol", "1e-4", TINY, 6) for prefix in ("abs", "rel")),
+    # The start grid is set by sine_amplitude alone; 0 is the all-zero grid.
+    ("initial_controls", "zero", TINY, 6),
+]
+
+
+@pytest.mark.parametrize("key, value, before, lineno", REMOVED_KEYS,
+                         ids=[key for key, *_ in REMOVED_KEYS])
+def test_removed_key_exits_one(tmp_path, capsys, key, value, before, lineno):
+    cfg = write_cfg(tmp_path, before + f"{key}: {value}\n")
     code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"error: exp.cfg line 6: unknown key '{prefix}_tol'\n"
+    assert captured.err == f"error: exp.cfg line {lineno}: unknown key '{key}'\n"
     assert captured.out == ""
     assert not (tmp_path / "results.csv").exists()
 
@@ -544,7 +535,8 @@ def test_failure_ends_a_parallel_run_at_once(tmp_path):
 
 
 def test_lost_worker_ends_the_run_with_one_error_line(tmp_path):
-    # As when the OOM killer takes a worker: the run ends naming a spec, not in a traceback.
+    # As when the OOM killer takes a worker: the run ends with one error line, not a
+    # traceback. The line names no spec, since every pending spec fails alike.
     cfg = write_cfg(tmp_path, LONG + "\n" + LONG)
     script = tmp_path / "reporting_cli.py"
     script.write_text(REPORTING_CLI)
@@ -555,7 +547,7 @@ def test_lost_worker_ends_the_run_with_one_error_line(tmp_path):
         os.kill(worker, signal.SIGKILL)
         _, err = proc.communicate(timeout=20)
         assert proc.returncode == 1
-        assert err == "error: cnot T=10 L=300 order=0: worker process ended abruptly\n"
+        assert err == "error: a worker process ended abruptly\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "reporting_cli.py"]
         assert group_ends(proc.pid), "a worker outlived the run"
     finally:

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gateflow import ExperimentSpec, load_experiment
+from gateflow.experiments import _KEYS
 
-KEYS = ("gate", "T", "L", "order", "initial_controls", "sine_amplitude", "s_max", "tol",
-        "j_stop", "h_init", "max_rhs_evals")
+KEYS = ("gate", "T", "L", "order", "sine_amplitude", "s_max", "tol", "j_stop", "h_init",
+        "max_rhs_evals")
 # Besides '\n' and '\r' it holds \x0c, \x85 and \u2028, at which str.splitlines()
 # breaks a line and an editor does not.
 ALPHABET = "cnotswapexT L:#.-+e0123456789_[{}]\"',\n\t\r\x00\x0c\x85\u2028é"
-WORDS = ("cnot", "swap", "exact", "zero", "sine_seed", "inf", "nan", "1e400", "5e-324",
+WORDS = ("cnot", "swap", "exact", "inf", "nan", "1e400", "5e-324",
          "true", "1.5", "150", "5", "0", "-1", "")
 
 FUZZ = settings(max_examples=200)  # on top of the conftest profile
@@ -26,6 +27,10 @@ native_line = st.one_of(
 )
 native_text = st.one_of(st.text(ALPHABET, max_size=120),
                         st.lists(native_line, max_size=20).map("\n".join))
+
+
+def test_keys_are_the_live_config_keys():
+    assert sorted(KEYS) == sorted(_KEYS)
 
 
 @pytest.fixture(scope="module")

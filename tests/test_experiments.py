@@ -73,17 +73,18 @@ class TestExperimentSpec:
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150)
         assert spec.order == 1
         assert spec.cfg.s_max == DEFAULT_S_MAX
-        assert spec.initial_controls == "zero"
-        assert spec.sine_amplitude == 1e-5
+        assert spec.sine_amplitude == 0.0
 
     def test_swap_defaults_to_sine_seed(self):
         spec = ExperimentSpec(gate="swap", t_final=5.0, n_slices=300)
-        assert spec.initial_controls == "sine_seed"
+        assert spec.sine_amplitude == 1e-5
 
     def test_explicit_seed_mode_wins(self):
-        spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150,
-                              initial_controls="sine_seed")
-        assert spec.initial_controls == "sine_seed"
+        # An explicit amplitude wins over the gate default, 0 included.
+        spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, sine_amplitude=1e-3)
+        assert spec.sine_amplitude == 1e-3
+        spec = ExperimentSpec(gate="swap", t_final=5.0, n_slices=300, sine_amplitude=0)
+        assert spec.sine_amplitude == 0.0 and type(spec.sine_amplitude) is float
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown gate"):
@@ -99,12 +100,12 @@ class TestExperimentSpec:
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=MAX_SLICES + 1)
         with pytest.raises(ValueError, match="correction order"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=9)
-        with pytest.raises(ValueError, match="initial_controls"):
-            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150,
-                           initial_controls="random")
-        with pytest.raises(ValueError, match="sine_amplitude must be positive"):
-            ExperimentSpec(gate="swap", t_final=5.0, n_slices=300,
-                           sine_amplitude=0.0)
+        for amplitude in (-1e-5, -np.inf):
+            with pytest.raises(ValueError, match="^sine_amplitude must be non-negative$"):
+                ExperimentSpec(gate="swap", t_final=5.0, n_slices=300,
+                               sine_amplitude=amplitude)
+        with pytest.raises(TypeError, match="initial_controls"):
+            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, initial_controls="zero")
 
     @pytest.mark.parametrize("name, label", [("t_final", "T"),
                                              ("sine_amplitude", "sine_amplitude")])
@@ -124,10 +125,12 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("name, label", [("t_final", "T"),
                                              ("sine_amplitude", "sine_amplitude")])
     def test_boolean_values_rejected(self, name, label):
-        # True would otherwise pass 0 < value < inf and be stored as 1.0.
-        kwargs = {"t_final": 5.0, name: True}
-        with pytest.raises(ValueError, match=f"^{label} must be a number, not a bool$"):
-            ExperimentSpec(gate="swap", n_slices=50, **kwargs)
+        # True would otherwise pass 0 < value < inf and be stored as 1.0, and
+        # False pass as the zero amplitude.
+        for value in (True, False, np.bool_(True), np.bool_(False)):
+            kwargs = {"t_final": 5.0, name: value}
+            with pytest.raises(ValueError, match=f"^{label} must be a number, not a bool$"):
+                ExperimentSpec(gate="swap", n_slices=50, **kwargs)
 
     def test_boolean_slice_count_rejected(self):
         with pytest.raises(ValueError, match="L must be a positive integer .* got True"):
@@ -166,6 +169,7 @@ class TestInitialGrid:
         assert grid.t_final == 5.0
         assert grid.amplitudes.shape == (2, 150)
         assert not grid.amplitudes.any()
+        assert not np.signbit(grid.amplitudes).any()  # +0.0, as np.zeros gives
 
     def test_sine_seed_samples_slice_midpoints(self):
         spec = ExperimentSpec(gate="swap", t_final=5.0, n_slices=300)
@@ -175,13 +179,21 @@ class TestInitialGrid:
         assert np.array_equal(grid.amplitudes[0], expected)
         assert np.array_equal(grid.amplitudes[0], grid.amplitudes[1])
 
+    @pytest.mark.parametrize("gate, amplitude", [("cnot", "1e-3"), ("swap", "0")])
+    def test_config_amplitude_sets_the_start_grid(self, tmp_path, gate, amplitude):
+        path = write_cfg(tmp_path, f"gate: {gate}\nT: 5\nL: 150\nsine_amplitude: {amplitude}\n")
+        (spec,) = load_experiment(path)
+        t_mid = (np.arange(1, 151) - 0.5) * (5.0 / 150)
+        expected = float(amplitude) * np.sin(t_mid / 5.0)
+        assert np.array_equal(build_initial_grid(spec).amplitudes, [expected, expected])
+
     def test_swap_zero_grid_is_stationary(self, benchmark_system):
         # This is why the swap runs default to the sine seed: at zero
         # controls the swap velocities vanish identically and the flow
         # would sit still forever.
-        spec = ExperimentSpec(gate="swap", t_final=5.0, n_slices=40,
-                              initial_controls="zero")
+        spec = ExperimentSpec(gate="swap", t_final=5.0, n_slices=40, sine_amplitude=0)
         grid = build_initial_grid(spec)
+        assert not grid.amplitudes.any()
         values = flow_evaluation(benchmark_system, grid, gate_target("swap"),
                                  order=1).values
         assert np.all(values == 0.0)
@@ -218,7 +230,7 @@ class TestConfigParsing:
         assert [s.gate for s in specs] == ["cnot", "swap"]
         assert specs[0].order == 0
         assert specs[1].order == "exact"
-        assert specs[1].initial_controls == "sine_seed"
+        assert [s.sine_amplitude for s in specs] == [0.0, 1e-5]
 
     def test_comment_lines_do_not_end_a_block(self, tmp_path):
         # Only a blank (or whitespace-only) line ends a block.
@@ -232,12 +244,10 @@ class TestConfigParsing:
 
     def test_flow_config_keys(self, tmp_path):
         text = ("gate: cnot\nT: 5\nL: 150\ns_max: 250\ntol: 1e-5\n"
-                "j_stop: 1e-8\nh_init: 0.5\nmax_rhs_evals: 500\n"
-                "initial_controls: sine_seed\nsine_amplitude: 1e-4\n")
+                "j_stop: 1e-8\nh_init: 0.5\nmax_rhs_evals: 500\nsine_amplitude: 1e-4\n")
         (spec,) = load_experiment(write_cfg(tmp_path, text))
         assert spec.cfg == FlowConfig(s_max=250.0, tol=1e-5, j_stop=1e-8, h_init=0.5,
                                       max_rhs_evals=500)
-        assert spec.initial_controls == "sine_seed"
         assert spec.sine_amplitude == 1e-4
 
     def test_unknown_key_names_the_line(self, tmp_path):
@@ -290,6 +300,9 @@ class TestConfigParsing:
         path = write_cfg(tmp_path, f"# big\ngate: cnot\nT: 5\nL: {MAX_SLICES + 1}\n")
         with pytest.raises(ValueError, match=f"exp.cfg line 2: L must be a positive "
                                              f"integer of at most {MAX_SLICES}"):
+            load_experiment(path)
+        path = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 150\nsine_amplitude: -1e-3\n")
+        with pytest.raises(ValueError, match="^exp.cfg line 1: sine_amplitude must be non-negative$"):
             load_experiment(path)
 
     def test_unknown_gate_is_echoed_as_written(self, tmp_path):
@@ -588,7 +601,8 @@ class TestComparisonTable:
     @pytest.mark.parametrize("lost", [False, True], ids=["spec_fails", "worker_lost"])
     def test_parallel_failure_ends_the_run(self, tmp_path, monkeypatch, recording_pool, lost):
         # Every spec is submitted at once; the first failure in spec order ends the
-        # run with no table, and a broken pool is reported as the spec it broke.
+        # run with no table, and a broken pool, which fails every pending spec alike,
+        # is reported without a spec.
         def run(spec, scan_cap):
             if spec.order == 1:
                 raise BrokenProcessPool("terminated abruptly") if lost else ValueError("failed")
@@ -599,8 +613,7 @@ class TestComparisonTable:
         set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr("gateflow.experiments.execute_experiment", run)
         out = tmp_path / "out.csv"
-        message = ("cnot T=5 L=50 order=1: worker process ended abruptly" if lost
-                   else "failed")
+        message = "a worker process ended abruptly" if lost else "failed"
         with pytest.raises(ValueError, match=f"^{message}$"):
             compare_methods([fast_spec(order=m) for m in range(4)], out, parallel=2)
         assert recording_pool == [2]
