@@ -306,13 +306,14 @@ def load_experiment(path):
         raise ValueError(f"{path.name}: {exc}") from None
     if text.lstrip()[:1] in ("[", "{"):
         raise ValueError(f"{path.name}: JSON configs are not supported; use 'key: value' blocks")
-    specs, block, block_line = [], {}, None
-    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), 1):
+    specs, block = [], {}
+    # The appended blank line ends the last block like every other.
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text) + [""], 1):
         line = raw.split("#", 1)[0].strip()
         if not line:  # only a blank line ends a block; comment lines do not
             if block and not raw.strip():
-                specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
-                block, block_line = {}, None
+                specs.append(_spec_from_mapping(block, next(iter(block.values()))[1]))
+                block = {}
             continue
         key, sep, value = line.partition(":")
         key, value = key.strip(), value.strip()
@@ -320,11 +321,7 @@ def load_experiment(path):
             raise ValueError(f"{path.name} line {lineno}: expected 'key: value'")
         if key in block:
             raise ValueError(f"{path.name} line {lineno}: duplicate key '{key}'")
-        if block_line is None:
-            block_line = lineno
         block[key] = (value, f"{path.name} line {lineno}")
-    if block:
-        specs.append(_spec_from_mapping(block, f"{path.name} line {block_line}"))
     if not specs:
         raise ValueError(f"{path.name}: no experiments found")
     return specs

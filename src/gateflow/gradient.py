@@ -45,7 +45,6 @@ class RhsEvaluation:
     values: np.ndarray  # shape (n, L)
     objective: float
     unitarity_defect: float | None = None
-    order: int | str | None = None
     w: np.ndarray | None = None  # (L, 2N, 2N), real_embedding(W_l)
     generators: np.ndarray | None = None  # (L, 2N, 2N), X_l = real_embedding(i H_l)
     sys: QuantumSystem | None = None
@@ -85,9 +84,8 @@ def _slice_velocities(order, sys, grid, w, generators):
 
 def descent_rate(ev):
     """Estimated dJ/ds along ev.values, negative while they still descend:
-    -dt times the exact velocities (ev.values at exact order) contracted with them."""
-    exact = (ev.values if ev.order == EXACT
-             else _slice_velocities(EXACT, ev.sys, ev.grid, ev.w, ev.generators))
+    -dt times the exact velocities contracted with them."""
+    exact = _slice_velocities(EXACT, ev.sys, ev.grid, ev.w, ev.generators)
     return float(-ev.grid.dt * np.sum(exact * ev.values))
 
 
@@ -132,5 +130,5 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
     pa = (p.reshape(-1, a.shape[0]) @ a).reshape(p.shape)  # P A as one (L 2N, 2N) product
     w = pa @ pt[:-1]
     values = _slice_velocities(order, sys, grid, w, generators)
-    return RhsEvaluation(values, 0.5 - np.trace(a) / (4 * sys.dim), defect, order=order,
+    return RhsEvaluation(values, 0.5 - np.trace(a) / (4 * sys.dim), defect,
                          w=w, generators=generators, sys=sys, grid=grid)

@@ -16,18 +16,19 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex) / np.sqrt(2)
 I2 = np.eye(2, dtype=complex)
 
 
-def build_two_spin_benchmark(omega1=20.0, omega2=30.0, cx=110.0, cy=120.0, cz=130.0):
+def build_two_spin_benchmark():
     """Two coupled spins with an x control on each spin.
 
+    Its drift has spin frequencies 20 and 30 and couplings 110 (xx), 120 (yy), 130 (zz).
     Basis ordering is |q1 q2> with the first spin as the leading tensor
     factor, so the row/column index is 2*q1 + q2.
     """
     h0 = (
-        omega1 * np.kron(SZ, I2)
-        + omega2 * np.kron(I2, SZ)
-        + cx * np.kron(SX, SX)
-        + cy * np.kron(SY, SY)
-        + cz * np.kron(SZ, SZ)
+        20.0 * np.kron(SZ, I2)
+        + 30.0 * np.kron(I2, SZ)
+        + 110.0 * np.kron(SX, SX)
+        + 120.0 * np.kron(SY, SY)
+        + 130.0 * np.kron(SZ, SZ)
     )
     controls = np.stack([np.kron(SX, I2), np.kron(I2, SX)])
     return QuantumSystem(h0=h0, controls=controls)

@@ -59,7 +59,7 @@ def test_convergent_run_exits_zero(tmp_path, capsys):
 def test_horizon_run_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY)
     out = tmp_path / "results.csv"
-    code = main(["run", str(cfg), "--out", str(out), "--scan-cap", "50"])
+    code = main(["run", str(cfg), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
     assert "(horizon)" in captured.out
@@ -148,7 +148,7 @@ def test_bad_horizon_names_the_failing_bound(tmp_path, capsys, s_max, message):
 def test_horizon_below_h_init_passes_validation(tmp_path, capsys):
     # The first step, h_init = 1 by default, is clipped to the horizon 0.5.
     cfg = write_cfg(tmp_path, "s_max: 0.5\ngate: cnot\nT: 5\nL: 50\n")
-    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"), "--scan-cap", "0.5"])
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == ""
@@ -221,8 +221,7 @@ def test_parallel_is_bounded_by_usable_cpus(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     cfg = write_cfg(tmp_path, TINY + "\n" + TINY)
     out = tmp_path / "results.csv"
-    assert main(["run", str(cfg), "--out", str(out), "--scan-cap", "50",
-                 "--parallel", "2"]) == 2
+    assert main(["run", str(cfg), "--out", str(out), "--parallel", "2"]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert len(read_rows(out)) == 3
 
@@ -268,8 +267,7 @@ def test_run_time_error_names_its_spec(tmp_path, capsys, flags):
     # sequential and in a parallel run alike.
     cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 20\ns_max: 50\n\n"
                               "gate: cnot\nT: 1e300\nL: 2\n")
-    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"), "--scan-cap", "50",
-                 *flags])
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"), *flags])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith(
@@ -385,8 +383,7 @@ def test_explicit_json_path(tmp_path):
     cfg = write_cfg(tmp_path, TINY)
     out = tmp_path / "results.csv"
     mirror = tmp_path / "mirror.json"
-    main(["run", str(cfg), "--out", str(out), "--json", str(mirror),
-          "--scan-cap", "50"])
+    main(["run", str(cfg), "--out", str(out), "--json", str(mirror)])
     data = json.loads(mirror.read_text())
     assert len(data) == 1
     assert data[0]["gate"] == "cnot"
@@ -397,9 +394,8 @@ def test_parallel_matches_sequential(tmp_path):
     cfg = write_cfg(tmp_path, TINY + "\ngate: cnot\nT: 5\nL: 50\norder: 0\ns_max: 50\n")
     seq = tmp_path / "seq.csv"
     par = tmp_path / "par.csv"
-    assert main(["run", str(cfg), "--out", str(seq), "--scan-cap", "50"]) == 2
-    assert main(["run", str(cfg), "--out", str(par), "--scan-cap", "50",
-                 "--parallel", "2"]) == 2
+    assert main(["run", str(cfg), "--out", str(seq)]) == 2
+    assert main(["run", str(cfg), "--out", str(par), "--parallel", "2"]) == 2
     assert drop_wall_time(read_rows(seq)) == drop_wall_time(read_rows(par))
 
 
@@ -610,7 +606,7 @@ def test_unwritable_stdout_exits_one_after_the_tables(tmp_path, stream):
         pytest.skip("no /dev/full on this platform")
     cfg = write_cfg(tmp_path, TINY)
     out = tmp_path / "results.csv"
-    args = ["-m", "gateflow.cli", "run", str(cfg), "--out", str(out), "--scan-cap", "50"]
+    args = ["-m", "gateflow.cli", "run", str(cfg), "--out", str(out)]
     with contextlib.ExitStack() as stack:
         if stream == "closed_pipe":
             proc = start_in_own_session(args)

@@ -140,7 +140,7 @@ class TestExperimentSpec:
         spec = fast_spec(order=np.int64(1), n_slices=np.int64(50))
         assert type(spec.n_slices) is int and type(spec.order) is int
         out = tmp_path / "out.csv"
-        compare_methods([spec], out, scan_cap=50.0)
+        compare_methods([spec], out)
         (row,) = json.loads((tmp_path / "out.json").read_text())
         assert (row["L"], row["order"]) == (50, 1)
 
@@ -152,7 +152,7 @@ class TestExperimentSpec:
                               sine_amplitude=np.float32(1e-5), cfg=FlowConfig(s_max=50.0))
         assert all(type(v) is float for v in (spec.t_final, spec.sine_amplitude))
         out = tmp_path / "out.csv"
-        compare_methods([spec], out, scan_cap=50.0)
+        compare_methods([spec], out)
         (row,) = json.loads((tmp_path / "out.json").read_text())
         assert row["T"] == float(t_final)
         header, csv_row = read_rows(out)
@@ -481,7 +481,7 @@ class TestRunner:
 
     def test_reported_horizon_is_granularity_multiple(self):
         spec = fast_spec(s_max=50.0)
-        record = execute_experiment(spec, scan_cap=50.0)[0]
+        record = execute_experiment(spec)[0]
         assert record.stop_reason == "horizon"
         assert record.s_reported == 100.0
         assert S_GRANULARITY == 100.0
@@ -546,8 +546,8 @@ class TestComparisonTable:
         specs = [fast_spec(order=0), fast_spec(order=1)]
         first = tmp_path / "first.csv"
         second = tmp_path / "second.csv"
-        compare_methods(specs, first, scan_cap=50.0)
-        compare_methods(specs, second, scan_cap=50.0)
+        compare_methods(specs, first)
+        compare_methods(specs, second)
         assert rows_without_wall_time(first) == rows_without_wall_time(second)
         wall = CSV_COLUMNS.index("wall_time_s")
         for row in read_rows(first)[1:]:
@@ -578,11 +578,11 @@ class TestComparisonTable:
         specs = [fast_spec(order=0), fast_spec(order=1)]
         out = tmp_path / "out.csv"
         set_usable_cpus(monkeypatch, 1)
-        compare_methods(specs, out, parallel=2, scan_cap=50.0)
-        compare_methods(specs[:1], out, parallel=2, scan_cap=50.0)
+        compare_methods(specs, out, parallel=2)
+        compare_methods(specs[:1], out, parallel=2)
         assert recording_pool == []
         set_usable_cpus(monkeypatch, 2)
-        compare_methods(specs, out, parallel=2, scan_cap=50.0)
+        compare_methods(specs, out, parallel=2)
         assert recording_pool == [2]
 
     def test_parallel_pool_without_affinity_is_clamped_by_cpu_count(self, tmp_path, monkeypatch,
@@ -592,10 +592,10 @@ class TestComparisonTable:
         specs = [fast_spec(order=0), fast_spec(order=1)]
         out = tmp_path / "out.csv"
         monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 1)
-        compare_methods(specs, out, parallel=2, scan_cap=50.0)
+        compare_methods(specs, out, parallel=2)
         assert recording_pool == []
         monkeypatch.setattr("gateflow.experiments.os.cpu_count", lambda: 2)
-        compare_methods(specs, out, parallel=2, scan_cap=50.0)
+        compare_methods(specs, out, parallel=2)
         assert recording_pool == [2]
 
     @pytest.mark.parametrize("lost", [False, True], ids=["spec_fails", "worker_lost"])
@@ -624,7 +624,7 @@ class TestComparisonTable:
         set_usable_cpus(monkeypatch, 2)
         specs = [fast_spec(order=0, n_slices=n) for n in (46, 47, 48, 49, 50)]
         out = tmp_path / "out.csv"
-        records = compare_methods(specs, out, parallel=2, scan_cap=50.0)
+        records = compare_methods(specs, out, parallel=2)
         assert recording_pool == [2]
         assert [r.n_slices for r in records] == [46, 47, 48, 49, 50]
         assert [row[2] for row in read_rows(out)[1:]] == ["46", "47", "48", "49", "50"]
@@ -650,7 +650,7 @@ class TestComparisonTable:
         mirror = None if json_name is None else tmp_path / json_name
         with pytest.raises(ValueError, match="the JSON mirror would overwrite the CSV output"):
             compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
-                            json_path=mirror, parallel=2, scan_cap=50.0)
+                            json_path=mirror, parallel=2)
         assert recording_pool == []
         assert not out.exists()
         with pytest.raises(ValueError, match="^" + re.escape(str(mirror or out))):
@@ -673,7 +673,7 @@ class TestComparisonTable:
         message = f"{bad}: {bad.parent} is not an existing directory"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
-                            json_path=mirror, parallel=2, scan_cap=50.0)
+                            json_path=mirror, parallel=2)
         assert recording_pool == []
         assert not (tmp_path / "r.csv").exists()
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -693,7 +693,7 @@ class TestComparisonTable:
         message = f"{tmp_path / bad_name}: is a directory, not a file"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
-                            json_path=mirror, parallel=2, scan_cap=50.0)
+                            json_path=mirror, parallel=2)
         assert recording_pool == []
         assert not (tmp_path / "r.csv").exists()
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -720,7 +720,7 @@ class TestComparisonTable:
         out, mirror = tmp_path / "r.csv", tmp_path / "r.json"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
-                            json_path=mirror, parallel=2, scan_cap=50.0)
+                            json_path=mirror, parallel=2)
         assert recording_pool == []
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(existing)
         assert all((tmp_path / name).read_text() == "old" for name in existing)
@@ -729,6 +729,6 @@ class TestComparisonTable:
         specs = [fast_spec(order=0), fast_spec(order=1)]
         seq = tmp_path / "seq.csv"
         par = tmp_path / "par.csv"
-        compare_methods(specs, seq, scan_cap=50.0)
-        compare_methods(specs, par, parallel=2, scan_cap=50.0)
+        compare_methods(specs, seq)
+        compare_methods(specs, par, parallel=2)
         assert rows_without_wall_time(seq) == rows_without_wall_time(par)

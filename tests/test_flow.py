@@ -393,14 +393,16 @@ SWAP = np.eye(4)[[0, 2, 1, 3]]
 
 @pytest.mark.parametrize("case", ["cnot_t5_m0", "cnot_t5_m1", "cnot_t10_m1"])
 def test_spin_exchange_of_a_whole_run(bench_runs, case):
-    # SWAP h0(omega1, omega2) SWAP = h0(omega2, omega1) and SWAP exchanges the
-    # two x controls, so the exchanged system flowing to SWAP cnot SWAP is the
-    # cnot run with its amplitude rows exchanged. The permuted products sum in
-    # another order, so the amplitudes agree to rounding, not bit for bit.
+    # SWAP exchanges the two x controls, so SWAP h0 SWAP + e1 c1 + e2 c2 is
+    # SWAP (h0 + e2 c1 + e1 c2) SWAP: the exchanged system flowing to SWAP cnot
+    # SWAP is the cnot run with its amplitude rows exchanged. The permuted
+    # products sum in another order, so the amplitudes agree to rounding, not
+    # bit for bit.
     _, t_final, n_slices, order, s_max = BENCH_CASES[case]
     record, ref = bench_runs[case]
     target = GateTarget(SWAP @ gate_target("cnot").matrix @ SWAP, "cnot_exchanged")
-    run = integrate_flow(build_two_spin_benchmark(omega1=30.0, omega2=20.0),
+    sys = build_two_spin_benchmark()
+    run = integrate_flow(QuantumSystem(SWAP @ sys.h0 @ SWAP, sys.controls),
                          ControlGrid(t_final, np.zeros((2, n_slices))), target, order,
                          FlowConfig(s_max=s_max))
     s_reported = math.ceil(run.s_stop / S_GRANULARITY) * S_GRANULARITY

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gateflow import (GATE_TARGETS, UNITARY_TOL, ControlGrid, GateTarget, QuantumSystem,
-                      build_two_spin_benchmark, gate_target, propagate, unitarity_defect)
+                      gate_target, propagate, unitarity_defect)
 from gateflow.linalg import MAX_SQUARINGS, real_embedding, squarings, step_exponentials
 from gateflow.system import SCAN_BLOCK
 from helpers import random_hermitian
@@ -51,10 +51,6 @@ class TestBenchmarkSystem:
         second[0, 1] = second[1, 0] = second[2, 3] = second[3, 2] = r
         assert np.allclose(c[0], first, atol=1e-14)
         assert np.allclose(c[1], second, atol=1e-14)
-
-    def test_custom_constants(self):
-        sys = build_two_spin_benchmark(omega1=0.0, omega2=0.0, cx=0.0, cy=0.0, cz=2.0)
-        assert np.allclose(sys.h0, np.diag([1.0, -1.0, -1.0, 1.0]), atol=1e-14)
 
 
 class TestGateTargets:
