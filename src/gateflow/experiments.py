@@ -17,10 +17,9 @@ import numpy as np
 
 from .flow import FlowConfig, integrate_flow
 from .gradient import EXACT, normalize_order
-from .system import ControlGrid, is_integer, require_positive_finite
+from .system import ControlGrid, require_count, require_finite, require_positive_finite
 from .twospin import build_two_spin_benchmark, gate_target
 
-DEFAULT_S_MAX = 5000.0
 # S_reported is the stopping flow time rounded up to a multiple of this.
 S_GRANULARITY = 100.0
 # Largest slice count a spec may ask for, about 33x the largest in any
@@ -32,10 +31,6 @@ MAX_CONFIG_BYTES = 1 << 20
 # Table header, one column per RunRecord field in field order.
 CSV_COLUMNS = ("gate", "T", "L", "order", "S_reported", "final_J",
                "rhs_evals", "wall_time_s", "stop_reason")
-
-
-def _default_cfg():
-    return FlowConfig(s_max=DEFAULT_S_MAX)
 
 
 @dataclass(frozen=True)
@@ -53,15 +48,13 @@ class ExperimentSpec:
     t_final: float
     n_slices: int
     order: int | str = 1  # integer order or "exact"
-    cfg: FlowConfig = field(default_factory=_default_cfg)
+    cfg: FlowConfig = field(default_factory=FlowConfig)
     sine_amplitude: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gate", gate_target(self.gate).label)
         require_positive_finite(self.t_final, "T")
-        if not (is_integer(self.n_slices) and 1 <= self.n_slices <= MAX_SLICES):
-            raise ValueError(f"L must be a positive integer of at most {MAX_SLICES}, "
-                             f"got {self.n_slices!r}")
+        require_count(self.n_slices, "L", most=MAX_SLICES)
         object.__setattr__(self, "n_slices", int(self.n_slices))
         object.__setattr__(self, "order", normalize_order(self.order))
         if self.sine_amplitude is None:
@@ -102,12 +95,6 @@ def build_initial_grid(spec):
     return ControlGrid(t_final=spec.t_final, amplitudes=amps)
 
 
-def _finite_cap(scan_cap):
-    if not math.isfinite(cap := float(scan_cap)):
-        raise ValueError(f"scan cap must be finite, got {cap}")
-    return cap
-
-
 def execute_experiment(spec, scan_cap=0.0):
     """Run one spec and return (RunRecord, FlowResult).
 
@@ -115,7 +102,8 @@ def execute_experiment(spec, scan_cap=0.0):
     must be finite. S_reported is s_stop rounded up to a multiple of
     S_GRANULARITY. A ValueError from the run comes back naming the spec.
     """
-    cfg = replace(spec.cfg, s_max=max(spec.cfg.s_max, _finite_cap(scan_cap)))
+    require_finite(scan_cap, "scan cap")
+    cfg = replace(spec.cfg, s_max=max(spec.cfg.s_max, float(scan_cap)))
     started = time.perf_counter()
     try:
         result = integrate_flow(build_two_spin_benchmark(), build_initial_grid(spec),
@@ -192,11 +180,8 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
     every pending spec alike) ends the run at once: queued specs are
     cancelled, running ones ended and no table is written.
     """
-    if not is_integer(parallel):
-        raise ValueError(f"parallel must be an integer, got {parallel!r}")
-    if parallel < 1:
-        raise ValueError(f"parallel must be at least 1, got {parallel}")
-    _finite_cap(scan_cap)
+    require_count(parallel, "parallel")
+    require_finite(scan_cap, "scan cap")
     output_paths(out_path, json_path)
     run = functools.partial(execute_experiment, scan_cap=scan_cap)
     # The CPUs this process may run on: an affinity mask can allow fewer than cpu_count.
@@ -262,7 +247,7 @@ _FLOW_FIELDS = {f.name for f in fields(FlowConfig)}
 def _spec_from_mapping(entries, where):
     """Build one ExperimentSpec from {key: (raw value string, where)}
     entries; keys left out take the dataclass defaults. Errors name the
-    line of the key at fault, or where for a missing key or a bad spec."""
+    line of the key at fault, or where for a missing key."""
     spec_kwargs, cfg_kwargs = {}, {}
     for key, (raw, item_where) in entries.items():
         if key not in _KEYS:
@@ -271,18 +256,18 @@ def _spec_from_mapping(entries, where):
         try:
             value = parse(raw)
         except ValueError:
-            expected = f"an integer or '{EXACT}'" if parse is _order else "a number"
-            raise ValueError(f"{item_where}: {key} must be {expected}, got {raw!r}") from None
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{item_where}: {key} must be finite, got {raw!r}")
+            expected = {_order: f"an integer or '{EXACT}'", _count: "a whole number"}
+            raise ValueError(f"{item_where}: {key} must be "
+                             f"{expected.get(parse, 'a number')}, got {raw!r}") from None
         (cfg_kwargs if name in _FLOW_FIELDS else spec_kwargs)[name] = value
     for required in ("gate", "T", "L"):
         if required not in entries:
             raise ValueError(f"{where}: missing required key '{required}'")
     try:
-        return ExperimentSpec(cfg=replace(_default_cfg(), **cfg_kwargs), **spec_kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        return ExperimentSpec(cfg=FlowConfig(**cfg_kwargs), **spec_kwargs)
+    except ValueError as exc:  # the message starts with the failing value's key
+        key = str(exc).split(" ", 1)[0]
+        raise ValueError(f"{entries[key][1] if key in entries else where}: {exc}") from None
 
 
 def load_experiment(path):

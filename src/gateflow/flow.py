@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient import descent_rate, flow_evaluation
-from .system import ControlGrid, is_integer, require_positive_finite
+from .system import ControlGrid, require_count, require_positive_finite
 
 # Dormand-Prince 5(4) tableau: stage matrix A and embedded error weights
 # E = B - B_hat. The last row of A doubles as the fifth-order propagation
@@ -39,9 +39,9 @@ STOP_BUDGET = "eval_budget"
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Integration limits and tolerances for one flow run."""
+    """Integration limits and tolerances for one flow run; s_max is the horizon."""
 
-    s_max: float
+    s_max: float = 5000.0
     tol: float = 1e-4
     j_stop: float = 1e-7
     h_init: float = 1.0
@@ -55,8 +55,7 @@ class FlowConfig:
         # An h_init at or past s_max is fine: the first step is clipped to the horizon.
         if self.h_init <= H_MIN:
             raise ValueError(f"h_init must be larger than {H_MIN:g}, got {self.h_init:g}")
-        if not (is_integer(self.max_rhs_evals) and self.max_rhs_evals >= 1):
-            raise ValueError("max_rhs_evals must be a positive integer")
+        require_count(self.max_rhs_evals, "max_rhs_evals")
 
 
 # One row per step attempt after row 0, the start point (h = err_norm = 0): s and J

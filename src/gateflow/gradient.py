@@ -33,8 +33,8 @@ def normalize_order(order):
     if is_integer(order):
         if 0 <= order <= MAX_SERIES_ORDER:
             return int(order)
-        raise ValueError(f"correction order must be in 0..{MAX_SERIES_ORDER}, got {order}")
-    raise ValueError(f"correction order must be an integer or '{EXACT}', got {order!r}")
+        raise ValueError(f"order must be in 0..{MAX_SERIES_ORDER}, got {order}")
+    raise ValueError(f"order must be an integer or '{EXACT}', got {order!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +110,8 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
     and generators and of the system's terms; the embedding doubles a trace's
     real part, so J = 1/2 - Tr(A) / (4N) on the embedded A. The exact average
     diagonalises H_l as read off the generators, real for a real system. With
-    check_unitarity the prefixes are verified against UNITARY_TOL and the
-    defect is reported; the record keeps only what descent_rate reads.
+    check_unitarity the prefixes are verified against UNITARY_TOL (a ValueError
+    past it) and the defect is reported; the record keeps only what descent_rate reads.
     """
     order = normalize_order(order)
     if target.matrix.shape != sys.h0.shape:
@@ -123,8 +123,8 @@ def flow_evaluation(sys, grid, target, order=1, *, check_unitarity=False):
     pt = np.ascontiguousarray(prefixes.transpose(0, 2, 1))
     defect = unitarity_defect(prefixes, pt) if check_unitarity else None
     if defect is not None and defect > UNITARY_TOL:
-        raise RuntimeError(f"propagator prefixes drifted off the unitary group: "
-                           f"max|P^dagger P - I| = {defect:.3e}")
+        raise ValueError(f"propagator prefixes drifted off the unitary group: "
+                         f"max|P^dagger P - I| = {defect:.3e} exceeds {UNITARY_TOL:g}")
     a = target.embedded.T @ prefixes[-1]
     p = prefixes[:-1]
     pa = (p.reshape(-1, a.shape[0]) @ a).reshape(p.shape)  # P A as one (L 2N, 2N) product

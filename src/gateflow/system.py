@@ -1,16 +1,17 @@
 """Controlled quantum system, piecewise-constant control grids and the
 propagation of the evolution operator across time slices."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import real_embedding, require_hermitian, step_exponentials
 
-# Tolerance for unitarity of propagator prefixes. The scaled Taylor step
-# exponentials drift by about 2**s * eps after s squarings, which
-# linalg.MAX_SQUARINGS keeps below this with room for a thousand slice
-# products.
+# Tolerance for unitarity of propagator prefixes. Rounding carries the prefixes
+# off the unitary group roughly in proportion to T, not to L: from the
+# benchmark's zero start grid, P_L drifts by 2.5e-13 at T=10, 5.7e-11 at T=1e3
+# and 2.7e-9 at T=1.5e5 (L=1000; 3.6e-9 at L=10000), so long runs fail the check.
 UNITARY_TOL = 1e-10
 
 # Chain length of the blocked prefix scan in propagate.
@@ -27,16 +28,26 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def require_positive_finite(value, name, zero_ok=False):
-    """Raise ValueError unless value is a number, not a bool, with 0 < value < inf
-    (0 <= value < inf if zero_ok)."""
+def require_finite(value, name):
+    """Raise ValueError unless value is a finite number and not a bool."""
     if isinstance(value, (bool, np.bool_)):  # a bool compares as 0 or 1
         raise ValueError(f"{name} must be a number, not a bool")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
+def require_positive_finite(value, name, zero_ok=False):
+    """require_finite, then raise ValueError unless value > 0 (value >= 0 if zero_ok)."""
+    require_finite(value, name)
     if value < 0 or (value == 0 and not zero_ok):
         raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'positive'}")
-    if not value < np.inf:
-        # NaN fails every comparison, so it is reported as not finite.
-        raise ValueError(f"{name} must be finite")
+
+
+def require_count(value, name, most=None):
+    """Raise ValueError unless value is an integer, not a bool, from 1 to most (if given)."""
+    if not (is_integer(value) and 1 <= value and (most is None or value <= most)):
+        bound = "" if most is None else f" of at most {most}"
+        raise ValueError(f"{name} must be a positive integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,5 +55,4 @@ def gate_target(name):
     try:
         return GATE_TARGETS[str(name).lower()]
     except KeyError:
-        raise ValueError(f"unknown gate '{name}', expected one of: "
-                         f"{', '.join(GATE_TARGETS)}") from None
+        raise ValueError(f"gate must be {' or '.join(GATE_TARGETS)}, got {name!r}") from None

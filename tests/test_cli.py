@@ -137,11 +137,12 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys):
     ("-5", "s_max must be positive"),
     ("0", "s_max must be positive")], ids=["negative", "zero"])
 def test_bad_horizon_names_the_failing_bound(tmp_path, capsys, s_max, message):
-    cfg = write_cfg(tmp_path, f"s_max: {s_max}\ngate: cnot\nT: 5\nL: 50\n")
+    # The bad horizon sits below the block's first line, and the error names its own line.
+    cfg = write_cfg(tmp_path, f"gate: cnot\nT: 5\nL: 50\ns_max: {s_max}\n")
     code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"error: exp.cfg line 1: {message}\n"
+    assert captured.err == f"error: exp.cfg line 4: {message}\n"
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -173,7 +174,7 @@ def test_non_finite_scan_cap_exits_one(tmp_path, capsys, value):
                  "--scan-cap", value])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"error: scan cap must be finite, got {value}\n"
+    assert captured.err == "error: scan cap must be finite\n"
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -184,7 +185,7 @@ def test_non_positive_parallel_exits_one(tmp_path, capsys, value):
                  "--parallel", value])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"error: parallel must be at least 1, got {value}\n"
+    assert captured.err == f"error: parallel must be a positive integer, got {value}\n"
     assert captured.out == ""
 
 

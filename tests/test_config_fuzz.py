@@ -1,6 +1,9 @@
 """Config loader fuzz: any text either loads or raises a ValueError whose
-message starts with the file name. The alphabet holds '[', '{' and '"', so
-text that starts like JSON, which the loader refuses, is drawn too."""
+message starts with the file name, and an error about a key's value names
+the line that holds the key. The alphabet holds '[', '{' and '"', so text
+that starts like JSON, which the loader refuses, is drawn too."""
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +28,13 @@ native_line = st.one_of(
     .map(lambda kv: f"{kv[0]}: {kv[1]}"),
     st.text(ALPHABET, max_size=16),
 )
+# A block holding the required keys, so that its other values reach the checks
+# of ExperimentSpec and FlowConfig rather than stopping at a missing key.
+full_block = (st.lists(native_line, max_size=6)
+              .flatmap(lambda extra: st.permutations(["gate: cnot", "T: 5", "L: 150"] + extra))
+              .map("\n".join))
 native_text = st.one_of(st.text(ALPHABET, max_size=120),
-                        st.lists(native_line, max_size=20).map("\n".join))
+                        st.lists(native_line, max_size=20).map("\n".join), full_block)
 
 
 def test_keys_are_the_live_config_keys():
@@ -47,5 +55,10 @@ def test_native_text_loads_or_names_the_file(fuzz_dir, text):
         specs = load_experiment(path)
     except ValueError as exc:
         assert str(exc).startswith(("fuzz.cfg:", "fuzz.cfg line ")), str(exc)
+        located = re.match(r"fuzz\.cfg line (\d+): (\S+) ", str(exc))
+        if located and located[2] in KEYS:
+            # Lines split as the loader splits them, so the numbers agree.
+            line = re.split(r"\r\n?|\n", text)[int(located[1]) - 1]
+            assert line.split("#", 1)[0].partition(":")[0].strip() == located[2], str(exc)
     else:
         assert all(isinstance(spec, ExperimentSpec) for spec in specs)

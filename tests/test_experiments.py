@@ -15,7 +15,7 @@ from gateflow import (CSV_COLUMNS, MAX_SLICES, S_GRANULARITY, ExperimentSpec, Fl
                       RunRecord, build_initial_grid, compare_methods, execute_experiment,
                       flow_evaluation, gate_target, integrate_flow, load_experiment,
                       write_comparison)
-from gateflow.experiments import DEFAULT_S_MAX, MAX_CONFIG_BYTES
+from gateflow.experiments import MAX_CONFIG_BYTES, _KEYS
 from helpers import read_rows, write_cfg
 
 
@@ -72,7 +72,7 @@ class TestExperimentSpec:
     def test_defaults(self):
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150)
         assert spec.order == 1
-        assert spec.cfg.s_max == DEFAULT_S_MAX
+        assert spec.cfg == FlowConfig() and spec.cfg.s_max == 5000.0
         assert spec.sine_amplitude == 0.0
 
     def test_swap_defaults_to_sine_seed(self):
@@ -87,23 +87,25 @@ class TestExperimentSpec:
         assert spec.sine_amplitude == 0.0 and type(spec.sine_amplitude) is float
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown gate"):
+        with pytest.raises(ValueError, match="^gate must be cnot or swap, got 'toffoli'$"):
             ExperimentSpec(gate="toffoli", t_final=5.0, n_slices=150)
         with pytest.raises(ValueError, match="T must be positive"):
             ExperimentSpec(gate="cnot", t_final=0.0, n_slices=150)
-        with pytest.raises(ValueError, match="L must be a positive integer"):
+        with pytest.raises(ValueError, match="^L must be a positive integer of at most 10000, "
+                                             "got 0$"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=0)
-        with pytest.raises(ValueError, match="L must be a positive integer"):
+        with pytest.raises(ValueError, match="L must be a positive integer .* got 2.5$"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=2.5)
         ExperimentSpec(gate="cnot", t_final=5.0, n_slices=MAX_SLICES)
         with pytest.raises(ValueError, match=f"at most {MAX_SLICES}, got {MAX_SLICES + 1}"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=MAX_SLICES + 1)
-        with pytest.raises(ValueError, match="correction order"):
+        with pytest.raises(ValueError, match="^order must be in 0..8, got 9$"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=9)
-        for amplitude in (-1e-5, -np.inf):
-            with pytest.raises(ValueError, match="^sine_amplitude must be non-negative$"):
-                ExperimentSpec(gate="swap", t_final=5.0, n_slices=300,
-                               sine_amplitude=amplitude)
+        with pytest.raises(ValueError, match="^sine_amplitude must be non-negative$"):
+            ExperimentSpec(gate="swap", t_final=5.0, n_slices=300, sine_amplitude=-1e-5)
+        # Finiteness is checked first, so -inf reads as not finite, not as negative.
+        with pytest.raises(ValueError, match="^sine_amplitude must be finite$"):
+            ExperimentSpec(gate="swap", t_final=5.0, n_slices=300, sine_amplitude=-np.inf)
         with pytest.raises(TypeError, match="initial_controls"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, initial_controls="zero")
 
@@ -219,7 +221,7 @@ class TestConfigParsing:
         assert spec.t_final == 5.0
         assert spec.n_slices == 150
         assert spec.order == 1
-        assert spec.cfg.s_max == DEFAULT_S_MAX
+        assert spec.cfg == FlowConfig()
 
     def test_comments_and_blank_lines(self, tmp_path):
         text = ("# comparison pair\n\n"
@@ -276,38 +278,61 @@ class TestConfigParsing:
             load_experiment(path)
 
     def test_non_finite_values_name_the_line(self, tmp_path):
-        # Every float key; the offending key sits on line 4.
-        for key in ("T", "sine_amplitude", "s_max", "tol", "j_stop", "h_init"):
-            for value in ("inf", "-inf", "nan"):
-                lines = [("gate", "cnot"), ("L", "150"), ("order", "1"), (key, value)]
-                if key != "T":
-                    lines.append(("T", "5"))
-                text = "".join(f"{k}: {v}\n" for k, v in lines)
-                path = write_cfg(tmp_path, text)
-                with pytest.raises(ValueError,
-                                   match=f"exp.cfg line 4: {key} must be finite"):
+        # Every key, with non-finite and out-of-range values. The bad value is the
+        # last line of a second block, below its first line, and the error names
+        # the value's own line.
+        non_finite = [(v, "must be finite") for v in ("inf", "-inf", "nan")]
+        cases = {
+            "gate": [("toffoli", "must be cnot or swap, got 'toffoli'")],
+            "T": non_finite + [("-1", "must be positive"), ("0", "must be positive")],
+            "L": [("0", "must be a positive integer of at most 10000, got 0"),
+                  ("10001", "must be a positive integer of at most 10000, got 10001"),
+                  ("1e400", "must be a whole number, got '1e400'"),
+                  ("nan", "must be a whole number, got 'nan'")],
+            "order": [("9", "must be in 0..8, got 9"), ("-1", "must be in 0..8, got -1"),
+                      ("inf", "must be an integer or 'exact', got 'inf'")],
+            "sine_amplitude": non_finite + [("-1e-3", "must be non-negative")],
+            "s_max": non_finite + [("-5", "must be positive"), ("0", "must be positive")],
+            "tol": non_finite + [("-1", "must be positive")],
+            "j_stop": non_finite + [("-1", "must be positive")],
+            "h_init": non_finite + [("0", "must be positive"),
+                                    ("1e-13", "must be larger than 1e-12, got 1e-13")],
+            "max_rhs_evals": [("0", "must be a positive integer, got 0"),
+                              ("-3", "must be a positive integer, got -3"),
+                              ("1e400", "must be a whole number, got '1e400'")],
+        }
+        assert sorted(cases) == sorted(_KEYS)
+        first_block = "gate: cnot\nT: 5\nL: 150\n\n"
+        for key, bad_values in cases.items():
+            for value, message in bad_values:
+                lines = [f"{k}: {v}" for k, v in (("gate", "cnot"), ("T", "5"), ("L", "150"))
+                         if k != key] + [f"{key}: {value}"]
+                path = write_cfg(tmp_path, first_block + "\n".join(lines) + "\n")
+                with pytest.raises(ValueError, match=re.escape(
+                        f"exp.cfg line {4 + len(lines)}: {key} {message}") + "$"):
                     load_experiment(path)
 
     def test_fractional_slice_count(self, tmp_path):
         path = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 2.5\n")
-        with pytest.raises(ValueError, match="L must be a number"):
+        with pytest.raises(ValueError, match="^exp.cfg line 3: L must be a whole number, got '2.5'$"):
             load_experiment(path)
 
     def test_spec_errors_carry_location(self, tmp_path):
         path = write_cfg(tmp_path, "gate: toffoli\nT: 5\nL: 150\n")
-        with pytest.raises(ValueError, match=r"line 1: unknown gate 'toffoli'"):
+        with pytest.raises(ValueError, match=r"^exp.cfg line 1: gate must be cnot or swap, "
+                                             r"got 'toffoli'$"):
             load_experiment(path)
         path = write_cfg(tmp_path, f"# big\ngate: cnot\nT: 5\nL: {MAX_SLICES + 1}\n")
-        with pytest.raises(ValueError, match=f"exp.cfg line 2: L must be a positive "
+        with pytest.raises(ValueError, match=f"exp.cfg line 4: L must be a positive "
                                              f"integer of at most {MAX_SLICES}"):
             load_experiment(path)
         path = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 150\nsine_amplitude: -1e-3\n")
-        with pytest.raises(ValueError, match="^exp.cfg line 1: sine_amplitude must be non-negative$"):
+        with pytest.raises(ValueError, match="^exp.cfg line 4: sine_amplitude must be non-negative$"):
             load_experiment(path)
 
     def test_unknown_gate_is_echoed_as_written(self, tmp_path):
         path = write_cfg(tmp_path, "gate: Toffoli\nT: 5\nL: 150\n")
-        with pytest.raises(ValueError, match=r"line 1: unknown gate 'Toffoli'"):
+        with pytest.raises(ValueError, match=r"line 1: gate must be cnot or swap, got 'Toffoli'"):
             load_experiment(path)
 
     def test_empty_file(self, tmp_path):
@@ -329,7 +354,7 @@ class TestConfigParsing:
         assert (spec.n_slices, spec.cfg.max_rhs_evals, spec.order) == (150, 1000, 1)
         assert all(type(v) is int for v in (spec.n_slices, spec.cfg.max_rhs_evals, spec.order))
         for key, bad, values, expected in (
-                ("L", "2.5", ("2.5", "1e3", "1"), "a number"),
+                ("L", "2.5", ("2.5", "1e3", "1"), "a whole number"),
                 ("order", "1.5", ("150", "1e3", "1.5"), "an integer or 'exact'")):
             path = write_cfg(tmp_path, text.format(*values))
             with pytest.raises(ValueError, match=re.escape(
@@ -348,7 +373,7 @@ class TestConfigParsing:
         assert (spec.t_final, spec.n_slices) == (5.0, 150)
         path.write_text(f"gate: cnot\n# a{char}b\nT: 5\nL: 150\n\ngate: cnot\nT: 5\nL: x\n",
                         encoding="utf-8")
-        with pytest.raises(ValueError, match="^exp.cfg line 8: L must be a number"):
+        with pytest.raises(ValueError, match="^exp.cfg line 8: L must be a whole number, got 'x'$"):
             load_experiment(path)
 
     @pytest.mark.parametrize("content", [
@@ -556,7 +581,8 @@ class TestComparisonTable:
     def test_parallel_must_be_positive(self, tmp_path):
         out = tmp_path / "out.csv"
         for parallel in (0, -1):
-            with pytest.raises(ValueError, match="parallel must be at least 1"):
+            with pytest.raises(ValueError, match=f"^parallel must be a positive integer, "
+                                                 f"got {parallel}$"):
                 compare_methods([fast_spec()], out, parallel=parallel)
         assert not out.exists()
 
@@ -569,7 +595,8 @@ class TestComparisonTable:
         monkeypatch.setattr("gateflow.experiments.execute_experiment",
                             lambda spec, scan_cap: runs.append(spec))
         out = tmp_path / "out.csv"
-        with pytest.raises(ValueError, match=f"^parallel must be an integer, got {parallel}$"):
+        with pytest.raises(ValueError, match=f"^parallel must be a positive integer, "
+                                             f"got {parallel}$"):
             compare_methods([fast_spec(order=0), fast_spec(order=1)], out, parallel=parallel)
         assert runs == [] and recording_pool == []
         assert not out.exists()

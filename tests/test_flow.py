@@ -45,6 +45,7 @@ def run_decay(monkeypatch):
 
 class TestConfigValidation:
     def test_accepts_defaults(self):
+        assert FlowConfig().s_max == 5000.0
         cfg = FlowConfig(s_max=100.0)
         assert cfg.tol == 1e-4
         assert cfg.j_stop == 1e-7
@@ -112,7 +113,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
     def test_budget_must_be_an_integer(self, budget):
-        with pytest.raises(ValueError, match="^max_rhs_evals must be a positive integer$"):
+        with pytest.raises(ValueError, match=f"^max_rhs_evals must be a positive integer, "
+                                             f"got {budget}$"):
             FlowConfig(s_max=10.0, max_rhs_evals=budget)
         assert FlowConfig(s_max=10.0, max_rhs_evals=np.int64(3)).max_rhs_evals == 3
 

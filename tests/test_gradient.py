@@ -7,10 +7,11 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from gateflow import (ControlGrid, EXACT, ExperimentSpec, GateTarget, MAX_SERIES_ORDER,
-                      QuantumSystem, UNITARY_TOL, build_initial_grid, build_two_spin_benchmark,
-                      descent_rate, flow_evaluation, gate_target, normalize_order,
-                      propagate, unitarity_defect)
+from gateflow import (ControlGrid, EXACT, ExperimentSpec, FlowConfig, GateTarget,
+                      MAX_SERIES_ORDER, QuantumSystem, UNITARY_TOL, build_initial_grid,
+                      build_two_spin_benchmark, descent_rate, execute_experiment,
+                      flow_evaluation, gate_target, normalize_order, propagate,
+                      unitarity_defect)
 from gateflow.gradient import exact_weights
 from gateflow.system import SCAN_BLOCK
 from helpers import random_hermitian
@@ -453,11 +454,22 @@ class TestFlowRhs:
         assert transposed[0].flags.c_contiguous
 
     def test_unitarity_check_raises_on_drift(self, monkeypatch):
+        # Rounding drift grows with T: from the zero grid at T = 1.5e5 the prefixes
+        # leave the unitary group by about 2.7e-9, so the first evaluation fails,
+        # and the error comes back labelled like any other ValueError of a run.
+        spec = ExperimentSpec(gate="cnot", t_final=1.5e5, n_slices=1000,
+                              cfg=FlowConfig(check_unitarity=True))
+        with pytest.raises(ValueError, match=r"^cnot T=150000 L=1000 order=1: propagator "
+                                             r"prefixes drifted off the unitary group: .* "
+                                             r"exceeds 1e-10$"):
+            execute_experiment(spec)
         sys, grid, target = random_instance(53)
         monkeypatch.setattr("gateflow.gradient.unitarity_defect",
                             lambda p, p_dagger: 2 * UNITARY_TOL)
         flow_evaluation(sys, grid, target, order=1)
-        with pytest.raises(RuntimeError, match="drifted off the unitary group"):
+        with pytest.raises(ValueError, match=r"^propagator prefixes drifted off the unitary "
+                                             r"group: max\|P\^dagger P - I\| = 2\.000e-10 "
+                                             r"exceeds 1e-10$"):
             flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
 
     def test_exact_order_rate_is_minus_dt_norm_squared(self):
