@@ -234,12 +234,13 @@ def _order(value):
 
 
 # Config keys: the ExperimentSpec or FlowConfig field each one sets and the
-# parser of its raw value string. Any other key is rejected so typos fail
-# loudly instead of silently running defaults.
+# parser of its raw value string. Any other key, tol, j_stop and h_init
+# included, is rejected: typos fail loudly, and every row of a table stops at
+# FlowConfig's one target under its one step control.
 _KEYS = {
     "gate": ("gate", str), "T": ("t_final", float), "L": ("n_slices", _count),
     "order": ("order", _order), "max_rhs_evals": ("max_rhs_evals", _count),
-    **{key: (key, float) for key in ("sine_amplitude", "s_max", "tol", "j_stop", "h_init")},
+    "sine_amplitude": ("sine_amplitude", float), "s_max": ("s_max", float),
 }
 _FLOW_FIELDS = {f.name for f in fields(FlowConfig)}
 

@@ -154,7 +154,9 @@ def integrate_flow(sys, grid0, target, order, cfg):
             y_new, err, k_last = dormand_prince_step(f, y, h, k1)
             # Not tol * (1 + ...), which rounds differently and so changes runs' bytes.
             scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.abs(err / scale).max())
+            # A subnormal tol can overflow the ratio: inf rejects the step, as it should.
+            with np.errstate(over="ignore"):
+                err_norm = float(np.abs(err / scale).max())
             accepted = err_norm <= 1.0
             rows.append((s + h, h, err_norm, accepted, ev.objective, evals,
                          descent_rate(ev) if accepted and cfg.track_descent else np.nan))

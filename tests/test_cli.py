@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import functools
 import json
 import os
 import signal
@@ -156,9 +157,11 @@ def test_horizon_below_h_init_passes_validation(tmp_path, capsys):
     assert "(horizon)" in captured.out
 
 
-def test_step_underflow_exits_two(tmp_path, capsys):
+def test_step_underflow_exits_two(tmp_path, capsys, monkeypatch):
     # An unreachable tolerance shrinks every step until it falls below the floor.
-    cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 20\norder: 1\ntol: 1e-300\n")
+    monkeypatch.setattr("gateflow.experiments.FlowConfig",
+                        functools.partial(FlowConfig, tol=1e-300))
+    cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 20\norder: 1\n")
     out = tmp_path / "results.csv"
     code = main(["run", str(cfg), "--out", str(out)])
     captured = capsys.readouterr()
@@ -199,6 +202,8 @@ REMOVED_KEYS = [
     *((f"{prefix}_tol", "1e-4", TINY, 6) for prefix in ("abs", "rel")),
     # The start grid is set by sine_amplitude alone; 0 is the all-zero grid.
     ("initial_controls", "zero", TINY, 6),
+    # Every row stops at FlowConfig's target under its step control.
+    ("tol", "1e-4", TINY, 6), ("j_stop", "1e-7", TINY, 6), ("h_init", "1", TINY, 6),
 ]
 
 
@@ -400,10 +405,11 @@ def test_parallel_matches_sequential(tmp_path):
     assert drop_wall_time(read_rows(seq)) == drop_wall_time(read_rows(par))
 
 
-# LONG runs for minutes; SHORT meets its budget with its first evaluation and
-# stops before taking a step, so in a parallel run of both one worker sits idle
-# in its queue read when the signal comes.
-LONG = "gate: cnot\nT: 10\nL: 300\norder: 0\ns_max: 100000\nj_stop: 1e-30\n"
+# LONG runs for minutes: its flow stalls at J = 0.5, far above the target.
+# SHORT meets its budget with its first evaluation and stops before taking a
+# step, so in a parallel run of both one worker sits idle in its queue read
+# when the signal comes.
+LONG = "gate: cnot\nT: 5\nL: 150\norder: 3\ns_max: 1000000\n"
 SHORT = "gate: cnot\nT: 5\nL: 20\norder: 1\nmax_rhs_evals: 1\n"
 
 # A spec that fails at once: its one slice step is too long for the exponential.
@@ -556,8 +562,9 @@ def test_lost_worker_ends_the_run_with_one_error_line(tmp_path):
 def test_ignored_interrupt_is_ignored_with_or_without_a_pool(tmp_path):
     # Started with SIGINT ignored, as `nohup qoc ...` or `qoc ... &` in a script is,
     # a run finishes through a group SIGINT, and a parallel run just as a sequential one.
-    spec = "gate: cnot\nT: 10\nL: 300\ns_max: 100000\nj_stop: 1e-30\nmax_rhs_evals: 2000\n"
-    cfg = write_cfg(tmp_path, spec + "order: 0\n\n" + spec + "order: 1\n")
+    # Both rows stop on their budget far above the target, after about two seconds each.
+    spec = "gate: cnot\nL: 150\ns_max: 1000000\nmax_rhs_evals: 5000\n"
+    cfg = write_cfg(tmp_path, spec + "T: 5\norder: 3\n\n" + spec + "T: 10\norder: 0\n")
     procs = {}
     try:
         for name, flags in [("sequential", []), ("parallel", ["--parallel", "2"])]:

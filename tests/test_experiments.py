@@ -245,12 +245,14 @@ class TestConfigParsing:
             load_experiment(write_cfg(tmp_path, text))
 
     def test_flow_config_keys(self, tmp_path):
-        text = ("gate: cnot\nT: 5\nL: 150\ns_max: 250\ntol: 1e-5\n"
-                "j_stop: 1e-8\nh_init: 0.5\nmax_rhs_evals: 500\nsine_amplitude: 1e-4\n")
+        # The step tolerance, target and first step are FlowConfig's defaults for every row.
+        text = ("gate: cnot\nT: 5\nL: 150\norder: exact\ns_max: 250\nmax_rhs_evals: 500\n"
+                "sine_amplitude: 1e-4\n")
         (spec,) = load_experiment(write_cfg(tmp_path, text))
-        assert spec.cfg == FlowConfig(s_max=250.0, tol=1e-5, j_stop=1e-8, h_init=0.5,
-                                      max_rhs_evals=500)
-        assert spec.sine_amplitude == 1e-4
+        assert spec == ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order="exact",
+                                      cfg=FlowConfig(s_max=250.0, max_rhs_evals=500),
+                                      sine_amplitude=1e-4)
+        assert len(_KEYS) == 7
 
     def test_unknown_key_names_the_line(self, tmp_path):
         path = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 150\nslices: 10\n")
@@ -293,10 +295,6 @@ class TestConfigParsing:
                       ("inf", "must be an integer or 'exact', got 'inf'")],
             "sine_amplitude": non_finite + [("-1e-3", "must be non-negative")],
             "s_max": non_finite + [("-5", "must be positive"), ("0", "must be positive")],
-            "tol": non_finite + [("-1", "must be positive")],
-            "j_stop": non_finite + [("-1", "must be positive")],
-            "h_init": non_finite + [("0", "must be positive"),
-                                    ("1e-13", "must be larger than 1e-12, got 1e-13")],
             "max_rhs_evals": [("0", "must be a positive integer, got 0"),
                               ("-3", "must be a positive integer, got -3"),
                               ("1e400", "must be a whole number, got '1e400'")],

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -297,6 +298,15 @@ class TestFlowRuns:
         assert result.stop_reason == "step_underflow"
         assert result.accepted_steps == 0
         assert result.steps["h"][-1] * MIN_SHRINK < H_MIN <= result.steps["h"][-1]
+
+    def test_subnormal_tolerance_underflows_without_a_warning(self, short_cnot):
+        # err / scale overflows on a subnormal tol; the infinite norm rejects the step.
+        sys, grid, target = short_cnot
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = integrate_flow(sys, grid, target, 1, FlowConfig(s_max=20.0, tol=5e-324))
+        assert result.stop_reason == "step_underflow"
+        assert np.isinf(result.steps["err_norm"]).any()
 
     def test_horizon_shorter_than_the_first_step(self, short_cnot):
         # The default h_init of 1 is clipped to the horizon 0.5.
