@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gateflow import ExperimentSpec, load_experiment
 from gateflow.experiments import _KEYS
 
+KEYS = ("gate", "T", "L", "order", "sine_amplitude", "s_max", "max_rhs_evals")
 # Names the loader refuses as unknown keys: removed keys, a wrong name and the empty name.
 BAD_KEYS = ("tol", "j_stop", "h_init", "abs_tol", "rel_tol", "h_min", "s_granularity",
             "initial_controls", "slices", "")
@@ -24,7 +25,7 @@ WORDS = ("cnot", "swap", "exact", "inf", "nan", "1e400", "5e-324",
 FUZZ = settings(max_examples=200)  # on top of the conftest profile
 
 native_line = st.one_of(
-    st.tuples(st.sampled_from(tuple(_KEYS) + BAD_KEYS),
+    st.tuples(st.sampled_from(KEYS + BAD_KEYS),
               st.sampled_from(WORDS) | st.text(ALPHABET, max_size=8))
     .map(lambda kv: f"{kv[0]}: {kv[1]}"),
     st.text(ALPHABET, max_size=16),
@@ -36,6 +37,11 @@ full_block = (st.lists(native_line, max_size=6)
               .map("\n".join))
 native_text = st.one_of(st.text(ALPHABET, max_size=120),
                         st.lists(native_line, max_size=20).map("\n".join), full_block)
+
+
+def test_keys_are_the_live_config_keys():
+    assert sorted(KEYS) == sorted(_KEYS)
+    assert not set(BAD_KEYS) & set(_KEYS)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +59,7 @@ def test_native_text_loads_or_names_the_file(fuzz_dir, text):
     except ValueError as exc:
         assert str(exc).startswith(("fuzz.cfg:", "fuzz.cfg line ")), str(exc)
         located = re.match(r"fuzz\.cfg line (\d+): (\S+) ", str(exc))
-        if located and located[2] in _KEYS:
+        if located and located[2] in KEYS:
             # Lines split as the loader splits them, so the numbers agree.
             line = re.split(r"\r\n?|\n", text)[int(located[1]) - 1]
             assert line.split("#", 1)[0].partition(":")[0].strip() == located[2], str(exc)
