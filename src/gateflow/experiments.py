@@ -122,9 +122,11 @@ def execute_experiment(spec, scan_cap=0.0):
 def output_paths(out_path, json_path):
     """(CSV path, JSON mirror path), checked to be two different writable
     files in existing directories, neither of them a directory itself."""
-    out_path = Path(out_path)
-    json_path = out_path.with_suffix(".json") if json_path is None else Path(json_path)
+    checked = []
     for path in (out_path, json_path):
+        # The default mirror is formed only from a checked CSV path: with_suffix
+        # fails on a path without a name, such as '' (the current directory).
+        path = checked[0].with_suffix(".json") if path is None else Path(path)
         if not path.parent.is_dir():
             raise ValueError(f"{path}: {path.parent} is not an existing directory")
         if path.is_dir():
@@ -133,6 +135,8 @@ def output_paths(out_path, json_path):
         target = path if path.exists() else path.parent
         if not os.access(target, os.W_OK):
             raise ValueError(f"{path}: {target} is not writable")
+        checked.append(path)
+    out_path, json_path = checked
     if json_path.resolve() == out_path.resolve() or (
             json_path.exists() and out_path.exists() and json_path.samefile(out_path)):
         raise ValueError(f"{json_path}: the JSON mirror would overwrite the CSV output")
@@ -178,7 +182,8 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
     spec order. A failed spec, an interrupt or a lost worker (ValueError
     'a worker process ended abruptly', naming no spec: a lost worker fails
     every pending spec alike) ends the run at once: queued specs are
-    cancelled, running ones ended and no table is written.
+    cancelled, the run's own workers ended and no table is written. Other
+    child processes of the caller keep running.
     """
     require_count(parallel, "parallel")
     require_finite(scan_cap, "scan cap")
@@ -193,6 +198,8 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
         from concurrent.futures.process import BrokenProcessPool
         from multiprocessing import active_children
 
+        # The caller's own child processes, which a failed run leaves running.
+        others = set(active_children())
         # Workers ignore SIGINT, so only this process acts on it.
         with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
@@ -209,7 +216,7 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
                 outcomes = [future.result() for future in futures]
             except BaseException:
                 pool.shutdown(wait=False, cancel_futures=True)
-                for worker in active_children():
+                for worker in set(active_children()) - others:
                     worker.terminate()
                 raise
     else:

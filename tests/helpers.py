@@ -4,6 +4,8 @@ the accepted rows of a flow run's step record."""
 
 import csv
 
+from gateflow import CSV_COLUMNS
+
 
 def random_hermitian(rng, n, scale=1.0):
     a = rng.uniform(-scale, scale, (n, n)) + 1j * rng.uniform(-scale, scale, (n, n))
@@ -19,6 +21,13 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def rows_without_wall_time(path):
+    """The CSV's rows, header included, without the wall_time_s column, the
+    one column that differs between reruns."""
+    wall = CSV_COLUMNS.index("wall_time_s")
+    return [row[:wall] + row[wall + 1:] for row in read_rows(path)]
 
 
 def accepted(result):

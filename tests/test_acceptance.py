@@ -8,7 +8,6 @@ measures each rise of the objective against the followed direction's own
 estimated dJ/ds (see the criterion 7 test body).
 """
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ from gateflow import ControlGrid, EXACT, GateTarget, QuantumSystem, flow_evaluat
 from gateflow.cli import main as cli_main
 
 from conftest import check_criterion
-from helpers import accepted, random_hermitian
+from helpers import accepted, random_hermitian, rows_without_wall_time
 from oracles import (control_average_exact, control_average_series,
                      finite_difference_gradient, slice_hamiltonian)
 
@@ -192,15 +191,7 @@ def test_criterion_9_deterministic_reruns(tmp_path):
     config = REPO / "configs" / "cnot_t5.cfg"
     outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
     codes = [cli_main(["run", str(config), "--out", str(out)]) for out in outs]
-
-    def rows_with_wall_time_zeroed(path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        for row in rows[1:]:
-            row[7] = "0"
-        return rows
-
-    first, second = (rows_with_wall_time_zeroed(out) for out in outs)
+    first, second = (rows_without_wall_time(out) for out in outs)
     ok = codes == [0, 0] and first == second and len(first) == 3
     check_criterion(
         9, "deterministic reruns", ok,

@@ -3,8 +3,10 @@ table writer."""
 
 import concurrent.futures
 import json
+import multiprocessing
 import os
 import re
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from gateflow import (CSV_COLUMNS, MAX_SLICES, S_GRANULARITY, ExperimentSpec, Fl
                       flow_evaluation, gate_target, integrate_flow, load_experiment,
                       write_comparison)
 from gateflow.experiments import MAX_CONFIG_BYTES, _KEYS
-from helpers import read_rows, write_cfg
+from helpers import read_rows, rows_without_wall_time, write_cfg
 
 
 def fast_spec(order=1, s_max=50.0, n_slices=50):
@@ -62,12 +64,6 @@ def set_usable_cpus(monkeypatch, n):
                         lambda pid: set(range(n)), raising=False)
 
 
-def rows_without_wall_time(path):
-    rows = read_rows(path)
-    wall = CSV_COLUMNS.index("wall_time_s")
-    return [row[:wall] + row[wall + 1:] for row in rows]
-
-
 class TestExperimentSpec:
     def test_defaults(self):
         spec = ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150)
@@ -89,54 +85,24 @@ class TestExperimentSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="^gate must be cnot or swap, got 'toffoli'$"):
             ExperimentSpec(gate="toffoli", t_final=5.0, n_slices=150)
-        with pytest.raises(ValueError, match="T must be positive"):
-            ExperimentSpec(gate="cnot", t_final=0.0, n_slices=150)
-        with pytest.raises(ValueError, match="^L must be a positive integer of at most 10000, "
-                                             "got 0$"):
-            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=0)
-        with pytest.raises(ValueError, match="L must be a positive integer .* got 2.5$"):
-            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=2.5)
         ExperimentSpec(gate="cnot", t_final=5.0, n_slices=MAX_SLICES)
-        with pytest.raises(ValueError, match=f"at most {MAX_SLICES}, got {MAX_SLICES + 1}"):
-            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=MAX_SLICES + 1)
         with pytest.raises(ValueError, match="^order must be in 0..8, got 9$"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=9)
-        with pytest.raises(ValueError, match="^sine_amplitude must be non-negative$"):
-            ExperimentSpec(gate="swap", t_final=5.0, n_slices=300, sine_amplitude=-1e-5)
-        # Finiteness is checked first, so -inf reads as not finite, not as negative.
-        with pytest.raises(ValueError, match="^sine_amplitude must be finite$"):
-            ExperimentSpec(gate="swap", t_final=5.0, n_slices=300, sine_amplitude=-np.inf)
         with pytest.raises(TypeError, match="initial_controls"):
             ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, initial_controls="zero")
 
-    @pytest.mark.parametrize("name, label", [("t_final", "T"),
-                                             ("sine_amplitude", "sine_amplitude")])
-    def test_infinite_values_rejected(self, name, label):
-        # Rejected up front, not as a late non-finite velocity or horizon.
-        kwargs = {"t_final": 5.0, name: float("inf")}
-        with pytest.raises(ValueError, match=f"^{label} must be finite$"):
-            ExperimentSpec(gate="swap", n_slices=50, **kwargs)
-
-    @pytest.mark.parametrize("name, label", [("t_final", "T"),
-                                             ("sine_amplitude", "sine_amplitude")])
-    def test_nan_values_rejected_as_not_finite(self, name, label):
-        kwargs = {"t_final": 5.0, name: float("nan")}
-        with pytest.raises(ValueError, match=f"^{label} must be finite$"):
-            ExperimentSpec(gate="swap", n_slices=50, **kwargs)
-
-    @pytest.mark.parametrize("name, label", [("t_final", "T"),
-                                             ("sine_amplitude", "sine_amplitude")])
-    def test_boolean_values_rejected(self, name, label):
-        # True would otherwise pass 0 < value < inf and be stored as 1.0, and
-        # False pass as the zero amplitude.
-        for value in (True, False, np.bool_(True), np.bool_(False)):
-            kwargs = {"t_final": 5.0, name: value}
-            with pytest.raises(ValueError, match=f"^{label} must be a number, not a bool$"):
-                ExperimentSpec(gate="swap", n_slices=50, **kwargs)
-
-    def test_boolean_slice_count_rejected(self):
-        with pytest.raises(ValueError, match="L must be a positive integer .* got True"):
-            ExperimentSpec(gate="cnot", t_final=5.0, n_slices=True)
+    @pytest.mark.parametrize("name, value, message", [
+        ("t_final", float("nan"), "T must be finite"),
+        ("n_slices", MAX_SLICES + 1,
+         f"L must be a positive integer of at most {MAX_SLICES}, got {MAX_SLICES + 1}"),
+        ("sine_amplitude", -1e-5, "sine_amplitude must be non-negative"),
+    ], ids=["T", "L", "sine_amplitude"])
+    def test_each_field_is_checked_by_its_owner(self, name, value, message):
+        # The wiring of gateflow.system's checks, whose rules TestInputRules covers:
+        # L with its bound MAX_SLICES, sine_amplitude with zero allowed.
+        kwargs = {"gate": "swap", "t_final": 5.0, "n_slices": 50, name: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentSpec(**kwargs)
 
     def test_numpy_integers_are_stored_as_ints(self, tmp_path):
         spec = fast_spec(order=np.int64(1), n_slices=np.int64(50))
@@ -406,6 +372,12 @@ class TestConfigParsing:
                 "x.json: JSON configs are not supported; use 'key: value' blocks") + "$"):
             load_experiment(path)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_file_is_refused(self):
+        # Read to its end, /dev/zero would exhaust memory.
+        with pytest.raises(ValueError, match="^zero: config is larger than 1 MiB$"):
+            load_experiment("/dev/zero")
+
     def test_config_size_is_bounded(self, tmp_path):
         # Padded up to the limit a config loads; one byte more and it is refused.
         text = "gate: cnot\nT: 5\nL: 150\n"
@@ -576,26 +548,20 @@ class TestComparisonTable:
         for row in read_rows(first)[1:]:
             assert float(row[wall]) > 0
 
-    def test_parallel_must_be_positive(self, tmp_path):
-        out = tmp_path / "out.csv"
-        for parallel in (0, -1):
-            with pytest.raises(ValueError, match=f"^parallel must be a positive integer, "
-                                                 f"got {parallel}$"):
-                compare_methods([fast_spec()], out, parallel=parallel)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("parallel", [1.5, True], ids=["fraction", "bool"])
-    def test_parallel_must_be_an_integer(self, tmp_path, monkeypatch, recording_pool,
-                                         parallel):
-        # Rejected before any run or pool starts; 1.5 would otherwise reach
-        # the pool as max_workers and True would run as 1.
+    @pytest.mark.parametrize("arguments, message", [
+        ({"parallel": 0}, "parallel must be a positive integer, got 0"),
+        ({"parallel": 2, "scan_cap": float("inf")}, "scan cap must be finite"),
+    ], ids=["parallel", "scan_cap"])
+    def test_arguments_checked_before_any_run_or_pool(self, tmp_path, monkeypatch,
+                                                      recording_pool, arguments, message):
+        # The wiring of gateflow.system's checks, whose rules TestInputRules covers.
+        set_usable_cpus(monkeypatch, 2)
         runs = []
         monkeypatch.setattr("gateflow.experiments.execute_experiment",
                             lambda spec, scan_cap: runs.append(spec))
         out = tmp_path / "out.csv"
-        with pytest.raises(ValueError, match=f"^parallel must be a positive integer, "
-                                             f"got {parallel}$"):
-            compare_methods([fast_spec(order=0), fast_spec(order=1)], out, parallel=parallel)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out, **arguments)
         assert runs == [] and recording_pool == []
         assert not out.exists()
 
@@ -654,33 +620,43 @@ class TestComparisonTable:
         assert [r.n_slices for r in records] == [46, 47, 48, 49, 50]
         assert [row[2] for row in read_rows(out)[1:]] == ["46", "47", "48", "49", "50"]
 
-    def test_scan_cap_checked_before_the_pool(self, tmp_path, monkeypatch, recording_pool):
+    def test_parallel_failure_ends_only_its_own_workers(self, tmp_path, monkeypatch):
+        # A child process the caller started before the run outlives the run's failure.
         set_usable_cpus(monkeypatch, 2)
-        out = tmp_path / "out.csv"
-        with pytest.raises(ValueError, match="scan cap must be finite"):
-            compare_methods([fast_spec(order=0), fast_spec(order=1)], out, parallel=2,
-                            scan_cap=float("inf"))
-        assert recording_pool == []
-        assert not out.exists()
+        bystander = multiprocessing.Process(target=time.sleep, args=(60,))
+        bystander.start()
+        try:
+            failing = ExperimentSpec(gate="cnot", t_final=1e300, n_slices=2)
+            with pytest.raises(ValueError, match="slice step too long for the exponential"):
+                compare_methods([fast_spec(), failing], tmp_path / "out.csv", parallel=2)
+            bystander.join(timeout=0.5)  # time for a SIGTERM to take effect
+            assert bystander.exitcode is None, "the run ended a process it did not start"
+        finally:
+            bystander.terminate()
+            bystander.join()
 
     @pytest.mark.parametrize("out_name, json_name", [("r.json", None), ("r.csv", "r.csv"),
-                                                     ("r.csv", "sub/../r.csv")],
-                             ids=["json_suffix_out", "same_path", "same_file"])
+                                                     ("r.csv", "sub/../r.csv"),
+                                                     ("h.csv", "h.json")],
+                             ids=["json_suffix_out", "same_path", "same_file", "hard_link"])
     def test_json_mirror_must_not_be_the_csv(self, tmp_path, monkeypatch, recording_pool,
                                               out_name, json_name):
-        # Checked before any run or pool starts, like the horizon.
+        # Checked before any run or pool starts. The two names of a hard link
+        # resolve to two paths; only samefile tells they are one file.
+        monkeypatch.chdir(tmp_path)
         set_usable_cpus(monkeypatch, 2)
         (tmp_path / "sub").mkdir()
-        out = tmp_path / out_name
-        mirror = None if json_name is None else tmp_path / json_name
-        with pytest.raises(ValueError, match="the JSON mirror would overwrite the CSV output"):
-            compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
-                            json_path=mirror, parallel=2)
+        (tmp_path / "h.csv").write_text("kept\n")
+        os.link(tmp_path / "h.csv", tmp_path / "h.json")
+        message = f"{json_name or out_name}: the JSON mirror would overwrite the CSV output"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out_name,
+                            json_path=json_name, parallel=2)
         assert recording_pool == []
-        assert not out.exists()
-        with pytest.raises(ValueError, match="^" + re.escape(str(mirror or out))):
-            write_comparison(self.sample_records(), out, json_path=mirror)
-        assert not out.exists()
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            write_comparison(self.sample_records(), out_name, json_path=json_name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "h.json", "sub"]
+        assert (tmp_path / "h.csv").read_text() == "kept\n"
 
     @pytest.mark.parametrize("out_name, json_name, bad_name",
                              [("r.csv", "nodir/x.json", "nodir/x.json"),
@@ -689,41 +665,39 @@ class TestComparisonTable:
                              ids=["json_missing_dir", "out_missing_dir", "out_under_a_file"])
     def test_output_directories_must_exist(self, tmp_path, monkeypatch, recording_pool,
                                            out_name, json_name, bad_name):
-        # Checked before any run or pool starts, like the horizon.
+        # Checked before any run or pool starts; the error echoes the path as written.
+        monkeypatch.chdir(tmp_path)
         set_usable_cpus(monkeypatch, 2)
         (tmp_path / "afile").write_text("")
-        out = tmp_path / out_name
-        mirror = None if json_name is None else tmp_path / json_name
-        bad = tmp_path / bad_name
-        message = f"{bad}: {bad.parent} is not an existing directory"
+        message = f"{bad_name}: {Path(bad_name).parent} is not an existing directory"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
-                            json_path=mirror, parallel=2)
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out_name,
+                            json_path=json_name, parallel=2)
         assert recording_pool == []
-        assert not (tmp_path / "r.csv").exists()
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            write_comparison(self.sample_records(), out, json_path=mirror)
+            write_comparison(self.sample_records(), out_name, json_path=json_name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
     @pytest.mark.parametrize("out_name, json_name, bad_name",
-                             [("adir", "r.json", "adir"), ("r.csv", "adir", "adir")],
-                             ids=["out_is_a_dir", "json_is_a_dir"])
+                             [("adir", "r.json", "adir"), ("r.csv", "adir", "adir"),
+                              ("", None, ".")],
+                             ids=["out_is_a_dir", "json_is_a_dir", "out_is_empty"])
     def test_output_paths_must_not_be_directories(self, tmp_path, monkeypatch,
                                                   recording_pool, out_name, json_name,
                                                   bad_name):
-        # Checked before any run or pool starts, like the horizon.
+        # Checked before any run or pool starts. An empty path, as `--out ''`
+        # passes it, is the current directory, and no default mirror is formed from it.
+        monkeypatch.chdir(tmp_path)
         set_usable_cpus(monkeypatch, 2)
         (tmp_path / "adir").mkdir()
-        out = tmp_path / out_name
-        mirror = tmp_path / json_name
-        message = f"{tmp_path / bad_name}: is a directory, not a file"
+        message = f"{bad_name}: is a directory, not a file"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            compare_methods([fast_spec(order=0), fast_spec(order=1)], out,
-                            json_path=mirror, parallel=2)
+            compare_methods([fast_spec(order=0), fast_spec(order=1)], out_name,
+                            json_path=json_name, parallel=2)
         assert recording_pool == []
-        assert not (tmp_path / "r.csv").exists()
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            write_comparison(self.sample_records(), out, json_path=mirror)
-        assert not (tmp_path / "r.csv").exists()
+            write_comparison(self.sample_records(), out_name, json_path=json_name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
 
     @pytest.mark.parametrize("existing, denied, bad_name",
                              [((), ".", "r.csv"), (("r.csv", "r.json"), "r.csv", "r.csv"),

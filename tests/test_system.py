@@ -1,6 +1,8 @@
 """System assembly and propagation: the two-spin benchmark numbers, slice
 Hamiltonians, the scaled Taylor step exponentials, unitarity of the prefix
-chain, and an ODE cross-check."""
+chain, an ODE cross-check, and the owners of the input rules."""
+
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from gateflow import (GATE_TARGETS, UNITARY_TOL, ControlGrid, GateTarget, QuantumSystem,
                       gate_target, propagate, unitarity_defect)
 from gateflow.linalg import MAX_SQUARINGS, real_embedding, squarings, step_exponentials
-from gateflow.system import SCAN_BLOCK
+from gateflow.system import SCAN_BLOCK, require_count, require_finite, require_positive_finite
 from helpers import random_hermitian
 from oracles import (expm_hermitian_generator, from_real_embedding, slice_hamiltonian,
                      slice_hamiltonians, step_propagator)
@@ -108,17 +110,9 @@ class TestValidation:
             QuantumSystem(h0=np.eye(2), controls=np.zeros((1, 3, 3)))
 
     def test_nonpositive_horizon_rejected(self):
-        with pytest.raises(ValueError, match="T must be positive"):
+        # The grid's wiring of require_positive_finite, whose rules TestInputRules checks.
+        with pytest.raises(ValueError, match="^T must be positive$"):
             ControlGrid(t_final=0.0, amplitudes=np.zeros((1, 4)))
-
-    def test_infinite_horizon_rejected(self):
-        with pytest.raises(ValueError, match="^T must be finite$"):
-            ControlGrid(t_final=np.inf, amplitudes=np.zeros((1, 4)))
-
-    def test_nan_horizon_rejected_as_not_finite(self):
-        # NaN fails 0 < T as well as T < inf; it is not finite, whatever its sign.
-        with pytest.raises(ValueError, match="^T must be finite$"):
-            ControlGrid(t_final=float("nan"), amplitudes=[[0.0]])
 
     def test_non_finite_drift_rejected(self):
         with pytest.raises(ValueError, match="^h0 has non-finite entries$"):
@@ -159,6 +153,80 @@ class TestValidation:
         new = grid.with_amplitudes(np.ones((1, 6)))
         assert new.t_final == 3.0
         assert np.array_equal(new.amplitudes, np.ones((1, 6)))
+
+
+def check_rule(rule, args, message):
+    """Call rule(*args) and expect it to pass (message None) or to raise
+    ValueError with exactly message."""
+    if message is None:
+        assert rule(*args) is None
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rule(*args)
+
+
+NOT_A_NUMBER = "x must be a number, not a bool"
+
+
+class TestInputRules:
+    """The owners of the input rules, each with one table. A caller's test
+    passes one bad value per field, to check that it calls the owner."""
+
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(True, NOT_A_NUMBER, id="true"),
+        pytest.param(False, NOT_A_NUMBER, id="false"),
+        pytest.param(np.True_, NOT_A_NUMBER, id="numpy_true"),
+        pytest.param(np.False_, NOT_A_NUMBER, id="numpy_false"),
+        pytest.param(np.inf, "x must be finite", id="inf"),
+        pytest.param(-np.inf, "x must be finite", id="minus_inf"),
+        pytest.param(np.nan, "x must be finite", id="nan"),
+        pytest.param(-2.5, None, id="negative"),
+        pytest.param(0, None, id="zero"),
+        pytest.param(np.float32(1e-30), None, id="numpy_float"),
+    ])
+    def test_require_finite(self, value, message):
+        check_rule(require_finite, (value, "x"), message)
+
+    @pytest.mark.parametrize("value, zero_ok, message", [
+        # A bool is refused even where 0 is allowed, False included.
+        pytest.param(True, False, NOT_A_NUMBER, id="true"),
+        pytest.param(np.False_, True, NOT_A_NUMBER, id="numpy_false_zero_ok"),
+        # Finiteness comes first, so -inf reads as not finite, not as negative.
+        pytest.param(np.inf, False, "x must be finite", id="inf"),
+        pytest.param(-np.inf, True, "x must be finite", id="minus_inf_zero_ok"),
+        pytest.param(np.nan, False, "x must be finite", id="nan"),
+        pytest.param(0.0, False, "x must be positive", id="zero"),
+        pytest.param(0.0, True, None, id="zero_zero_ok"),
+        pytest.param(-1e-300, False, "x must be positive", id="negative"),
+        pytest.param(-1e-300, True, "x must be non-negative", id="negative_zero_ok"),
+        pytest.param(5e-324, False, None, id="subnormal"),
+    ])
+    def test_require_positive_finite(self, value, zero_ok, message):
+        check_rule(require_positive_finite, (value, "x", zero_ok), message)
+
+    @pytest.mark.parametrize("value, most, message", [
+        pytest.param(1, None, None, id="one"),
+        pytest.param(10**12, None, None, id="unbounded"),
+        pytest.param(np.int64(3), None, None, id="numpy_integer"),
+        pytest.param(10, 10, None, id="at_most"),
+        pytest.param(0, None, "x must be a positive integer, got 0", id="zero"),
+        pytest.param(-3, None, "x must be a positive integer, got -3", id="negative"),
+        pytest.param(2.5, None, "x must be a positive integer, got 2.5", id="fraction"),
+        pytest.param(3.0, None, "x must be a positive integer, got 3.0", id="whole_float"),
+        pytest.param("3", None, "x must be a positive integer, got '3'", id="string"),
+        pytest.param(True, None, "x must be a positive integer, got True", id="true"),
+        pytest.param(np.True_, None, f"x must be a positive integer, got {np.True_!r}",
+                     id="numpy_true"),
+        pytest.param(11, 10, "x must be a positive integer of at most 10, got 11",
+                     id="above_most"),
+        pytest.param(np.int64(11), 10,
+                     f"x must be a positive integer of at most 10, got {np.int64(11)!r}",
+                     id="numpy_integer_above_most"),
+        pytest.param(0, 10, "x must be a positive integer of at most 10, got 0",
+                     id="zero_with_most"),
+    ])
+    def test_require_count(self, value, most, message):
+        check_rule(require_count, (value, "x", most), message)
 
 
 class TestSliceHamiltonian:
