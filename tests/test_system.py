@@ -110,9 +110,19 @@ class TestValidation:
             QuantumSystem(h0=np.eye(2), controls=np.zeros((1, 3, 3)))
 
     def test_nonpositive_horizon_rejected(self):
-        # The grid's wiring of require_positive_finite, whose rules TestInputRules checks.
+        # This and the next two tests are the grid's wiring of
+        # require_positive_finite, whose rules TestInputRules checks.
         with pytest.raises(ValueError, match="^T must be positive$"):
             ControlGrid(t_final=0.0, amplitudes=np.zeros((1, 4)))
+
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="^T must be finite$"):
+            ControlGrid(t_final=np.inf, amplitudes=np.zeros((1, 4)))
+
+    def test_nan_horizon_rejected_as_not_finite(self):
+        # NaN fails 0 < T as well as T < inf; it is not finite, whatever its sign.
+        with pytest.raises(ValueError, match="^T must be finite$"):
+            ControlGrid(t_final=float("nan"), amplitudes=[[0.0]])
 
     def test_non_finite_drift_rejected(self):
         with pytest.raises(ValueError, match="^h0 has non-finite entries$"):
