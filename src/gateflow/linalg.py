@@ -26,9 +26,9 @@ _PS_COEFFS = np.array([[1 / math.factorial(j) if j <= TAYLOR_DEGREE else 0.0
                         for j in range(start, start + PS_BLOCK)]
                        for start in range(0, TAYLOR_DEGREE + 1, PS_BLOCK)])
 
-# Each squaring can double the rounding error of a step, so s squarings leave
-# about 2**s * eps: 2**16 * 2.2e-16 = 1.5e-11 per step, below system.UNITARY_TOL
-# = 1e-10 (the prefixes gather more; see there). A step needing more is too coarse a slice.
+# Each squaring can double the rounding error of a step, so s squarings leave about 2**s * eps:
+# 2**16 * 2.2e-16 = 1.5e-11 per step, below system.UNITARY_TOL and within the step's share,
+# dt * ||X||_inf >= 2**(s-1), of gradient.DRIFT_K's prefix bound. More is too coarse a slice.
 MAX_SQUARINGS = 16
 
 

@@ -8,10 +8,8 @@ import numpy as np
 
 from .linalg import real_embedding, require_hermitian, step_exponentials
 
-# Tolerance for unitarity of propagator prefixes. Rounding carries the prefixes
-# off the unitary group roughly in proportion to T, not to L: from the
-# benchmark's zero start grid, P_L drifts by 2.5e-13 at T=10, 5.7e-11 at T=1e3
-# and 2.7e-9 at T=1.5e5 (L=1000; 3.6e-9 at L=10000), so long runs fail the check.
+# Tolerance for the unitarity of a GateTarget, one given matrix. A run's prefixes
+# have their own bound, scaled with the run (gradient.DRIFT_K).
 UNITARY_TOL = 1e-10
 
 # Chain length of the blocked prefix scan in propagate.

@@ -124,16 +124,6 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "unknown key 'slices'" in captured.err
 
 
-def test_horizon_below_h_init_passes_validation(tmp_path, capsys):
-    # The first step, h_init = 1 by default, is clipped to the horizon 0.5.
-    cfg = write_cfg(tmp_path, "s_max: 0.5\ngate: cnot\nT: 5\nL: 50\n")
-    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == ""
-    assert "(horizon)" in captured.out
-
-
 def test_step_underflow_exits_two(tmp_path, capsys, monkeypatch):
     # An unreachable tolerance shrinks every step until it falls below the floor.
     monkeypatch.setattr("gateflow.experiments.FlowConfig",
@@ -207,33 +197,24 @@ def test_output_on_the_config_exits_one(tmp_path, capsys, monkeypatch, config, f
     assert sorted(p.name for p in tmp_path.iterdir()) == [config]
 
 
-def test_step_too_long_to_exponentiate_exits_one(tmp_path, capsys):
-    # Without the squaring limit this run crawls toward the evaluation budget.
-    cfg = write_cfg(tmp_path, "gate: cnot\nT: 1e300\nL: 2\n")
+@pytest.mark.parametrize("flags", [[], ["--parallel", "2"]], ids=["sequential", "parallel"])
+def test_run_time_error_names_its_spec(tmp_path, capsys, flags):
+    # The first spec runs fine; the error line names the second, in a
+    # sequential and in a parallel run alike. Without the squaring limit the
+    # second would crawl toward the evaluation budget.
+    cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 20\ns_max: 50\n\n"
+                              "gate: cnot\nT: 1e300\nL: 2\n")
     started = time.perf_counter()
-    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv")])
+    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"), *flags])
     elapsed = time.perf_counter() - started
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith(
         "error: cnot T=1e+300 L=2 order=1: slice step too long for the exponential")
-    assert captured.err.endswith("use more slices\n") and captured.err.count("\n") == 1
-    assert elapsed < 1.0
-    assert not (tmp_path / "results.csv").exists()
-
-
-@pytest.mark.parametrize("flags", [[], ["--parallel", "2"]], ids=["sequential", "parallel"])
-def test_run_time_error_names_its_spec(tmp_path, capsys, flags):
-    # The first spec runs fine; the error line names the second, in a
-    # sequential and in a parallel run alike.
-    cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 20\ns_max: 50\n\n"
-                              "gate: cnot\nT: 1e300\nL: 2\n")
-    code = main(["run", str(cfg), "--out", str(tmp_path / "results.csv"), *flags])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith(
-        "error: cnot T=1e+300 L=2 order=1: slice step too long for the exponential")
+    assert captured.err.endswith("use more slices\n")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    if not flags:  # the bound leaves out a pool's start-up
+        assert elapsed < 1.0
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -53,71 +53,26 @@ class TestConfigValidation:
         assert cfg.h_init == 1.0
         assert len(fields(FlowConfig)) == 7  # the step floor is the constant H_MIN
 
-    def test_rejects_bad_tolerances(self):
-        with pytest.raises(ValueError, match="^tol must be positive$"):
-            FlowConfig(s_max=10.0, tol=0.0)
-        with pytest.raises(ValueError, match="^tol must be positive$"):
-            FlowConfig(s_max=10.0, tol=-1e-4)
-        with pytest.raises(ValueError, match="j_stop"):
-            FlowConfig(s_max=10.0, j_stop=0.0)
+    @pytest.mark.parametrize("name, value, message", [
+        ("s_max", float("inf"), "s_max must be finite"),
+        ("tol", 0.0, "tol must be positive"),
+        ("j_stop", float("nan"), "j_stop must be finite"),
+        ("h_init", True, "h_init must be a number, not a bool"),
+        ("max_rhs_evals", 2.5, "max_rhs_evals must be a positive integer, got 2.5"),
+    ], ids=["s_max", "tol", "j_stop", "h_init", "max_rhs_evals"])
+    def test_each_field_is_checked_by_its_owner(self, name, value, message):
+        # The wiring of gateflow.system's checks, whose rules TestInputRules covers.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FlowConfig(**{"s_max": 10.0, name: value})
 
-    def test_rejects_bad_step_bounds(self):
-        # h_init is checked like tol and must clear the step floor; an h_init
-        # past the horizon is kept, since the first step is clipped to it.
-        with pytest.raises(ValueError, match="^h_init must be positive$"):
-            FlowConfig(s_max=10.0, h_init=0.0)
-        with pytest.raises(ValueError, match="^h_init must be finite$"):
-            FlowConfig(s_max=10.0, h_init=float("inf"))
+    def test_h_init_must_clear_the_step_floor(self):
+        # The one rule FlowConfig owns itself. An h_init past the horizon is
+        # kept, since the first step is clipped to it.
         with pytest.raises(ValueError, match="^h_init must be larger than 1e-12, got 1e-12$"):
             FlowConfig(s_max=10.0, h_init=H_MIN)
-        assert FlowConfig(s_max=10.0, h_init=20.0).h_init == 20.0
         assert FlowConfig(s_max=10.0, h_init=2 * H_MIN).h_init == 2 * H_MIN
-
-    def test_step_bound_errors_name_the_failing_bound(self):
-        # s_max is checked on its own; a horizon below the default h_init is valid.
-        with pytest.raises(ValueError, match="^s_max must be positive$"):
-            FlowConfig(s_max=-5.0)
-        with pytest.raises(ValueError, match="^h_init must be larger than 1e-12, got 1e-13$"):
-            FlowConfig(s_max=0.5, h_init=1e-13)
-        assert FlowConfig(s_max=0.5).s_max == 0.5
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError, match="max_rhs_evals"):
-            FlowConfig(s_max=10.0, max_rhs_evals=0)
-
-    def test_rejects_infinite_horizon(self):
-        # An infinite horizon would leave only the evaluation budget to stop a run.
-        with pytest.raises(ValueError, match="^s_max must be finite$"):
-            FlowConfig(s_max=float("inf"))
-
-    @pytest.mark.parametrize("name", ["s_max", "tol", "j_stop"])
-    def test_rejects_nan_as_not_finite(self, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            FlowConfig(**{"s_max": 10.0, name: float("nan")})
-
-    @pytest.mark.parametrize("name", ["tol", "j_stop"])
-    def test_rejects_infinite_tolerance(self, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            FlowConfig(s_max=10.0, **{name: float("inf")})
-
-    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy_bool"])
-    def test_rejects_boolean_tolerance(self, value):
-        # True would otherwise pass 0 < value < inf and be kept as 1.
-        with pytest.raises(ValueError, match="^tol must be a number, not a bool$"):
-            FlowConfig(s_max=10.0, tol=value)
-
-    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy_bool"])
-    def test_rejects_boolean_step_bounds(self, value):
-        # True would otherwise pass H_MIN < h_init < inf and be kept as 1.
-        with pytest.raises(ValueError, match="^h_init must be a number, not a bool$"):
-            FlowConfig(s_max=10.0, h_init=value)
-
-    @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
-    def test_budget_must_be_an_integer(self, budget):
-        with pytest.raises(ValueError, match=f"^max_rhs_evals must be a positive integer, "
-                                             f"got {budget}$"):
-            FlowConfig(s_max=10.0, max_rhs_evals=budget)
-        assert FlowConfig(s_max=10.0, max_rhs_evals=np.int64(3)).max_rhs_evals == 3
+        assert FlowConfig(s_max=10.0, h_init=20.0).h_init == 20.0
+        assert FlowConfig(s_max=0.5).h_init == 1.0
 
     def test_frozen(self):
         # A checked config cannot be made invalid afterwards; replace() builds

@@ -12,7 +12,8 @@ from gateflow import (ControlGrid, EXACT, ExperimentSpec, FlowConfig, GateTarget
                       build_two_spin_benchmark, descent_rate, execute_experiment,
                       flow_evaluation, gate_target, normalize_order, propagate,
                       unitarity_defect)
-from gateflow.gradient import exact_weights
+from gateflow.gradient import DRIFT_K, exact_weights
+from gateflow.linalg import step_exponentials
 from gateflow.system import SCAN_BLOCK
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
@@ -454,23 +455,44 @@ class TestFlowRhs:
         assert transposed[0].flags.c_contiguous
 
     def test_unitarity_check_raises_on_drift(self, monkeypatch):
-        # Rounding drift grows with T: from the zero grid at T = 1.5e5 the prefixes
-        # leave the unitary group by about 2.7e-9, so the first evaluation fails,
-        # and the error comes back labelled like any other ValueError of a run.
+        # The bound scales with the run: from the zero grid at T = 1.5e5 the
+        # prefixes drift by about 2.6e-9, past UNITARY_TOL but inside the run's
+        # bound of about 1.0e-7, so the checked run ends on its evaluation budget.
         spec = ExperimentSpec(gate="cnot", t_final=1.5e5, n_slices=1000,
-                              cfg=FlowConfig(check_unitarity=True))
-        with pytest.raises(ValueError, match=r"^cnot T=150000 L=1000 order=1: propagator "
-                                             r"prefixes drifted off the unitary group: .* "
-                                             r"exceeds 1e-10$"):
-            execute_experiment(spec)
+                              cfg=FlowConfig(check_unitarity=True, max_rhs_evals=1))
+        result = execute_experiment(spec)[1]
+        assert result.stop_reason == "eval_budget"
+        assert UNITARY_TOL < result.max_unitarity_defect < 1e-7
+        # Past DRIFT_K * eps * (2N + sum_l dt ||X_l||_inf) the check raises and
+        # prints the bound it used.
         sys, grid, target = random_instance(53)
+        norms = np.linalg.norm(propagate(sys, grid)[0], np.inf, axis=(1, 2))
+        bound = DRIFT_K * np.finfo(float).eps * (2 * sys.dim + grid.dt * norms.sum())
         monkeypatch.setattr("gateflow.gradient.unitarity_defect",
-                            lambda p, p_dagger: 2 * UNITARY_TOL)
+                            lambda p, p_dagger: 2 * bound)
         flow_evaluation(sys, grid, target, order=1)
-        with pytest.raises(ValueError, match=r"^propagator prefixes drifted off the unitary "
-                                             r"group: max\|P\^dagger P - I\| = 2\.000e-10 "
-                                             r"exceeds 1e-10$"):
+        with pytest.raises(ValueError, match=rf"^propagator prefixes drifted off the unitary "
+                                             rf"group: max\|P\^dagger P - I\| = {2 * bound:.3e} "
+                                             rf"exceeds {bound:.3e}$"):
             flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
+
+    @pytest.mark.parametrize("t_final, n_slices, off", [(10.0, 150, 1e-9), (1.5e5, 1000, 1e-6)],
+                             ids=["T10", "T150000"])
+    def test_off_unitary_step_fails_the_check(self, monkeypatch, t_final, n_slices, off):
+        # One step exponential scaled by 1 + off moves the later prefixes about 2 off
+        # from the unitary group, past the run's bound: about 6.7e-12 at T = 10 and
+        # 1.0e-7 at T = 1.5e5, where an off of 1e-9 would pass.
+        def perturbed(x, dt):
+            steps = step_exponentials(x, dt)
+            steps[len(steps) // 2] *= 1 + off
+            return steps
+
+        monkeypatch.setattr("gateflow.system.step_exponentials", perturbed)
+        spec = ExperimentSpec(gate="cnot", t_final=t_final, n_slices=n_slices,
+                              cfg=FlowConfig(check_unitarity=True, max_rhs_evals=1))
+        with pytest.raises(ValueError, match=rf"^cnot T={t_final:g} L={n_slices} order=1: "
+                                             r"propagator prefixes drifted off the unitary group"):
+            execute_experiment(spec)
 
     def test_exact_order_rate_is_minus_dt_norm_squared(self):
         # At exact order the followed velocities are the exact reference, and
