@@ -26,9 +26,9 @@ _PS_COEFFS = np.array([[1 / math.factorial(j) if j <= TAYLOR_DEGREE else 0.0
                         for j in range(start, start + PS_BLOCK)]
                        for start in range(0, TAYLOR_DEGREE + 1, PS_BLOCK)])
 
-# Each squaring can double the rounding error of a step, so s squarings leave about 2**s * eps:
-# 2**16 * 2.2e-16 = 1.5e-11 per step, below system.UNITARY_TOL and within the step's share,
-# dt * ||X||_inf >= 2**(s-1), of gradient.DRIFT_K's prefix bound. More is too coarse a slice.
+# Each squaring can double the rounding error of a step, so s squarings leave about 2**s * eps.
+# The cap bounds that at 2**16 * 2.2e-16 = 1.5e-11 per step, within the step's share,
+# dt * ||X||_inf >= 2**(s-1), of gradient.DRIFT_K's prefix bound. A longer step is refused.
 MAX_SQUARINGS = 16
 
 
@@ -62,27 +62,25 @@ def real_embedding(z):
     return out
 
 
-def squarings(x, dt):
-    """The fewest squarings s that bring the largest dt * ||X||_inf of the
-    stack x below 1.
+def squarings(rows, dt):
+    """The fewest squarings s that bring dt * ||X||_inf below 1 for every
+    matrix X of a stack, given rows, the row sums of each |X|.
 
     Raises ValueError when that norm is not finite or needs more than
     MAX_SQUARINGS. The norm is formed in Python floats, which overflow to
     inf without a warning.
     """
-    # Every row sum in one product. The norm is submultiplicative, so it bounds
-    # the Taylor tail; for the antisymmetric generators it equals the 1-norm.
-    m = x.shape[-1]
-    norm = float(dt) * float((np.abs(x).reshape(-1, m) @ np.ones(m)).max())
+    norm = float(dt) * float(rows.max())
     if not norm < 2.0**MAX_SQUARINGS:
         raise ValueError(f"slice step too long for the exponential: largest dt*||X||_inf = "
                          f"{norm:.3e} needs more than {MAX_SQUARINGS} squarings; "
-                         f"use more slices")
+                         f"use more slices, a shorter T or smaller amplitudes")
     return max(0, math.frexp(norm)[1])
 
 
 def step_exponentials(x, dt):
-    """exp(-dt * X) for each matrix X of a stack x, by scaling and squaring.
+    """(exp(-dt * X) for each matrix X of a stack x, row sums of each |X|),
+    by scaling and squaring.
 
     The stack is scaled by 2**-s (s from squarings), its degree-18 Taylor
     polynomial is evaluated in 7 batched products, and the result is
@@ -90,9 +88,13 @@ def step_exponentials(x, dt):
     embedding X of i H, with H Hermitian, this is the real embedding of
     the step propagator exp(-i dt H).
     """
-    s = squarings(x, dt)
+    # Every row sum in one product. The norm is submultiplicative, so it bounds
+    # the Taylor tail; for the antisymmetric generators it equals the 1-norm.
+    m = x.shape[-1]
+    rows = (np.abs(x).reshape(-1, m) @ np.ones(m)).reshape(x.shape[:-1])
+    s = squarings(rows, dt)
     powers = np.empty((PS_BLOCK,) + x.shape)  # I, A, A^2, A^3
-    powers[0] = np.eye(x.shape[-1])
+    powers[0] = np.eye(m)
     np.multiply(x, -dt / 2.0**s, out=powers[1])
     for j in range(2, PS_BLOCK):
         np.matmul(powers[j - 1], powers[1], out=powers[j])
@@ -106,4 +108,4 @@ def step_exponentials(x, dt):
     for _ in range(s):
         np.matmul(out, out, out=spare)
         out, spare = spare, out
-    return out
+    return out, rows

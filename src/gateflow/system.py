@@ -132,10 +132,10 @@ class GateTarget:
 
 
 def propagate(sys, grid):
-    """(generators, prefixes): the slice generators X_l = real_embedding(i H_l),
-    formed by linearity as X_0 + sum_k eps_kl X_k over sys.embedded_terms, and
-    the real-embedded prefix propagators P_0 = I, ..., P_L = U(T, 0), later
-    slices applied on the left; shapes (L, 2N, 2N) and (L+1, 2N, 2N).
+    """(generators, prefixes, rows): the slice generators X_l = real_embedding(i H_l),
+    formed by linearity as X_0 + sum_k eps_kl X_k over sys.embedded_terms, the real-embedded
+    prefix propagators P_0 = I, ..., P_L = U(T, 0), later slices applied on the left, and the
+    row sums of each |X_l|; shapes (L, 2N, 2N), (L+1, 2N, 2N) and (L, 2N).
 
     The steps exp(-dt X_l), real forms of exp(-i dt H_l), come from one batched
     scaled Taylor exponential (linalg.step_exponentials, which raises ValueError
@@ -154,7 +154,7 @@ def propagate(sys, grid):
     scan = np.empty((chains, SCAN_BLOCK, m, m))
     flat = scan.reshape(-1, m, m)
     flat[0] = flat[n_slices + 1:] = np.eye(m)
-    flat[1:n_slices + 1] = step_exponentials(gens, grid.dt)
+    flat[1:n_slices + 1], rows = step_exponentials(gens, grid.dt)
     for j in range(1, SCAN_BLOCK):
         scan[:, j] = scan[:, j] @ scan[:, j - 1]
     totals = scan[:-1, -1].copy()  # chain c's total; the last chain's is not needed
@@ -164,7 +164,7 @@ def propagate(sys, grid):
         d *= 2
     tail = scan[1:].reshape(chains - 1, SCAN_BLOCK * m, m)
     tail[:] = tail @ totals
-    return gens, flat[:n_slices + 1]
+    return gens, flat[:n_slices + 1], rows
 
 
 def unitarity_defect(p, p_dagger):

@@ -211,7 +211,7 @@ def test_run_time_error_names_its_spec(tmp_path, capsys, flags):
     assert code == 1
     assert captured.err.startswith(
         "error: cnot T=1e+300 L=2 order=1: slice step too long for the exponential")
-    assert captured.err.endswith("use more slices\n")
+    assert captured.err.endswith("use more slices, a shorter T or smaller amplitudes\n")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     if not flags:  # the bound leaves out a pool's start-up
         assert elapsed < 1.0

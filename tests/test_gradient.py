@@ -405,7 +405,7 @@ class TestFlowRhs:
         flow_evaluation(sys, grid, target, order=EXACT)
         descent_rate(flow_evaluation(sys, grid, target, order=1))
         assert len(passes) == len(stacks) == 2
-        for (generators, _), h in zip(passes, stacks):
+        for (generators, *_), h in zip(passes, stacks):
             assert h.dtype == (float if kind == "benchmark" else complex)
             assert np.shares_memory(h, generators) == (kind == "benchmark")
             assert np.abs(h - slice_hamiltonians(sys, grid)).max() <= 1e-14
@@ -454,6 +454,26 @@ class TestFlowRhs:
         assert np.array_equal(transposed[0], prefixes.transpose(0, 2, 1))
         assert transposed[0].flags.c_contiguous
 
+    def test_checked_evaluation_sums_the_generator_rows_once(self, monkeypatch):
+        # The squaring count and the drift bound read one (L, 2N) stack of row sums of
+        # |X_l|, formed by the step exponential and handed on by propagate.
+        sys, grid, target = random_instance(49, dim=4, n_controls=2, n_slices=9)
+        passes, magnitudes, magnitude = [], [], np.abs
+
+        def recording_propagate(*args):
+            passes.append(propagate(*args))
+            return passes[-1]
+
+        def recording_abs(a, *args, **kwargs):
+            magnitudes.append(a)
+            return magnitude(a, *args, **kwargs)
+
+        monkeypatch.setattr("gateflow.gradient.propagate", recording_propagate)
+        monkeypatch.setattr("numpy.abs", recording_abs)
+        flow_evaluation(sys, grid, target, order=1, check_unitarity=True)
+        generators, _, _ = passes[0]
+        assert sum(np.shares_memory(a, generators) for a in magnitudes) == 1
+
     def test_unitarity_check_raises_on_drift(self, monkeypatch):
         # The bound scales with the run: from the zero grid at T = 1.5e5 the
         # prefixes drift by about 2.6e-9, past UNITARY_TOL but inside the run's
@@ -483,9 +503,9 @@ class TestFlowRhs:
         # from the unitary group, past the run's bound: about 6.7e-12 at T = 10 and
         # 1.0e-7 at T = 1.5e5, where an off of 1e-9 would pass.
         def perturbed(x, dt):
-            steps = step_exponentials(x, dt)
+            steps, rows = step_exponentials(x, dt)
             steps[len(steps) // 2] *= 1 + off
-            return steps
+            return steps, rows
 
         monkeypatch.setattr("gateflow.system.step_exponentials", perturbed)
         spec = ExperimentSpec(gate="cnot", t_final=t_final, n_slices=n_slices,

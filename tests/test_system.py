@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from gateflow import (GATE_TARGETS, UNITARY_TOL, ControlGrid, GateTarget, QuantumSystem,
+from gateflow import (GATE_TARGETS, ControlGrid, GateTarget, QuantumSystem,
                       gate_target, propagate, unitarity_defect)
 from gateflow.linalg import MAX_SQUARINGS, real_embedding, squarings, step_exponentials
 from gateflow.system import SCAN_BLOCK, require_count, require_finite, require_positive_finite
@@ -301,14 +301,14 @@ class TestPropagation:
     def test_single_slice_total_is_step(self, benchmark_system):
         rng = np.random.default_rng(16)
         grid = ControlGrid(t_final=0.3, amplitudes=rng.uniform(-1, 1, (2, 1)))
-        _, prefixes = propagate(benchmark_system, grid)
+        prefixes = propagate(benchmark_system, grid)[1]
         assert np.allclose(from_real_embedding(prefixes[-1]),
                            step_propagator(benchmark_system, grid, 1), atol=1e-14)
         assert np.array_equal(from_real_embedding(prefixes)[0], np.eye(4))
 
     def test_zero_controls_exponentiate_drift(self, benchmark_system):
         grid = ControlGrid(t_final=2.0, amplitudes=np.zeros((2, 7)))
-        _, prefixes = propagate(benchmark_system, grid)
+        prefixes = propagate(benchmark_system, grid)[1]
         expected = expm_hermitian_generator(benchmark_system.h0, 2.0)
         assert np.abs(from_real_embedding(prefixes[-1]) - expected).max() <= 1e-12
 
@@ -370,10 +370,12 @@ class TestPropagation:
 
     def test_cache_shapes(self, benchmark_system):
         grid = ControlGrid(t_final=1.0, amplitudes=np.zeros((2, 5)))
-        generators, prefixes = propagate(benchmark_system, grid)
+        generators, prefixes, rows = propagate(benchmark_system, grid)
         assert prefixes.shape == (6, 8, 8)
         assert np.array_equal(prefixes[0], np.eye(8))
         assert generators.shape == (5, 8, 8)
+        assert rows.shape == (5, 8)
+        assert np.allclose(rows, np.abs(generators).sum(-1), rtol=1e-15, atol=0)
         hams = slice_hamiltonians(benchmark_system, grid)
         assert np.array_equal(generators, real_embedding(1j * hams))
 
@@ -416,9 +418,10 @@ class TestStepExponentials:
             h_norm = np.linalg.norm(hams, 2, axis=(-2, -1)).max()
             for dt_norm in 10.0 ** np.arange(-3, 4):
                 grid = ControlGrid(dt_norm * n_slices / h_norm, amps)
-                generators, prefixes = propagate(sys, grid)
-                s = squarings(generators, grid.dt)
-                steps = step_exponentials(generators, grid.dt)
+                generators, prefixes, rows = propagate(sys, grid)
+                s = squarings(rows, grid.dt)
+                steps, step_rows = step_exponentials(generators, grid.dt)
+                assert np.array_equal(step_rows, rows)
                 oracle = np.stack([step_propagator(sys, grid, l)
                                    for l in range(1, n_slices + 1)])
                 assert np.abs(steps - real_embedding(oracle)).max() <= 32 * 2**s * EPS
@@ -427,18 +430,17 @@ class TestStepExponentials:
                 p = from_real_embedding(prefixes)
                 assert unitarity_defect(p, p.conj().transpose(0, 2, 1)) <= bound
 
-    def test_squaring_limit_keeps_drift_below_unitary_tol(self):
-        assert 2.0**MAX_SQUARINGS * EPS < UNITARY_TOL
-
     def test_squarings_bring_the_norm_below_one(self):
-        # ||real_embedding(i sigma_x)||_inf = 1, so the norm is dt itself.
+        # Every row of |real_embedding(i sigma_x)| sums to 1, so the norm is dt itself.
         x = real_embedding(1j * np.array([[[0.0, 1.0], [1.0, 0.0]]]))
-        assert squarings(x, 0.5) == 0
-        assert squarings(x, 1.0) == 1
-        assert squarings(x, 3.0) == 2
-        assert squarings(x, np.nextafter(2.0**MAX_SQUARINGS, 0)) == MAX_SQUARINGS
+        rows = step_exponentials(x, 0.5)[1]
+        assert np.array_equal(rows, np.ones((1, 4)))
+        assert squarings(rows, 0.5) == 0
+        assert squarings(rows, 1.0) == 1
+        assert squarings(rows, 3.0) == 2
+        assert squarings(rows, np.nextafter(2.0**MAX_SQUARINGS, 0)) == MAX_SQUARINGS
         with pytest.raises(ValueError, match=rf"needs more than {MAX_SQUARINGS} squarings"):
-            squarings(x, 2.0**MAX_SQUARINGS)
+            squarings(rows, 2.0**MAX_SQUARINGS)
 
     @pytest.mark.parametrize("t_final, shown", [(1e300, r"9\.354e\+301"),
                                                  (1.7e308, "inf")], ids=["huge", "overflow"])
@@ -447,7 +449,8 @@ class TestStepExponentials:
         grid = ControlGrid(t_final=t_final, amplitudes=np.zeros((2, 2)))
         with pytest.raises(ValueError, match=rf"^slice step too long for the exponential: "
                                              rf"largest dt\*\|\|X\|\|_inf = {shown} needs more "
-                                             rf"than {MAX_SQUARINGS} squarings; use more slices$"):
+                                             rf"than {MAX_SQUARINGS} squarings; use more slices, "
+                                             rf"a shorter T or smaller amplitudes$"):
             propagate(benchmark_system, grid)
 
     def test_nan_generator_rejected(self):
