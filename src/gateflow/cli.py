@@ -26,7 +26,7 @@ def build_parser():
     run.add_argument("--out", default="results.csv", metavar="PATH",
                      help="CSV output path (default: results.csv)")
     run.add_argument("--json", default=None, metavar="PATH",
-                     help="JSON mirror path (default: CSV path with .json suffix)")
+                     help="also write the rows as JSON to PATH (default: none)")
     run.add_argument("--parallel", type=int, default=1, metavar="N",
                      help="run up to N experiments in parallel processes")
     run.add_argument("--scan-cap", type=float, default=0.0, metavar="S",
@@ -49,14 +49,14 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # the tables are written only once every run is done
+    except KeyboardInterrupt:  # the table is written only once every run is done
         print("interrupted", file=sys.stderr)
         return 130
     try:
         for r in records:
             print(f"{run_label(r)}: S={r.s_reported:g} J={r.final_j:.3e} ({r.stop_reason})")
         print(f"wrote {args.out}", flush=True)
-    except OSError as exc:  # the tables stay as written; devnull takes the exit-time flush
+    except OSError as exc:  # the table stays as written; devnull takes the exit-time flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: stdout: {exc}", file=sys.stderr)
         return 1

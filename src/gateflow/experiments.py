@@ -119,14 +119,12 @@ def execute_experiment(spec, scan_cap=0.0):
     return record, result
 
 
-def output_paths(out_path, json_path):
-    """(CSV path, JSON mirror path), checked to be two different writable
-    files in existing directories, neither of them a directory itself."""
-    checked = []
-    for path in (out_path, json_path):
-        # The default mirror is formed only from a checked CSV path: with_suffix
-        # fails on a path without a name, such as '' (the current directory).
-        path = checked[0].with_suffix(".json") if path is None else Path(path)
+def output_paths(out_path, json_path=None):
+    """The given paths as a list of Paths: the CSV, then the JSON mirror if
+    one is named. Each must be a writable file in an existing directory,
+    not a directory itself, and the mirror must not be the CSV file."""
+    paths = [Path(path) for path in (out_path, json_path) if path is not None]
+    for path in paths:
         if not path.parent.is_dir():
             raise ValueError(f"{path}: {path.parent} is not an existing directory")
         if path.is_dir():
@@ -135,12 +133,10 @@ def output_paths(out_path, json_path):
         target = path if path.exists() else path.parent
         if not os.access(target, os.W_OK):
             raise ValueError(f"{path}: {target} is not writable")
-        checked.append(path)
-    out_path, json_path = checked
-    if json_path.resolve() == out_path.resolve() or (
-            json_path.exists() and out_path.exists() and json_path.samefile(out_path)):
-        raise ValueError(f"{json_path}: the JSON mirror would overwrite the CSV output")
-    return out_path, json_path
+    if len(paths) == 2 and (paths[1].resolve() == paths[0].resolve() or (
+            paths[1].exists() and paths[0].exists() and paths[1].samefile(paths[0]))):
+        raise ValueError(f"{paths[1]}: the JSON mirror would overwrite the CSV output")
+    return paths
 
 
 @contextlib.contextmanager
@@ -153,29 +149,30 @@ def _writing(path, **open_kwargs):
 
 
 def write_comparison(records, out_path, json_path=None):
-    """Write records as CSV plus a JSON mirror (out path with .json suffix
-    unless given explicitly; a mirror path naming the CSV file is an error).
+    """Write records as CSV, plus a JSON mirror of the same rows if
+    json_path names one (see output_paths for the path checks).
 
-    Both carry the same rows; the CSV writes floats as %.17g, which
-    round-trips them exactly. An OSError writing either file names its path.
+    The CSV writes floats as %.17g, which round-trips them exactly. An
+    OSError writing either file names its path.
     """
     rows = [dict(zip(CSV_COLUMNS, astuple(r))) for r in records]
-    out_path, json_path = output_paths(out_path, json_path)
+    out_path, *mirror = output_paths(out_path, json_path)
     with _writing(out_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
                              for v in row.values()])
-    with _writing(json_path) as fh:
-        json.dump(rows, fh, indent=2)
-        fh.write("\n")
+    for path in mirror:
+        with _writing(path) as fh:
+            json.dump(rows, fh, indent=2)
+            fh.write("\n")
 
 
 def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
-    """Run every spec, write the comparison table and return the records.
+    """Run every spec, write the table (see write_comparison) and return the records.
 
-    The scan cap (see execute_experiment) and the two output paths (see
+    The scan cap (see execute_experiment) and the output paths (see
     output_paths) are checked before any run starts. Specs may run in
     parallel (they share no state) on at most min(parallel, number of
     specs, usable CPUs) worker processes, which ignore SIGINT; rows keep

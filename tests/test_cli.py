@@ -28,6 +28,7 @@ from helpers import read_rows, rows_without_wall_time, write_cfg
 ROOT = Path(__file__).resolve().parents[1]
 
 TINY = "gate: cnot\nT: 5\nL: 50\norder: 1\ns_max: 50\n"
+CONVERGENT = "gate: cnot\nT: 5\nL: 150\norder: 1\n"
 
 
 def test_parser_defaults():
@@ -40,8 +41,11 @@ def test_parser_defaults():
 
 
 def test_convergent_run_exits_zero(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "gate: cnot\nT: 5\nL: 150\norder: 1\n")
-    out = tmp_path / "results.csv"
+    # Without --json the run writes the CSV alone: a results.json already
+    # beside it keeps its bytes.
+    cfg = write_cfg(tmp_path, CONVERGENT)
+    out, stale = tmp_path / "results.csv", tmp_path / "results.json"
+    stale.write_bytes(b"[]\n")
     code = main(["run", str(cfg), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0
@@ -53,7 +57,9 @@ def test_convergent_run_exits_zero(tmp_path, capsys):
     assert rows[1][0] == "cnot"
     assert rows[1][4] == "400"
     assert rows[1][8] == "j_reached"
-    assert (tmp_path / "results.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "results.csv",
+                                                          "results.json"]
+    assert stale.read_bytes() == b"[]\n"
 
 
 def test_horizon_run_exits_two(tmp_path, capsys):
@@ -185,6 +191,14 @@ def test_parallel_is_bounded_by_usable_cpus(tmp_path, capsys, monkeypatch):
 def test_output_on_the_config_exits_one(tmp_path, capsys, monkeypatch, config, flags):
     # Rejected before any run: the config keeps its bytes and no table is written.
     monkeypatch.chdir(tmp_path)
+    if config == "exp.json":  # no mirror unless one is asked for, so nothing overwrites it
+        cfg = write_cfg(tmp_path, CONVERGENT, name=config)
+        before = cfg.read_bytes()
+        assert main(["run", config] + flags) == 0
+        assert capsys.readouterr().err == ""
+        assert cfg.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.csv", config]
+        return
     cfg = write_cfg(tmp_path, TINY, name=config)
     before = cfg.read_bytes()
     monkeypatch.setattr("gateflow.experiments.execute_experiment", None)
@@ -444,8 +458,8 @@ def test_unwritable_stdout_exits_one_after_the_tables(tmp_path, stream):
     if stream == "full_device" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this platform")
     cfg = write_cfg(tmp_path, TINY)
-    out = tmp_path / "results.csv"
-    args = ["-m", "gateflow.cli", "run", str(cfg), "--out", str(out)]
+    out, mirror = tmp_path / "results.csv", tmp_path / "results.json"
+    args = ["-m", "gateflow.cli", "run", str(cfg), "--out", str(out), "--json", str(mirror)]
     with contextlib.ExitStack() as stack:
         if stream == "closed_pipe":
             proc = start_in_own_session(args)
@@ -456,4 +470,4 @@ def test_unwritable_stdout_exits_one_after_the_tables(tmp_path, stream):
     assert proc.returncode == 1
     assert err.startswith("error: stdout: ") and err.count("\n") == 1, err
     assert len(read_rows(out)) == 2
-    assert len(json.loads((tmp_path / "results.json").read_text())) == 1
+    assert len(json.loads(mirror.read_text())) == 1

@@ -107,9 +107,9 @@ class TestExperimentSpec:
     def test_numpy_integers_are_stored_as_ints(self, tmp_path):
         spec = fast_spec(order=np.int64(1), n_slices=np.int64(50))
         assert type(spec.n_slices) is int and type(spec.order) is int
-        out = tmp_path / "out.csv"
-        compare_methods([spec], out)
-        (row,) = json.loads((tmp_path / "out.json").read_text())
+        out, mirror = tmp_path / "out.csv", tmp_path / "out.json"
+        compare_methods([spec], out, json_path=mirror)
+        (row,) = json.loads(mirror.read_text())
         assert (row["L"], row["order"]) == (50, 1)
 
     def test_numpy_floats_are_stored_as_floats(self, tmp_path):
@@ -119,9 +119,9 @@ class TestExperimentSpec:
         spec = ExperimentSpec(gate="cnot", t_final=t_final, n_slices=50,
                               sine_amplitude=np.float32(1e-5), cfg=FlowConfig(s_max=50.0))
         assert all(type(v) is float for v in (spec.t_final, spec.sine_amplitude))
-        out = tmp_path / "out.csv"
-        compare_methods([spec], out)
-        (row,) = json.loads((tmp_path / "out.json").read_text())
+        out, mirror = tmp_path / "out.csv", tmp_path / "out.json"
+        compare_methods([spec], out, json_path=mirror)
+        (row,) = json.loads(mirror.read_text())
         assert row["T"] == float(t_final)
         header, csv_row = read_rows(out)
         assert csv_row[header.index("T")] == f"{float(t_final):.17g}" == "4.9000000953674316"
@@ -514,28 +514,28 @@ class TestComparisonTable:
             assert float(row[7]) == record.wall_time_s
 
     def test_empty_records_write_header_only(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        write_comparison([], out)
+        out, mirror = tmp_path / "empty.csv", tmp_path / "empty.json"
+        write_comparison([], out, json_path=mirror)
         assert read_rows(out) == [list(CSV_COLUMNS)]
-        assert json.loads((tmp_path / "empty.json").read_text()) == []
+        assert json.loads(mirror.read_text()) == []
 
     def test_json_mirror_default_path(self, tmp_path):
+        # No mirror is written unless one is asked for.
+        write_comparison(self.sample_records(), tmp_path / "table.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_json_explicit_path(self, tmp_path):
         out = tmp_path / "table.csv"
-        write_comparison(self.sample_records(), out)
-        data = json.loads((tmp_path / "table.json").read_text())
+        mirror = tmp_path / "elsewhere.json"
+        write_comparison(self.sample_records(), out, json_path=mirror)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere.json", "table.csv"]
+        data = json.loads(mirror.read_text())
         assert len(data) == 2
         assert data[0]["gate"] == "cnot"
         assert data[0]["S_reported"] == 1200.0
         assert data[0]["final_J"] == 8.9230000000000004e-08
         assert data[1]["order"] == "exact"
         assert set(data[0]) == set(CSV_COLUMNS)
-
-    def test_json_explicit_path(self, tmp_path):
-        out = tmp_path / "table.csv"
-        mirror = tmp_path / "elsewhere.json"
-        write_comparison(self.sample_records(), out, json_path=mirror)
-        assert mirror.exists()
-        assert not (tmp_path / "table.json").exists()
 
     def test_compare_methods_deterministic_modulo_wall_time(self, tmp_path):
         specs = [fast_spec(order=0), fast_spec(order=1)]
@@ -648,7 +648,14 @@ class TestComparisonTable:
         (tmp_path / "sub").mkdir()
         (tmp_path / "h.csv").write_text("kept\n")
         os.link(tmp_path / "h.csv", tmp_path / "h.json")
-        message = f"{json_name or out_name}: the JSON mirror would overwrite the CSV output"
+        if json_name is None:  # no mirror is asked for, so r.json is just the CSV's name
+            write_comparison(self.sample_records(), out_name)
+            rows = read_rows(out_name)
+            assert rows[0] == list(CSV_COLUMNS) and len(rows) == 3
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "h.json", "r.json",
+                                                                  "sub"]
+            return
+        message = f"{json_name}: the JSON mirror would overwrite the CSV output"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             compare_methods([fast_spec(order=0), fast_spec(order=1)], out_name,
                             json_path=json_name, parallel=2)
@@ -686,7 +693,7 @@ class TestComparisonTable:
                                                   recording_pool, out_name, json_name,
                                                   bad_name):
         # Checked before any run or pool starts. An empty path, as `--out ''`
-        # passes it, is the current directory, and no default mirror is formed from it.
+        # passes it, is the current directory.
         monkeypatch.chdir(tmp_path)
         set_usable_cpus(monkeypatch, 2)
         (tmp_path / "adir").mkdir()
