@@ -10,8 +10,9 @@ import os
 import re
 import signal
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """What one run reports: the ExperimentSpec fields echoed back plus
     the outcome fields."""
 
@@ -155,17 +155,15 @@ def write_comparison(records, out_path, json_path=None):
     The CSV writes floats as %.17g, which round-trips them exactly. An
     OSError writing either file names its path.
     """
-    rows = [dict(zip(CSV_COLUMNS, astuple(r))) for r in records]
     out_path, *mirror = output_paths(out_path, json_path)
     with _writing(out_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                             for v in row.values()])
+        for r in records:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in r])
     for path in mirror:
         with _writing(path) as fh:
-            json.dump(rows, fh, indent=2)
+            json.dump([dict(zip(CSV_COLUMNS, r)) for r in records], fh, indent=2)
             fh.write("\n")
 
 

@@ -2,6 +2,7 @@
 artificial flow variable s."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,7 @@ STEP_DTYPE = np.dtype([("s", float), ("h", float), ("err_norm", float), ("accept
                        ("J", float), ("evals", np.int64), ("dJ_ds", float)])
 
 
-@dataclass
-class FlowResult:
+class FlowResult(NamedTuple):
     """Outcome of one flow run: steps is its STEP_DTYPE record, whose
     accepted rows trace (s, J) and, when tracked, dJ/ds; s_stop is where
     integration ended."""

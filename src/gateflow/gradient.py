@@ -9,7 +9,7 @@ but only accurate to O((dt ||H||)^(m+1)).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +41,10 @@ def normalize_order(order):
     raise ValueError(f"order must be an integer or '{EXACT}', got {order!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class RhsEvaluation:
+class RhsEvaluation(NamedTuple):
     """One propagation pass's velocities deps/ds (one row per control), objective and optional
-    unitarity defect, with the inputs descent_rate reads later instead of propagating again."""
+    unitarity defect, with the inputs descent_rate reads later instead of propagating again.
+    A plain immutable record: nothing here is checked or derived."""
 
     values: np.ndarray  # shape (n, L)
     objective: float

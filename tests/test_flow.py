@@ -15,9 +15,9 @@ import pytest
 
 import gateflow
 from gateflow import (EXACT, S_GRANULARITY, ControlGrid, ExperimentSpec, FlowConfig,
-                      GateTarget, QuantumSystem, RhsEvaluation, build_initial_grid,
-                      build_two_spin_benchmark, dormand_prince_step, gate_target,
-                      integrate_flow)
+                      FlowResult, GateTarget, QuantumSystem, RhsEvaluation, RunRecord,
+                      build_initial_grid, build_two_spin_benchmark, dormand_prince_step,
+                      gate_target, integrate_flow)
 from gateflow.flow import H_MIN, MIN_SHRINK
 
 from conftest import BENCH_CASES
@@ -83,6 +83,19 @@ class TestConfigValidation:
         with pytest.raises(FrozenInstanceError):
             cfg.s_max = float("nan")
         assert (cfg.tol, cfg.s_max) == (1e-4, 10.0)
+
+
+@pytest.mark.parametrize("record, name", [
+    (RunRecord("cnot", 5.0, 150, 1, 1200.0, 8.9e-08, 4370, 0.5, "j_reached"), "final_j"),
+    (FlowResult(final_grid=None, steps=np.zeros(1), stop_reason="horizon", s_stop=1.0), "s_stop"),
+    (RhsEvaluation(values=np.zeros((1, 1)), objective=0.5), "values"),
+], ids=["RunRecord", "FlowResult", "RhsEvaluation"])
+def test_records_are_immutable(record, name):
+    # What a run reported cannot be rewritten after the fact.
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    assert getattr(record, name) is before
 
 
 class TestStepper:

@@ -2,7 +2,6 @@
 series structure, and the finite-difference identity for the exact flow."""
 
 import math
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -341,7 +340,7 @@ class TestFlowRhs:
         assert ev.sys is sys and ev.grid is grid
         for derived in ("order", "cache", "prefixes", "hamiltonians", "probes", "dt"):
             assert not hasattr(ev, derived)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ev.values = None
 
     def test_flow_evaluation_diagnostics(self):
