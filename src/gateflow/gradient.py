@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import real_embedding
-from .system import ControlGrid, QuantumSystem, is_integer, propagate, unitarity_defect
+from .system import (ControlGrid, QuantumSystem, is_integer, propagate, real_embedding,
+                     unitarity_defect)
 
 # Truncation orders past this are a sign of misuse: the factorial
 # denominators push the extra terms below rounding while the nested

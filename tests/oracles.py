@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from gateflow import EXACT, normalize_order, propagate
-from gateflow.linalg import require_hermitian
+from gateflow.system import require_hermitian
 
 
 def expm_hermitian_generator(h, theta):

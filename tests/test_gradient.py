@@ -12,8 +12,7 @@ from gateflow import (ControlGrid, EXACT, ExperimentSpec, FlowConfig, GateTarget
                       flow_evaluation, gate_target, normalize_order, propagate,
                       unitarity_defect)
 from gateflow.gradient import DRIFT_K, exact_weights
-from gateflow.linalg import step_exponentials
-from gateflow.system import SCAN_BLOCK
+from gateflow.system import SCAN_BLOCK, step_exponentials
 from helpers import random_hermitian
 from oracles import (control_average_exact, control_average_series,
                      expm_hermitian_generator, final_propagator, finite_difference_gradient,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gateflow import unitarity_defect
-from gateflow.linalg import real_embedding
+from gateflow.system import real_embedding
 from helpers import random_hermitian
 from oracles import expm_hermitian_generator, from_real_embedding
 

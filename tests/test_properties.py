@@ -1,13 +1,15 @@
 """Property tests of the batched kernels on random Hermitian systems, real
-and complex, against the single-slice oracles."""
+and complex, against the single-slice oracles, and the exact velocities'
+invariance under grid refinement."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gateflow import (EXACT, ControlGrid, GateTarget, QuantumSystem, flow_evaluation,
-                      propagate, unitarity_defect)
+                      gate_target, propagate, unitarity_defect)
 from oracles import expm_hermitian_generator, finite_difference_gradient, from_real_embedding
 
 unit = st.floats(-1, 1)
@@ -66,3 +68,31 @@ def test_prefixes_stay_unitary(instance):
     sys, grid, _ = instance
     p = from_real_embedding(propagate(sys, grid)[1])
     assert unitarity_defect(p, p.conj().transpose(0, 2, 1)) <= 1e-10
+
+
+def assert_refinement_invariant(sys, grid, target, k, bound):
+    # Repeating each amplitude k times leaves every propagator unchanged, and the
+    # exact average over a slice is the mean of the averages over its k sub-slices,
+    # so the velocities at L are the block means of those at kL and J is unchanged.
+    ev = flow_evaluation(sys, grid, target, order=EXACT)
+    fine_grid = ControlGrid(grid.t_final, np.repeat(grid.amplitudes, k, axis=1))
+    fine = flow_evaluation(sys, fine_grid, target, order=EXACT)
+    block_means = fine.values.reshape(*grid.amplitudes.shape, k).mean(axis=2)
+    assert np.abs(ev.values - block_means).max() <= bound
+    assert abs(ev.objective - fine.objective) <= bound
+
+
+@given(instances(), st.sampled_from([2, 3]))
+def test_exact_velocities_are_block_means_under_refinement(instance, k):
+    assert_refinement_invariant(*instance, k, 1e-13)
+
+
+@pytest.mark.parametrize("t_final", [5.0, 10.0])
+@pytest.mark.parametrize("gate", ["cnot", "swap"])
+def test_benchmark_exact_velocities_are_block_means_under_refinement(benchmark_system, gate,
+                                                                    t_final):
+    # An absolute bound: rounding does not shrink with the velocities, and a
+    # relative error of 5.9e-13 was seen on a draw where max|v| was 5.6e-3.
+    amplitudes = np.random.default_rng(14).normal(0.0, 3.0, (2, 150))
+    assert_refinement_invariant(benchmark_system, ControlGrid(t_final, amplitudes),
+                                gate_target(gate), 2, 1e-12)

@@ -9,8 +9,9 @@ import pytest
 
 from gateflow import (GATE_TARGETS, ControlGrid, GateTarget, QuantumSystem,
                       gate_target, propagate, unitarity_defect)
-from gateflow.linalg import MAX_SQUARINGS, real_embedding, squarings, step_exponentials
-from gateflow.system import SCAN_BLOCK, require_count, require_finite, require_positive_finite
+from gateflow.system import (MAX_SQUARINGS, SCAN_BLOCK, real_embedding, require_count,
+                             require_finite, require_positive_finite, squarings,
+                             step_exponentials)
 from helpers import random_hermitian
 from oracles import (expm_hermitian_generator, from_real_embedding, slice_hamiltonian,
                      slice_hamiltonians, step_propagator)
