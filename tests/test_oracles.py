@@ -1,13 +1,13 @@
-"""Kernel-level checks: hand-derived values for the small operations and
-property tests on random matrices."""
+"""Checks of the oracle exponential expm_hermitian_generator, which the
+kernel tests compare step_exponentials against: hand-derived values,
+unitarity at large angles, additivity in the angle and its Hermitian rule."""
 
 import numpy as np
 import pytest
 
 from gateflow import unitarity_defect
-from gateflow.system import real_embedding
 from helpers import random_hermitian
-from oracles import expm_hermitian_generator, from_real_embedding
+from oracles import expm_hermitian_generator
 
 
 def test_expm_zero_angle_is_identity():
@@ -61,33 +61,3 @@ def test_expm_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="not Hermitian"):
         expm_hermitian_generator(bad, 1.0)
-
-
-def test_real_embedding_layout_and_round_trip():
-    z = np.array([[1 + 2j, 3 - 4j], [5j, 6]])
-    expected = np.array([[1, 3, -2, 4],
-                         [0, 6, -5, 0],
-                         [2, -4, 1, 3],
-                         [5, 0, 0, 6]], dtype=float)
-    assert np.array_equal(real_embedding(z), expected)
-    assert np.array_equal(from_real_embedding(real_embedding(z)), z)
-
-
-def test_real_embedding_of_real_input_is_block_diagonal():
-    a = np.arange(4.0).reshape(2, 2)
-    e = real_embedding(a)
-    assert np.array_equal(e[:2, :2], a) and np.array_equal(e[2:, 2:], a)
-    assert not e[:2, 2:].any() and not e[2:, :2].any()
-
-
-def test_real_embedding_maps_products_and_daggers():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
-    b = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
-    ea, eb = real_embedding(a), real_embedding(b)
-    assert ea.shape == (5, 6, 6)
-    assert np.abs(from_real_embedding(ea @ eb) - a @ b).max() <= 1e-14
-    assert np.array_equal(real_embedding(a.conj().transpose(0, 2, 1)),
-                          ea.transpose(0, 2, 1))
-    # The trace of an embedding is twice the real part of the trace.
-    assert abs(np.trace(ea[0]) - 2 * np.trace(a[0]).real) <= 1e-14

@@ -110,6 +110,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             QuantumSystem(h0=np.eye(2), controls=np.zeros((1, 3, 3)))
 
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: QuantumSystem(h0=np.zeros((2, 3)), controls=np.zeros((1, 2, 3))),
+                     "h0 must be a square matrix", id="rectangular_drift"),
+        pytest.param(lambda: QuantumSystem(h0=np.eye(2), controls=np.zeros((0, 2, 2))),
+                     "at least one control Hamiltonian is required", id="no_controls"),
+        pytest.param(lambda: ControlGrid(t_final=1.0, amplitudes=np.zeros((2, 0))),
+                     r"amplitudes must have shape \(n, L\) with n, L >= 1", id="no_slices"),
+        pytest.param(lambda: ControlGrid(t_final=1.0, amplitudes=np.zeros(4)),
+                     r"amplitudes must have shape \(n, L\) with n, L >= 1", id="flat_amplitudes"),
+        pytest.param(lambda: GateTarget(matrix=np.eye(2)[:, :1], label="column"),
+                     "target must be a square matrix", id="rectangular_target"),
+    ])
+    def test_shape_rules(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     def test_nonpositive_horizon_rejected(self):
         # The grid's wiring of require_positive_finite, whose rules TestInputRules checks.
         with pytest.raises(ValueError, match="^T must be positive$"):
@@ -228,6 +244,35 @@ class TestInputRules:
     ])
     def test_require_count(self, value, most, message):
         check_rule(require_count, (value, "x", most), message)
+
+
+class TestRealEmbedding:
+    def test_real_embedding_layout_and_round_trip(self):
+        z = np.array([[1 + 2j, 3 - 4j], [5j, 6]])
+        expected = np.array([[1, 3, -2, 4],
+                             [0, 6, -5, 0],
+                             [2, -4, 1, 3],
+                             [5, 0, 0, 6]], dtype=float)
+        assert np.array_equal(real_embedding(z), expected)
+        assert np.array_equal(from_real_embedding(real_embedding(z)), z)
+
+    def test_real_embedding_of_real_input_is_block_diagonal(self):
+        a = np.arange(4.0).reshape(2, 2)
+        e = real_embedding(a)
+        assert np.array_equal(e[:2, :2], a) and np.array_equal(e[2:, 2:], a)
+        assert not e[:2, 2:].any() and not e[2:, :2].any()
+
+    def test_real_embedding_maps_products_and_daggers(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        b = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        ea, eb = real_embedding(a), real_embedding(b)
+        assert ea.shape == (5, 6, 6)
+        assert np.abs(from_real_embedding(ea @ eb) - a @ b).max() <= 1e-14
+        assert np.array_equal(real_embedding(a.conj().transpose(0, 2, 1)),
+                              ea.transpose(0, 2, 1))
+        # The trace of an embedding is twice the real part of the trace.
+        assert abs(np.trace(ea[0]) - 2 * np.trace(a[0]).real) <= 1e-14
 
 
 class TestSliceHamiltonian:
