@@ -1,6 +1,7 @@
 """Adaptive Dormand-Prince integration of the control flow in the
 artificial flow variable s."""
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +37,9 @@ STOP_J_REACHED = "j_reached"
 STOP_HORIZON = "horizon"
 STOP_UNDERFLOW = "step_underflow"
 STOP_BUDGET = "eval_budget"
+
+# (pid of the process it serves, Process, that process's end of the pipe), or None.
+_helper = None
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,70 @@ def dormand_prince_step(f, y, h, k1):
     return y5, err, k[6]
 
 
+def _replay_descent(conn, parent_end):
+    """Descent helper: per run, (sys, grid0, target, order), then one amplitude
+    buffer per recorded row and an empty one to close the run, answered with
+    the rows' rates in order. It ends at EOF, which needs the parent's end of
+    the pipe closed here too."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()
+    try:
+        while True:
+            sys, grid0, target, order = conn.recv()
+            rates = []
+            while buf := conn.recv_bytes():
+                y = np.frombuffer(buf).reshape(grid0.amplitudes.shape)
+                rates.append(descent_rate(flow_evaluation(sys, grid0.with_amplitudes(y),
+                                                          target, order)))
+            conn.send(rates)
+    except EOFError:
+        pass
+
+
+def _descent_helper(run):
+    """This process's descent helper, forked on first use (and again after one
+    ended), with the run's inputs sent: returns its end of the pipe."""
+    global _helper
+    # A forked child inherits its parent's helper, which is not its own.
+    if _helper is None or _helper[0] != os.getpid() or not _helper[1].is_alive():
+        import multiprocessing
+
+        _end_helper()
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+        conn, theirs = ctx.Pipe()
+        process = ctx.Process(target=_replay_descent, args=(theirs, conn),
+                              name="gateflow-descent", daemon=True)
+        process.start()
+        theirs.close()
+        _helper = (os.getpid(), process, conn)
+    conn = _helper[2]
+    conn.send(run)
+    return conn
+
+
+def _end_helper():
+    """End this process's descent helper, if it has one."""
+    global _helper
+    if _helper is not None and _helper[0] == os.getpid():
+        _, process, conn = _helper
+        conn.close()
+        process.terminate()
+        process.join()
+    _helper = None
+
+
 def integrate_flow(sys, grid0, target, order, cfg):
     """Flow the control grid along the chosen velocity field from s = 0
     until, in priority order, J <= j_stop, the horizon s_max, the
     evaluation budget or a step underflow stops it. A non-finite velocity
-    raises ValueError naming its control and slice."""
+    raises ValueError naming its control and slice.
+
+    A tracked run sends each recorded point's amplitudes to this process's
+    descent helper, which forms the rows' dJ/ds while the run goes on. A run
+    that raises ends the helper; one that loses it raises ValueError."""
     # When glibc frees an mmapped block above its mmap threshold, it raises
     # that threshold to the block's size and its trim threshold to twice that
     # (mallopt(3)): here 4 MB and 8 MB, so evaluations stop returning the heap
@@ -133,37 +196,51 @@ def integrate_flow(sys, grid0, target, order, cfg):
             max_defect = max(max_defect, ev.unitarity_defect)
         return ev.values
 
-    y = grid0.amplitudes
-    k1 = f(y)
-    rows = [(0.0, 0.0, 0.0, True, ev.objective, evals,
-             descent_rate(ev) if cfg.track_descent else np.nan)]
-    s, h, j, reason = 0.0, cfg.h_init, ev.objective, None
-    while reason is None:
-        # Tested before every step, the first included. j is the last accepted
-        # point's J: a rejected attempt cannot stop the run.
-        if j <= cfg.j_stop:
-            reason = STOP_J_REACHED
-        elif cfg.s_max - s <= H_MIN:
-            reason = STOP_HORIZON
-        elif evals >= cfg.max_rhs_evals:
-            reason = STOP_BUDGET
-        elif h < H_MIN:
-            reason = STOP_UNDERFLOW
-        else:
-            h = min(h, cfg.s_max - s)
-            y_new, err, k_last = dormand_prince_step(f, y, h, k1)
-            # Not tol * (1 + ...), which rounds differently and so changes runs' bytes.
-            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y_new))
-            # A subnormal tol can overflow the ratio: inf rejects the step, as it should.
-            with np.errstate(over="ignore"):
-                err_norm = float(np.abs(err / scale).max())
-            accepted = err_norm <= 1.0
-            rows.append((s + h, h, err_norm, accepted, ev.objective, evals,
-                         descent_rate(ev) if accepted and cfg.track_descent else np.nan))
-            if accepted:
-                s, y, k1, j = s + h, y_new, k_last, ev.objective
-            factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
-            h *= min(MAX_GROW, max(MIN_SHRINK, factor))
-    return FlowResult(final_grid=grid0.with_amplitudes(y), steps=np.array(rows, STEP_DTYPE),
+    try:
+        conn = _descent_helper((sys, grid0, target, order)) if cfg.track_descent else None
+        y = grid0.amplitudes
+        if conn is not None:
+            conn.send_bytes(y)
+        k1 = f(y)
+        rows = [(0.0, 0.0, 0.0, True, ev.objective, evals, np.nan)]
+        s, h, j, reason = 0.0, cfg.h_init, ev.objective, None
+        while reason is None:
+            # Tested before every step, the first included. j is the last accepted
+            # point's J: a rejected attempt cannot stop the run.
+            if j <= cfg.j_stop:
+                reason = STOP_J_REACHED
+            elif cfg.s_max - s <= H_MIN:
+                reason = STOP_HORIZON
+            elif evals >= cfg.max_rhs_evals:
+                reason = STOP_BUDGET
+            elif h < H_MIN:
+                reason = STOP_UNDERFLOW
+            else:
+                h = min(h, cfg.s_max - s)
+                y_new, err, k_last = dormand_prince_step(f, y, h, k1)
+                # Not tol * (1 + ...), which rounds differently and so changes runs' bytes.
+                scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y_new))
+                # A subnormal tol can overflow the ratio: inf rejects the step, as it should.
+                with np.errstate(over="ignore"):
+                    err_norm = float(np.abs(err / scale).max())
+                accepted = err_norm <= 1.0
+                rows.append((s + h, h, err_norm, accepted, ev.objective, evals, np.nan))
+                if accepted:
+                    s, y, k1, j = s + h, y_new, k_last, ev.objective
+                    if conn is not None:
+                        conn.send_bytes(y)
+                factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
+                h *= min(MAX_GROW, max(MIN_SHRINK, factor))
+        steps = np.array(rows, STEP_DTYPE)
+        if conn is not None:
+            conn.send_bytes(b"")
+            steps["dJ_ds"][steps["accepted"]] = conn.recv()
+    except BaseException as exc:
+        if cfg.track_descent:
+            _end_helper()
+            if isinstance(exc, (BrokenPipeError, EOFError)):
+                raise ValueError("descent helper process ended abruptly") from exc
+        raise
+    return FlowResult(final_grid=grid0.with_amplitudes(y), steps=steps,
                       stop_reason=reason, s_stop=min(s, cfg.s_max),
                       max_unitarity_defect=max_defect if cfg.check_unitarity else None)

@@ -1,11 +1,15 @@
 """Adaptive integrator: scalar decay oracle, stepper order, stop conditions,
 tolerance behavior and determinism of full flow runs."""
 
+import itertools
 import math
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
@@ -16,8 +20,8 @@ import pytest
 import gateflow
 from gateflow import (EXACT, S_GRANULARITY, ControlGrid, ExperimentSpec, FlowConfig,
                       FlowResult, GateTarget, QuantumSystem, RhsEvaluation, RunRecord,
-                      build_initial_grid, build_two_spin_benchmark, dormand_prince_step,
-                      gate_target, integrate_flow)
+                      build_initial_grid, build_two_spin_benchmark, compare_methods,
+                      dormand_prince_step, execute_experiment, gate_target, integrate_flow)
 from gateflow.flow import H_MIN, MIN_SHRINK
 
 from conftest import BENCH_CASES
@@ -217,10 +221,13 @@ class TestFlowRuns:
 
     @pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
     def test_descent_rate_formed_once_per_row(self, short_cnot, monkeypatch, track):
-        # The rate is formed for the recorded rows only (s = 0 and each
-        # accepted step) from the evaluation already made there, never by
-        # propagating again: one propagation per evaluation either way.
+        # A tracked run's rates come from its descent helper, which replays the
+        # evaluation at each recorded row (s = 0 and each accepted step). This
+        # process forms none and propagates once per evaluation either way, and
+        # an untracked run starts no process.
         calls = {"rate": 0, "propagate": 0}
+        amplitudes = []  # the grid of every evaluation, in call order
+        rate, evaluate = gateflow.gradient.descent_rate, gateflow.flow.flow_evaluation
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -228,17 +235,29 @@ class TestFlowRuns:
                 return fn(*args, **kwargs)
             return wrapped
 
-        rate = counting("rate", gateflow.gradient.descent_rate)
-        monkeypatch.setattr("gateflow.flow.descent_rate", rate)
-        monkeypatch.setattr("gateflow.gradient.descent_rate", rate)
+        def recording(sys, grid, *args, **kwargs):
+            amplitudes.append(grid.amplitudes)
+            return evaluate(sys, grid, *args, **kwargs)
+
+        monkeypatch.setattr("gateflow.flow.descent_rate", counting("rate", rate))
+        monkeypatch.setattr("gateflow.gradient.descent_rate", counting("rate", rate))
         monkeypatch.setattr("gateflow.gradient.propagate",
                             counting("propagate", gateflow.gradient.propagate))
+        monkeypatch.setattr("gateflow.flow.flow_evaluation", recording)
         sys, grid, target = short_cnot
         cfg = FlowConfig(s_max=20.0, j_stop=1e-30, track_descent=track)
+        children = {p.pid for p in multiprocessing.active_children()}
         result = integrate_flow(sys, grid, target, 1, cfg)
         assert result.rejected_steps > 0
-        assert calls["rate"] == (result.accepted_steps + 1 if track else 0)
-        assert calls["propagate"] == result.rhs_evals
+        assert calls == {"rate": 0, "propagate": result.rhs_evals}
+        if track:
+            # Row evals = e holds the point of evaluation e, call e - 1.
+            for row in accepted(result):
+                inline = evaluate(sys, grid.with_amplitudes(amplitudes[row["evals"] - 1]),
+                                  target, 1)
+                assert row["dJ_ds"] == rate(inline)
+        else:
+            assert {p.pid for p in multiprocessing.active_children()} == children
 
     def test_diagnostics_off_by_default(self, short_cnot):
         sys, grid, target = short_cnot
@@ -471,3 +490,118 @@ def test_evaluations_do_not_refault_the_heap():
     assert evals >= 300
     if platform.libc_ver()[0] == "glibc":
         assert faults < evals, f"{faults} minor faults over {evals} evaluations"
+
+
+def descent_helpers():
+    """This process's running descent helpers."""
+    return [p for p in multiprocessing.active_children() if p.name == "gateflow-descent"]
+
+
+class TestDescentHelper:
+    @pytest.fixture()
+    def spec(self):
+        return ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,
+                              cfg=FlowConfig(s_max=20.0, j_stop=1e-30, track_descent=True))
+
+    def test_one_helper_serves_every_run(self, spec):
+        helpers = []
+        for _ in range(2):
+            execute_experiment(spec)
+            helpers.append([p.pid for p in descent_helpers()])
+        assert len(helpers[0]) == 1
+        assert helpers[1] == helpers[0]
+
+    @pytest.mark.parametrize("failure", ["non_finite", "interrupt"])
+    def test_a_run_that_raises_ends_its_helper(self, spec, monkeypatch, failure):
+        # The failed run leaves its helper mid-run; the next run gets a fresh one.
+        before = execute_experiment(spec)[1]
+        [helper] = descent_helpers()
+        evaluate, calls = gateflow.flow.flow_evaluation, itertools.count()
+
+        def failing(*args, **kwargs):
+            ev = evaluate(*args, **kwargs)
+            if next(calls) < 30:
+                return ev
+            if failure == "interrupt":
+                raise KeyboardInterrupt
+            return ev._replace(values=np.full_like(ev.values, np.inf))
+
+        monkeypatch.setattr("gateflow.flow.flow_evaluation", failing)
+        with pytest.raises(ValueError if failure == "non_finite" else KeyboardInterrupt):
+            execute_experiment(spec)
+        assert not helper.is_alive()
+        monkeypatch.undo()
+        after = execute_experiment(spec)[1]
+        assert [p.pid for p in descent_helpers()] not in ([], [helper.pid])
+        assert after.steps.tobytes() == before.steps.tobytes()
+
+    def test_a_lost_helper_fails_the_run(self, spec, monkeypatch):
+        execute_experiment(spec)
+        [helper] = descent_helpers()
+        evaluate, calls = gateflow.flow.flow_evaluation, itertools.count()
+
+        def killing(*args, **kwargs):
+            if next(calls) == 30:
+                os.kill(helper.pid, signal.SIGKILL)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr("gateflow.flow.flow_evaluation", killing)
+        with pytest.raises(ValueError, match=r"^cnot T=5 L=150 order=1: "
+                                             r"descent helper process ended abruptly$"):
+            execute_experiment(spec)
+        monkeypatch.undo()
+        assert not np.isnan(accepted(execute_experiment(spec)[1])["dJ_ds"]).any()
+        assert [p.pid for p in descent_helpers()] not in ([], [helper.pid])
+
+
+    def test_pool_workers_start_their_own_helpers(self, spec, tmp_path):
+        # Workers forked from a process with a helper inherit its record of it;
+        # each must start its own and leave its parent's alone.
+        execute_experiment(spec)
+        [helper] = descent_helpers()
+        records = compare_methods([spec, spec], tmp_path / "r.csv", parallel=2)
+        assert [r.rhs_evals for r in records] == [execute_experiment(spec)[0].rhs_evals] * 2
+        assert descent_helpers() == [helper]
+
+# One tracked run in a fresh interpreter, which then prints its descent helper's
+# pid and waits to be killed.
+ORPHAN_SCRIPT = """
+import sys
+from multiprocessing import active_children
+import numpy as np
+from gateflow import ControlGrid, FlowConfig, build_two_spin_benchmark, gate_target, integrate_flow
+
+grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((2, 150)))
+cfg = FlowConfig(s_max=5.0, track_descent=True)
+integrate_flow(build_two_spin_benchmark(), grid, gate_target("cnot"), 1, cfg)
+print(*[p.pid for p in active_children()], flush=True)
+sys.stdin.read()
+"""
+
+
+def running(pid):
+    """Whether pid names a process that has not ended: a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_descent_helper_ends_with_its_parent():
+    # The helper holds no copy of its parent's end of the pipe, so the parent's
+    # death, even by SIGKILL, is EOF to the helper.
+    src = str(Path(gateflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    with subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT], env=env, text=True,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as parent:
+        try:
+            [helper] = map(int, parent.stdout.readline().split())
+        finally:
+            parent.kill()
+    deadline = time.monotonic() + 5.0
+    while running(helper) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not running(helper)
