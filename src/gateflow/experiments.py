@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import FlowConfig, integrate_flow
+from .flow import FlowConfig, integrate_flow, usable_cpus
 from .gradient import EXACT, normalize_order
 from .system import (ControlGrid, GateTarget, QuantumSystem, require_count, require_finite,
                      require_positive_finite)
@@ -237,10 +237,7 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
     require_finite(scan_cap, "scan cap")
     output_paths(out_path, json_path)
     run = functools.partial(execute_experiment, scan_cap=scan_cap)
-    # The CPUs this process may run on: an affinity mask can allow fewer than cpu_count.
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    workers = min(parallel, len(specs), usable)
+    workers = min(parallel, len(specs), usable_cpus())
     if workers > 1:
         from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool

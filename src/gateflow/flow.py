@@ -38,8 +38,25 @@ STOP_HORIZON = "horizon"
 STOP_UNDERFLOW = "step_underflow"
 STOP_BUDGET = "eval_budget"
 
-# (pid of the process it serves, Process, that process's end of the pipe), or None.
+# This process's descent helper: (Process, this process's end of its pipe, the
+# flow_evaluation and descent_rate it was forked with), or None.
 _helper = None
+
+
+def _forget_helper():
+    global _helper
+    _helper = None
+
+
+# A forked child inherits its parent's record of a helper, not the helper.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def usable_cpus():
+    """The CPUs this process may run on: an affinity mask can allow fewer than cpu_count."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -131,12 +148,24 @@ def _replay_descent(conn, parent_end):
         pass
 
 
+def _offloads_descent():
+    """Whether a tracked run here forms its rows in a descent helper: only a
+    top-level process with a CPU to spare does. A multiprocessing worker, whose
+    siblings hold the other CPUs and which may start no child if daemonic,
+    forms them inline."""
+    import multiprocessing
+
+    return multiprocessing.parent_process() is None and usable_cpus() > 1
+
+
 def _descent_helper(run):
-    """This process's descent helper, forked on first use (and again after one
-    ended), with the run's inputs sent: returns its end of the pipe."""
+    """This process's descent helper, with the run's inputs sent: returns its end
+    of the pipe. A helper is forked on first use, after one ended, and after
+    flow_evaluation or descent_rate was replaced here (as the benchmark's tracer
+    does), since a forked helper keeps the functions it had."""
     global _helper
-    # A forked child inherits its parent's helper, which is not its own.
-    if _helper is None or _helper[0] != os.getpid() or not _helper[1].is_alive():
+    process, conn, replays = _helper or (None, None, None)
+    if replays != (flow_evaluation, descent_rate) or not process.is_alive():
         import multiprocessing
 
         _end_helper()
@@ -147,8 +176,7 @@ def _descent_helper(run):
                               name="gateflow-descent", daemon=True)
         process.start()
         theirs.close()
-        _helper = (os.getpid(), process, conn)
-    conn = _helper[2]
+        _helper = process, conn, (flow_evaluation, descent_rate)
     conn.send(run)
     return conn
 
@@ -156,12 +184,12 @@ def _descent_helper(run):
 def _end_helper():
     """End this process's descent helper, if it has one."""
     global _helper
-    if _helper is not None and _helper[0] == os.getpid():
-        _, process, conn = _helper
+    if _helper is not None:
+        process, conn, _ = _helper
+        _helper = None
         conn.close()
         process.terminate()
         process.join()
-    _helper = None
 
 
 def integrate_flow(sys, grid0, target, order, cfg):
@@ -170,9 +198,11 @@ def integrate_flow(sys, grid0, target, order, cfg):
     evaluation budget or a step underflow stops it. A non-finite velocity
     raises ValueError naming its control and slice.
 
-    A tracked run sends each recorded point's amplitudes to this process's
-    descent helper, which forms the rows' dJ/ds while the run goes on. A run
-    that raises ends the helper; one that loses it raises ValueError."""
+    A tracked run in a top-level process with a CPU to spare sends each
+    recorded point's amplitudes to this process's descent helper, which forms
+    the rows' dJ/ds while the run goes on; elsewhere they are formed inline,
+    bit for bit the same. A run that raises ends the helper; one that loses it
+    raises ValueError."""
     # When glibc frees an mmapped block above its mmap threshold, it raises
     # that threshold to the block's size and its trim threshold to twice that
     # (mallopt(3)): here 4 MB and 8 MB, so evaluations stop returning the heap
@@ -196,13 +226,16 @@ def integrate_flow(sys, grid0, target, order, cfg):
             max_defect = max(max_defect, ev.unitarity_defect)
         return ev.values
 
+    offload = cfg.track_descent and _offloads_descent()
+    inline = cfg.track_descent and not offload
     try:
-        conn = _descent_helper((sys, grid0, target, order)) if cfg.track_descent else None
+        conn = _descent_helper((sys, grid0, target, order)) if offload else None
         y = grid0.amplitudes
-        if conn is not None:
+        if offload:
             conn.send_bytes(y)
         k1 = f(y)
-        rows = [(0.0, 0.0, 0.0, True, ev.objective, evals, np.nan)]
+        rows = [(0.0, 0.0, 0.0, True, ev.objective, evals,
+                 descent_rate(ev) if inline else np.nan)]
         s, h, j, reason = 0.0, cfg.h_init, ev.objective, None
         while reason is None:
             # Tested before every step, the first included. j is the last accepted
@@ -224,19 +257,20 @@ def integrate_flow(sys, grid0, target, order, cfg):
                 with np.errstate(over="ignore"):
                     err_norm = float(np.abs(err / scale).max())
                 accepted = err_norm <= 1.0
-                rows.append((s + h, h, err_norm, accepted, ev.objective, evals, np.nan))
+                rows.append((s + h, h, err_norm, accepted, ev.objective, evals,
+                             descent_rate(ev) if accepted and inline else np.nan))
                 if accepted:
                     s, y, k1, j = s + h, y_new, k_last, ev.objective
-                    if conn is not None:
+                    if offload:
                         conn.send_bytes(y)
                 factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
                 h *= min(MAX_GROW, max(MIN_SHRINK, factor))
         steps = np.array(rows, STEP_DTYPE)
-        if conn is not None:
+        if offload:
             conn.send_bytes(b"")
             steps["dJ_ds"][steps["accepted"]] = conn.recv()
     except BaseException as exc:
-        if cfg.track_descent:
+        if offload:
             _end_helper()
             if isinstance(exc, (BrokenPipeError, EOFError)):
                 raise ValueError("descent helper process ended abruptly") from exc

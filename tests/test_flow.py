@@ -219,12 +219,15 @@ class TestFlowRuns:
         assert result.max_unitarity_defect is not None
         assert result.max_unitarity_defect <= 1e-10
 
-    @pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
-    def test_descent_rate_formed_once_per_row(self, short_cnot, monkeypatch, track):
-        # A tracked run's rates come from its descent helper, which replays the
-        # evaluation at each recorded row (s = 0 and each accepted step). This
-        # process forms none and propagates once per evaluation either way, and
-        # an untracked run starts no process.
+    @pytest.mark.parametrize("track, cpus", [(True, 2), (True, 1), (False, 2)],
+                             ids=["tracked", "tracked_one_cpu", "untracked"])
+    def test_descent_rate_formed_once_per_row(self, short_cnot, monkeypatch, track, cpus):
+        # With a CPU to spare, a tracked run's rates come from its descent
+        # helper, which replays the evaluation at each recorded row (s = 0 and
+        # each accepted step), and this process forms none. With one CPU they
+        # are formed here, once per row, from the evaluation already made. Either
+        # way this process propagates once per evaluation, and the rows are the
+        # inline rates; only a tracked run with a CPU to spare starts a process.
         calls = {"rate": 0, "propagate": 0}
         amplitudes = []  # the grid of every evaluation, in call order
         rate, evaluate = gateflow.gradient.descent_rate, gateflow.flow.flow_evaluation
@@ -239,6 +242,7 @@ class TestFlowRuns:
             amplitudes.append(grid.amplitudes)
             return evaluate(sys, grid, *args, **kwargs)
 
+        monkeypatch.setattr("gateflow.flow.usable_cpus", lambda: cpus)
         monkeypatch.setattr("gateflow.flow.descent_rate", counting("rate", rate))
         monkeypatch.setattr("gateflow.gradient.descent_rate", counting("rate", rate))
         monkeypatch.setattr("gateflow.gradient.propagate",
@@ -249,14 +253,14 @@ class TestFlowRuns:
         children = {p.pid for p in multiprocessing.active_children()}
         result = integrate_flow(sys, grid, target, 1, cfg)
         assert result.rejected_steps > 0
-        assert calls == {"rate": 0, "propagate": result.rhs_evals}
+        inline = result.accepted_steps + 1 if track and cpus == 1 else 0
+        assert calls == {"rate": inline, "propagate": result.rhs_evals}
         if track:
             # Row evals = e holds the point of evaluation e, call e - 1.
             for row in accepted(result):
-                inline = evaluate(sys, grid.with_amplitudes(amplitudes[row["evals"] - 1]),
-                                  target, 1)
-                assert row["dJ_ds"] == rate(inline)
-        else:
+                ev = evaluate(sys, grid.with_amplitudes(amplitudes[row["evals"] - 1]), target, 1)
+                assert row["dJ_ds"] == rate(ev)
+        if not track or cpus == 1:
             assert {p.pid for p in multiprocessing.active_children()} == children
 
     def test_diagnostics_off_by_default(self, short_cnot):
@@ -498,6 +502,12 @@ def descent_helpers():
 
 
 class TestDescentHelper:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # The helper serves a process with a CPU to spare, on any test machine.
+        monkeypatch.setattr("gateflow.flow.usable_cpus", lambda: 2)
+        monkeypatch.setattr("gateflow.experiments.usable_cpus", lambda: 2)
+
     @pytest.fixture()
     def spec(self):
         return ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,
@@ -511,57 +521,99 @@ class TestDescentHelper:
         assert len(helpers[0]) == 1
         assert helpers[1] == helpers[0]
 
+    def test_a_patched_rate_reaches_a_fresh_helper(self, spec, monkeypatch):
+        # A forked helper keeps the functions it had, so replacing one it
+        # replays gets the next run a new helper that has the replacement.
+        execute_experiment(spec)
+        [helper] = descent_helpers()
+        monkeypatch.setattr("gateflow.flow.descent_rate", lambda ev: 7.0)
+        assert (accepted(execute_experiment(spec)[1])["dJ_ds"] == 7.0).all()
+        assert not helper.is_alive()
+
+    def failing_at(self, call, failure):
+        """A flow_evaluation whose call-th call in this process runs failure(ev)
+        after recording the helper serving the run in self.served; the helper's
+        own calls go through."""
+        evaluate, calls, parent = gateflow.flow.flow_evaluation, itertools.count(), os.getpid()
+
+        def failing(*args, **kwargs):
+            ev = evaluate(*args, **kwargs)
+            if os.getpid() != parent or next(calls) != call:
+                return ev
+            self.served = gateflow.flow._helper[0]
+            return failure(ev)
+        return failing
+
+    def interrupt(self, ev):
+        raise KeyboardInterrupt
+
     @pytest.mark.parametrize("failure", ["non_finite", "interrupt"])
     def test_a_run_that_raises_ends_its_helper(self, spec, monkeypatch, failure):
         # The failed run leaves its helper mid-run; the next run gets a fresh one.
         before = execute_experiment(spec)[1]
-        [helper] = descent_helpers()
-        evaluate, calls = gateflow.flow.flow_evaluation, itertools.count()
-
-        def failing(*args, **kwargs):
-            ev = evaluate(*args, **kwargs)
-            if next(calls) < 30:
-                return ev
-            if failure == "interrupt":
-                raise KeyboardInterrupt
-            return ev._replace(values=np.full_like(ev.values, np.inf))
-
-        monkeypatch.setattr("gateflow.flow.flow_evaluation", failing)
-        with pytest.raises(ValueError if failure == "non_finite" else KeyboardInterrupt):
-            execute_experiment(spec)
-        assert not helper.is_alive()
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr("gateflow.flow.flow_evaluation", self.failing_at(30, {
+                "non_finite": lambda ev: ev._replace(values=np.full_like(ev.values, np.inf)),
+                "interrupt": self.interrupt}[failure]))
+            with pytest.raises(ValueError if failure == "non_finite" else KeyboardInterrupt):
+                execute_experiment(spec)
+        assert not self.served.is_alive()
         after = execute_experiment(spec)[1]
-        assert [p.pid for p in descent_helpers()] not in ([], [helper.pid])
+        assert [p.pid for p in descent_helpers()] not in ([], [self.served.pid])
         assert after.steps.tobytes() == before.steps.tobytes()
 
     def test_a_lost_helper_fails_the_run(self, spec, monkeypatch):
-        execute_experiment(spec)
-        [helper] = descent_helpers()
-        evaluate, calls = gateflow.flow.flow_evaluation, itertools.count()
+        def kill_helper(ev):
+            os.kill(self.served.pid, signal.SIGKILL)
+            return ev
 
-        def killing(*args, **kwargs):
-            if next(calls) == 30:
-                os.kill(helper.pid, signal.SIGKILL)
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr("gateflow.flow.flow_evaluation", killing)
-        with pytest.raises(ValueError, match=r"^cnot T=5 L=150 order=1: "
-                                             r"descent helper process ended abruptly$"):
-            execute_experiment(spec)
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr("gateflow.flow.flow_evaluation", self.failing_at(30, kill_helper))
+            with pytest.raises(ValueError, match=r"^cnot T=5 L=150 order=1: "
+                                                 r"descent helper process ended abruptly$"):
+                execute_experiment(spec)
         assert not np.isnan(accepted(execute_experiment(spec)[1])["dJ_ds"]).any()
-        assert [p.pid for p in descent_helpers()] not in ([], [helper.pid])
+        assert [p.pid for p in descent_helpers()] not in ([], [self.served.pid])
 
-
-    def test_pool_workers_start_their_own_helpers(self, spec, tmp_path):
-        # Workers forked from a process with a helper inherit its record of it;
-        # each must start its own and leave its parent's alone.
-        execute_experiment(spec)
+    def test_pool_workers_form_rows_inline(self, spec, tmp_path):
+        # Workers forked from a process with a helper inherit no record of it.
+        # Their siblings hold the other CPUs, so they form their rows inline,
+        # bit for bit the helper's, and leave their parent's helper alone.
+        serial = execute_experiment(spec)[1].steps.tobytes()
         [helper] = descent_helpers()
         records = compare_methods([spec, spec], tmp_path / "r.csv", parallel=2)
         assert [r.rhs_evals for r in records] == [execute_experiment(spec)[0].rhs_evals] * 2
         assert descent_helpers() == [helper]
+        with multiprocessing.Pool(1) as pool:
+            # A daemonic worker may start no child at all.
+            pooled = pool.apply(execute_experiment, (spec,))[1]
+        assert pooled.steps.tobytes() == serial
+        assert descent_helpers() == [helper]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helper(self, spec):
+        # A child forked outside multiprocessing is a top-level process too. It
+        # inherits no record of its parent's helper, so it starts its own.
+        serial = execute_experiment(spec)[1].steps.tobytes()
+        [helper] = descent_helpers()
+        read, write = os.pipe()
+        child = os.fork()
+        if child == 0:  # report, then leave at once, whatever happened
+            try:
+                own = gateflow.flow._helper is None
+                steps = execute_experiment(spec)[1].steps.tobytes()
+                own = own and gateflow.flow._helper[0].pid != helper.pid
+                os.write(write, b"1" if own and steps == serial else b"0")
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            assert os.read(read, 1) == b"1"
+        finally:
+            os.close(read)
+            os.waitpid(child, 0)
+        assert descent_helpers() == [helper]
+
 
 # One tracked run in a fresh interpreter, which then prints its descent helper's
 # pid and waits to be killed.
@@ -569,8 +621,10 @@ ORPHAN_SCRIPT = """
 import sys
 from multiprocessing import active_children
 import numpy as np
+import gateflow.flow
 from gateflow import ControlGrid, FlowConfig, build_two_spin_benchmark, gate_target, integrate_flow
 
+gateflow.flow.usable_cpus = lambda: 2  # a helper even on one CPU
 grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((2, 150)))
 cfg = FlowConfig(s_max=5.0, track_descent=True)
 integrate_flow(build_two_spin_benchmark(), grid, gate_target("cnot"), 1, cfg)
