@@ -10,6 +10,7 @@ import math
 import os
 import re
 import signal
+import threading
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -220,18 +221,33 @@ def write_comparison(records, out_path, json_path=None):
             fh.write("\n")
 
 
+def _follow_run(reader, writer):
+    """Pool worker set-up: ignore SIGINT, so that only the run's own process acts on
+    it, and exit at EOF on reader. The worker closes its copy of writer, so EOF
+    comes once the run's process closes its own or ends, even by SIGKILL."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    writer.close()
+    threading.Thread(target=_exit_at_eof, args=(reader,), daemon=True).start()
+
+
+def _exit_at_eof(reader):
+    reader.poll(None)  # nothing is ever sent, so this returns at EOF
+    os._exit(1)
+
+
 def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
     """Run every spec, write the table (see write_comparison) and return the records.
 
     The scan cap (see execute_experiment) and the output paths (see
     output_paths) are checked before any run starts. Specs may run in
     parallel (they share no state) on at most min(parallel, number of
-    specs, usable CPUs) worker processes, which ignore SIGINT; rows keep
-    spec order. A failed spec, an interrupt or a lost worker (ValueError
-    'a worker process ended abruptly', naming no spec: a lost worker fails
-    every pending spec alike) ends the run at once: queued specs are
-    cancelled, the run's own workers ended and no table is written. Other
-    child processes of the caller keep running.
+    specs, usable CPUs) worker processes, which ignore SIGINT and end with
+    this process, even when it is killed; rows keep spec order. A failed
+    spec, an interrupt or a lost worker (ValueError 'a worker process ended
+    abruptly', naming no spec: a lost worker fails every pending spec alike)
+    ends the run at once: queued specs are cancelled, the run's own workers
+    ended and no table is written. Other child processes of the caller keep
+    running.
     """
     require_count(parallel, "parallel")
     require_finite(scan_cap, "scan cap")
@@ -241,13 +257,11 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
     if workers > 1:
         from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
-        from multiprocessing import active_children
+        from multiprocessing import Pipe
 
-        # The caller's own child processes, which a failed run leaves running.
-        others = set(active_children())
-        # Workers ignore SIGINT, so only this process acts on it.
-        with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
-                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        reader, writer = Pipe(duplex=False)
+        with reader, writer, ProcessPoolExecutor(
+                max_workers=workers, initializer=_follow_run, initargs=(reader, writer)) as pool:
             try:
                 futures = [pool.submit(run, spec) for spec in specs]
                 wait(futures, return_when=FIRST_EXCEPTION)
@@ -261,8 +275,7 @@ def compare_methods(specs, out_path, json_path=None, parallel=1, scan_cap=0.0):
                 outcomes = [future.result() for future in futures]
             except BaseException:
                 pool.shutdown(wait=False, cancel_futures=True)
-                for worker in set(active_children()) - others:
-                    worker.terminate()
+                writer.close()
                 raise
     else:
         outcomes = [run(spec) for spec in specs]

@@ -148,26 +148,20 @@ def _replay_descent(conn, parent_end):
         pass
 
 
-def _offloads_descent():
-    """Whether a tracked run here forms its rows in a descent helper: only a
-    top-level process with a CPU to spare does. A multiprocessing worker, whose
-    siblings hold the other CPUs and which may start no child if daemonic,
-    forms them inline."""
+def _descent_helper():
+    """This process's end of its descent helper's pipe, or None where a tracked run
+    forms its rows inline: in a multiprocessing worker, whose siblings hold the other
+    CPUs and which may start no child if daemonic, and with one usable CPU. A helper
+    is forked on first use, after one ended, and after flow_evaluation or
+    descent_rate was replaced here (as the benchmark's tracer does), since a forked
+    helper keeps the functions it had."""
+    global _helper
     import multiprocessing
 
-    return multiprocessing.parent_process() is None and usable_cpus() > 1
-
-
-def _descent_helper(run):
-    """This process's descent helper, with the run's inputs sent: returns its end
-    of the pipe. A helper is forked on first use, after one ended, and after
-    flow_evaluation or descent_rate was replaced here (as the benchmark's tracer
-    does), since a forked helper keeps the functions it had."""
-    global _helper
+    if multiprocessing.parent_process() is not None or usable_cpus() < 2:
+        return None
     process, conn, replays = _helper or (None, None, None)
     if replays != (flow_evaluation, descent_rate) or not process.is_alive():
-        import multiprocessing
-
         _end_helper()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
@@ -177,7 +171,6 @@ def _descent_helper(run):
         process.start()
         theirs.close()
         _helper = process, conn, (flow_evaluation, descent_rate)
-    conn.send(run)
     return conn
 
 
@@ -198,11 +191,11 @@ def integrate_flow(sys, grid0, target, order, cfg):
     evaluation budget or a step underflow stops it. A non-finite velocity
     raises ValueError naming its control and slice.
 
-    A tracked run in a top-level process with a CPU to spare sends each
-    recorded point's amplitudes to this process's descent helper, which forms
-    the rows' dJ/ds while the run goes on; elsewhere they are formed inline,
-    bit for bit the same. A run that raises ends the helper; one that loses it
-    raises ValueError."""
+    A tracked run sends each recorded point's amplitudes to this process's
+    descent helper, if it has one (see _descent_helper), which forms the rows'
+    dJ/ds while the run goes on; elsewhere they are formed inline, bit for bit
+    the same. A run that raises ends the helper; one that loses it raises
+    ValueError."""
     # When glibc frees an mmapped block above its mmap threshold, it raises
     # that threshold to the block's size and its trim threshold to twice that
     # (mallopt(3)): here 4 MB and 8 MB, so evaluations stop returning the heap
@@ -226,12 +219,12 @@ def integrate_flow(sys, grid0, target, order, cfg):
             max_defect = max(max_defect, ev.unitarity_defect)
         return ev.values
 
-    offload = cfg.track_descent and _offloads_descent()
-    inline = cfg.track_descent and not offload
+    conn = _descent_helper() if cfg.track_descent else None
+    inline = cfg.track_descent and conn is None
     try:
-        conn = _descent_helper((sys, grid0, target, order)) if offload else None
         y = grid0.amplitudes
-        if offload:
+        if conn is not None:
+            conn.send((sys, grid0, target, order))
             conn.send_bytes(y)
         k1 = f(y)
         rows = [(0.0, 0.0, 0.0, True, ev.objective, evals,
@@ -261,16 +254,16 @@ def integrate_flow(sys, grid0, target, order, cfg):
                              descent_rate(ev) if accepted and inline else np.nan))
                 if accepted:
                     s, y, k1, j = s + h, y_new, k_last, ev.objective
-                    if offload:
+                    if conn is not None:
                         conn.send_bytes(y)
                 factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
                 h *= min(MAX_GROW, max(MIN_SHRINK, factor))
         steps = np.array(rows, STEP_DTYPE)
-        if offload:
+        if conn is not None:
             conn.send_bytes(b"")
             steps["dJ_ds"][steps["accepted"]] = conn.recv()
     except BaseException as exc:
-        if offload:
+        if conn is not None:
             _end_helper()
             if isinstance(exc, (BrokenPipeError, EOFError)):
                 raise ValueError("descent helper process ended abruptly") from exc

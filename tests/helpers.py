@@ -1,9 +1,13 @@
 """Small helpers shared by several test modules: random Hermitian
-matrices, config files written to a temporary directory, CSV rows, and
-the accepted rows of a flow run's step record."""
+matrices, config files written to a temporary directory, CSV rows, the
+accepted rows of a flow run's step record, and the environment of a fresh
+interpreter."""
 
 import csv
+import os
+from pathlib import Path
 
+import gateflow
 from gateflow import CSV_COLUMNS
 
 
@@ -33,3 +37,11 @@ def rows_without_wall_time(path):
 def accepted(result):
     """The start point and every accepted step of a FlowResult's record."""
     return result.steps[result.steps["accepted"]]
+
+
+def checkout_env():
+    """os.environ with this checkout's package first on PYTHONPATH, for a fresh
+    interpreter to import the gateflow under test."""
+    src = str(Path(gateflow.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}

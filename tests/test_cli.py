@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gateflow
 from conftest import BENCH_CASES
 from gateflow import ExperimentSpec, FlowConfig, FlowResult, execute_experiment, load_experiment
 from gateflow.cli import build_parser, main
 from gateflow.flow import STEP_DTYPE
-from helpers import read_rows, rows_without_wall_time, write_cfg
+from helpers import checkout_env, read_rows, rows_without_wall_time, write_cfg
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -289,10 +288,7 @@ if __name__ == "__main__":
 def start_in_own_session(args, stdout=subprocess.PIPE, preexec_fn=None):
     """Popen of the Python interpreter with args, in a session of its own and
     with this checkout's package on the path."""
-    src = str(Path(gateflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.Popen([sys.executable, *args], env=env, stdout=stdout,
+    return subprocess.Popen([sys.executable, *args], env=checkout_env(), stdout=stdout,
                             stderr=subprocess.PIPE, text=True, start_new_session=True,
                             preexec_fn=preexec_fn)
 
@@ -356,6 +352,27 @@ def test_interrupt_of_the_parent_alone_ends_the_workers(tmp_path):
         assert err == "interrupted\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "reporting_cli.py"]
         assert group_ends(proc.pid), "a worker outlived the run"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM],
+                         ids=["SIGKILL", "SIGTERM"])
+def test_workers_end_with_a_killed_parent(tmp_path, signum):
+    # A killed qoc ends nothing itself, and its workers never see the signal: they
+    # end at EOF on the pipe whose other end only qoc held.
+    cfg = write_cfg(tmp_path, LONG + "\n" + LONG)
+    script = tmp_path / "reporting_cli.py"
+    script.write_text(REPORTING_CLI)
+    proc = start_in_own_session([str(script), "run", str(cfg), "--parallel", "2",
+                                 "--out", str(tmp_path / "results.csv")])
+    try:
+        assert all(proc.stdout.readline().startswith("started ") for _ in range(2))
+        os.kill(proc.pid, signum)
+        assert proc.wait(timeout=20) == -signum
+        assert group_ends(proc.pid, within_s=5), "a worker outlived a killed run"
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)

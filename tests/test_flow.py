@@ -25,7 +25,7 @@ from gateflow import (EXACT, S_GRANULARITY, ControlGrid, ExperimentSpec, FlowCon
 from gateflow.flow import H_MIN, MIN_SHRINK
 
 from conftest import BENCH_CASES
-from helpers import accepted
+from helpers import accepted, checkout_env
 from oracles import final_propagator
 
 
@@ -362,26 +362,21 @@ def test_bench_run_record(bench_runs, case):
     assert not np.isnan(accepted(bench_runs[case][1])["dJ_ds"]).any()
 
 
-@pytest.fixture(scope="module")
-def cnot_t5_run():
-    cfg = FlowConfig(s_max=5000.0)
-    return integrate_flow(build_two_spin_benchmark(), ControlGrid(5.0, np.zeros((2, 150))),
-                          gate_target("cnot"), 1, cfg)
-
-
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
-def test_time_energy_scaling_of_a_whole_run(cnot_t5_run, c):
+def test_time_energy_scaling_of_a_whole_run(bench_runs, c):
     # Energies times c with T, s_max and h_init over c: every dt * H_l
     # is unchanged, velocities grow by c and flow time shrinks by c, so each
     # Dormand-Prince increment h * v, the error norm and the step controller
     # are unchanged. A power of two scales without rounding: bit for bit.
     # The step floor H_MIN is not scaled, but no step of this run comes near it.
+    # The reference is tracked and checked, the scaled runs are not: neither
+    # changes a run's trajectory.
     base = build_two_spin_benchmark()
     sys = QuantumSystem(h0=c * base.h0, controls=c * base.controls)
     cfg = FlowConfig(s_max=5000.0 / c, h_init=1.0 / c)
     run = integrate_flow(sys, ControlGrid(5.0 / c, np.zeros((2, 150))), gate_target("cnot"),
                          1, cfg)
-    ref = cnot_t5_run
+    ref = bench_runs["cnot_t5_m1"][1]
     assert (run.rhs_evals, run.accepted_steps, run.rejected_steps, run.stop_reason) == \
         (ref.rhs_evals, ref.accepted_steps, ref.rejected_steps, ref.stop_reason)
     assert np.array_equal(run.final_grid.amplitudes, ref.final_grid.amplitudes)
@@ -452,12 +447,12 @@ class TestToleranceBehavior:
         assert half.stop_reason == "horizon"
         assert accepted(half)["J"][-1] <= accepted(base)["J"][-1] * 1.001
 
-    def test_halving_tolerances_still_converges(self, benchmark_system, cnot):
+    def test_halving_tolerances_still_converges(self, benchmark_system, cnot, bench_runs):
+        # The base run is bench_runs' cnot T=5 L=150 order-1 run at the default tol.
         grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((2, 150)))
-        cfg = FlowConfig(s_max=5000.0)
-        cfg_half = FlowConfig(s_max=5000.0, tol=5e-5)
-        base = integrate_flow(benchmark_system, grid, cnot, 1, cfg)
-        half = integrate_flow(benchmark_system, grid, cnot, 1, cfg_half)
+        base = bench_runs["cnot_t5_m1"][1]
+        half = integrate_flow(benchmark_system, grid, cnot, 1,
+                              FlowConfig(s_max=5000.0, tol=5e-5))
         assert base.stop_reason == "j_reached"
         assert half.stop_reason == "j_reached"
         assert accepted(base)["J"][-1] <= 1e-7
@@ -485,10 +480,7 @@ def test_evaluations_do_not_refault_the_heap():
     # Under glibc, an evaluation that returned the heap top to the OS would
     # fault those pages back in on the next one, tens of faults each. Run in
     # a fresh interpreter so that this session's heap history cannot decide it.
-    src = str(Path(gateflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], env=checkout_env(), check=True,
                          capture_output=True, text=True).stdout
     faults, evals = map(int, out.split())
     assert evals >= 300
@@ -646,10 +638,7 @@ def running(pid):
 def test_descent_helper_ends_with_its_parent():
     # The helper holds no copy of its parent's end of the pipe, so the parent's
     # death, even by SIGKILL, is EOF to the helper.
-    src = str(Path(gateflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    with subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT], env=env, text=True,
+    with subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT], env=checkout_env(), text=True,
                           stdin=subprocess.PIPE, stdout=subprocess.PIPE) as parent:
         try:
             [helper] = map(int, parent.stdout.readline().split())
