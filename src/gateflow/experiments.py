@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import FlowConfig, integrate_flow, usable_cpus
+from .flow import FlowConfig, integrate_flow
 from .gradient import EXACT, normalize_order
 from .system import (ControlGrid, GateTarget, QuantumSystem, require_count, require_finite,
                      require_positive_finite)
@@ -219,6 +219,12 @@ def write_comparison(records, out_path, json_path=None):
         with _writing(path) as fh:
             json.dump([dict(zip(CSV_COLUMNS, r)) for r in records], fh, indent=2)
             fh.write("\n")
+
+
+def usable_cpus():
+    """The CPUs this process may run on: an affinity mask can allow fewer than cpu_count."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _follow_run(reader, writer):

@@ -1,7 +1,6 @@
 """Adaptive Dormand-Prince integration of the control flow in the
 artificial flow variable s."""
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,26 +37,6 @@ STOP_HORIZON = "horizon"
 STOP_UNDERFLOW = "step_underflow"
 STOP_BUDGET = "eval_budget"
 
-# This process's descent helper: (Process, this process's end of its pipe, the
-# flow_evaluation and descent_rate it was forked with), or None.
-_helper = None
-
-
-def _forget_helper():
-    global _helper
-    _helper = None
-
-
-# A forked child inherits its parent's record of a helper, not the helper.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def usable_cpus():
-    """The CPUs this process may run on: an affinity mask can allow fewer than cpu_count."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -83,15 +62,15 @@ class FlowConfig:
 # One row per step attempt after row 0, the start point (h = err_norm = 0): s and J
 # at the attempt's fifth-order point, the step h tried and its error norm, whether
 # it was accepted, the evaluations so far, and the followed direction's dJ/ds
-# (accepted rows of a tracked run only, NaN elsewhere).
+# (in a tracked run, at both ends of each accepted step that raised J; NaN elsewhere).
 STEP_DTYPE = np.dtype([("s", float), ("h", float), ("err_norm", float), ("accepted", bool),
                        ("J", float), ("evals", np.int64), ("dJ_ds", float)])
 
 
 class FlowResult(NamedTuple):
     """Outcome of one flow run: steps is its STEP_DTYPE record, whose
-    accepted rows trace (s, J) and, when tracked, dJ/ds; s_stop is where
-    integration ended."""
+    accepted rows trace (s, J) and, when tracked, dJ/ds at both ends of each
+    step that raised J; s_stop is where integration ended."""
 
     final_grid: ControlGrid
     steps: np.ndarray
@@ -126,76 +105,15 @@ def dormand_prince_step(f, y, h, k1):
     return y5, err, k[6]
 
 
-def _replay_descent(conn, parent_end):
-    """Descent helper: per run, (sys, grid0, target, order), then one amplitude
-    buffer per recorded row and an empty one to close the run, answered with
-    the rows' rates in order. It ends at EOF, which needs the parent's end of
-    the pipe closed here too."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent_end.close()
-    try:
-        while True:
-            sys, grid0, target, order = conn.recv()
-            rates = []
-            while buf := conn.recv_bytes():
-                y = np.frombuffer(buf).reshape(grid0.amplitudes.shape)
-                rates.append(descent_rate(flow_evaluation(sys, grid0.with_amplitudes(y),
-                                                          target, order)))
-            conn.send(rates)
-    except EOFError:
-        pass
-
-
-def _descent_helper():
-    """This process's end of its descent helper's pipe, or None where a tracked run
-    forms its rows inline: in a multiprocessing worker, whose siblings hold the other
-    CPUs and which may start no child if daemonic, and with one usable CPU. A helper
-    is forked on first use, after one ended, and after flow_evaluation or
-    descent_rate was replaced here (as the benchmark's tracer does), since a forked
-    helper keeps the functions it had."""
-    global _helper
-    import multiprocessing
-
-    if multiprocessing.parent_process() is not None or usable_cpus() < 2:
-        return None
-    process, conn, replays = _helper or (None, None, None)
-    if replays != (flow_evaluation, descent_rate) or not process.is_alive():
-        _end_helper()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-        conn, theirs = ctx.Pipe()
-        process = ctx.Process(target=_replay_descent, args=(theirs, conn),
-                              name="gateflow-descent", daemon=True)
-        process.start()
-        theirs.close()
-        _helper = process, conn, (flow_evaluation, descent_rate)
-    return conn
-
-
-def _end_helper():
-    """End this process's descent helper, if it has one."""
-    global _helper
-    if _helper is not None:
-        process, conn, _ = _helper
-        _helper = None
-        conn.close()
-        process.terminate()
-        process.join()
-
-
 def integrate_flow(sys, grid0, target, order, cfg):
     """Flow the control grid along the chosen velocity field from s = 0
     until, in priority order, J <= j_stop, the horizon s_max, the
     evaluation budget or a step underflow stops it. A non-finite velocity
     raises ValueError naming its control and slice.
 
-    A tracked run sends each recorded point's amplitudes to this process's
-    descent helper, if it has one (see _descent_helper), which forms the rows'
-    dJ/ds while the run goes on; elsewhere they are formed inline, bit for bit
-    the same. A run that raises ends the helper; one that loses it raises
-    ValueError."""
+    A tracked run keeps the evaluation record of its last accepted point, and
+    each accepted step that raises J gets dJ/ds formed from the records at both
+    of its ends; every other row's dJ_ds is NaN."""
     # When glibc frees an mmapped block above its mmap threshold, it raises
     # that threshold to the block's size and its trim threshold to twice that
     # (mallopt(3)): here 4 MB and 8 MB, so evaluations stop returning the heap
@@ -219,55 +137,42 @@ def integrate_flow(sys, grid0, target, order, cfg):
             max_defect = max(max_defect, ev.unitarity_defect)
         return ev.values
 
-    conn = _descent_helper() if cfg.track_descent else None
-    inline = cfg.track_descent and conn is None
-    try:
-        y = grid0.amplitudes
-        if conn is not None:
-            conn.send((sys, grid0, target, order))
-            conn.send_bytes(y)
-        k1 = f(y)
-        rows = [(0.0, 0.0, 0.0, True, ev.objective, evals,
-                 descent_rate(ev) if inline else np.nan)]
-        s, h, j, reason = 0.0, cfg.h_init, ev.objective, None
-        while reason is None:
-            # Tested before every step, the first included. j is the last accepted
-            # point's J: a rejected attempt cannot stop the run.
-            if j <= cfg.j_stop:
-                reason = STOP_J_REACHED
-            elif cfg.s_max - s <= H_MIN:
-                reason = STOP_HORIZON
-            elif evals >= cfg.max_rhs_evals:
-                reason = STOP_BUDGET
-            elif h < H_MIN:
-                reason = STOP_UNDERFLOW
-            else:
-                h = min(h, cfg.s_max - s)
-                y_new, err, k_last = dormand_prince_step(f, y, h, k1)
-                # Not tol * (1 + ...), which rounds differently and so changes runs' bytes.
-                scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y_new))
-                # A subnormal tol can overflow the ratio: inf rejects the step, as it should.
-                with np.errstate(over="ignore"):
-                    err_norm = float(np.abs(err / scale).max())
-                accepted = err_norm <= 1.0
-                rows.append((s + h, h, err_norm, accepted, ev.objective, evals,
-                             descent_rate(ev) if accepted and inline else np.nan))
-                if accepted:
-                    s, y, k1, j = s + h, y_new, k_last, ev.objective
-                    if conn is not None:
-                        conn.send_bytes(y)
-                factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
-                h *= min(MAX_GROW, max(MIN_SHRINK, factor))
-        steps = np.array(rows, STEP_DTYPE)
-        if conn is not None:
-            conn.send_bytes(b"")
-            steps["dJ_ds"][steps["accepted"]] = conn.recv()
-    except BaseException as exc:
-        if conn is not None:
-            _end_helper()
-            if isinstance(exc, (BrokenPipeError, EOFError)):
-                raise ValueError("descent helper process ended abruptly") from exc
-        raise
-    return FlowResult(final_grid=grid0.with_amplitudes(y), steps=steps,
+    y = grid0.amplitudes
+    k1 = f(y)
+    rows = [(0.0, 0.0, 0.0, True, ev.objective, evals, np.nan)]
+    # The last accepted point's row and, in a tracked run, its evaluation record.
+    start, last = 0, ev if cfg.track_descent else None
+    s, h, j, reason = 0.0, cfg.h_init, ev.objective, None
+    while reason is None:
+        # Tested before every step, the first included. j is the last accepted
+        # point's J: a rejected attempt cannot stop the run.
+        if j <= cfg.j_stop:
+            reason = STOP_J_REACHED
+        elif cfg.s_max - s <= H_MIN:
+            reason = STOP_HORIZON
+        elif evals >= cfg.max_rhs_evals:
+            reason = STOP_BUDGET
+        elif h < H_MIN:
+            reason = STOP_UNDERFLOW
+        else:
+            h = min(h, cfg.s_max - s)
+            y_new, err, k_last = dormand_prince_step(f, y, h, k1)
+            # Not tol * (1 + ...), which rounds differently and so changes runs' bytes.
+            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y_new))
+            # A subnormal tol can overflow the ratio: inf rejects the step, as it should.
+            with np.errstate(over="ignore"):
+                err_norm = float(np.abs(err / scale).max())
+            accepted = err_norm <= 1.0
+            rises = cfg.track_descent and accepted and ev.objective > j
+            if rises and np.isnan(rows[start][-1]):
+                rows[start] = rows[start][:-1] + (descent_rate(last),)
+            rows.append((s + h, h, err_norm, accepted, ev.objective, evals,
+                         descent_rate(ev) if rises else np.nan))
+            if accepted:
+                s, y, k1, j = s + h, y_new, k_last, ev.objective
+                start, last = len(rows) - 1, ev if cfg.track_descent else None
+            factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
+            h *= min(MAX_GROW, max(MIN_SHRINK, factor))
+    return FlowResult(final_grid=grid0.with_amplitudes(y), steps=np.array(rows, STEP_DTYPE),
                       stop_reason=reason, s_stop=min(s, cfg.s_max),
                       max_unitarity_defect=max_defect if cfg.check_unitarity else None)

@@ -45,12 +45,19 @@ def instances(seed=7, count=20):
 
 def step_rises(result):
     """Per accepted step: (s at both ends, rise in J, dJ/ds at both ends,
-    excess of the rise over h * max(dJ/ds at either end, 0))."""
+    excess of the rise over h * max(dJ/ds at either end, 0)). A step whose J
+    did not rise exceeds nothing, so its excess is -inf and its rates, NaN in
+    a tracked run, are not read; a step whose J rose must have both."""
     rows = accepted(result)
     s, j, rate = rows["s"], rows["J"], rows["dJ_ds"]
     rise = np.diff(j)
-    slope = np.maximum(np.maximum(rate[:-1], rate[1:]), 0.0)
-    return s[:-1], s[1:], rise, rate[:-1], rate[1:], rise - np.diff(s) * slope
+    up = rise > 0
+    unrated = up & (np.isnan(rate[:-1]) | np.isnan(rate[1:]))
+    assert not unrated.any(), f"J rose without dJ/ds at both ends: s = {s[:-1][unrated]}"
+    excess = np.full_like(rise, -np.inf)
+    slope = np.maximum(np.maximum(rate[:-1][up], rate[1:][up]), 0.0)
+    excess[up] = rise[up] - np.diff(s)[up] * slope
+    return s[:-1], s[1:], rise, rate[:-1], rate[1:], excess
 
 
 def test_criterion_1_gradient_identity():

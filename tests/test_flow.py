@@ -1,18 +1,13 @@
 """Adaptive integrator: scalar decay oracle, stepper order, stop conditions,
 tolerance behavior and determinism of full flow runs."""
 
-import itertools
 import math
 import multiprocessing
-import os
 import platform
-import signal
 import subprocess
 import sys
-import time
 import warnings
 from dataclasses import FrozenInstanceError, fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +15,8 @@ import pytest
 import gateflow
 from gateflow import (EXACT, S_GRANULARITY, ControlGrid, ExperimentSpec, FlowConfig,
                       FlowResult, GateTarget, QuantumSystem, RhsEvaluation, RunRecord,
-                      build_initial_grid, build_two_spin_benchmark, compare_methods,
-                      dormand_prince_step, execute_experiment, gate_target, integrate_flow)
+                      build_initial_grid, build_two_spin_benchmark, dormand_prince_step,
+                      gate_target, integrate_flow)
 from gateflow.flow import H_MIN, MIN_SHRINK
 
 from conftest import BENCH_CASES
@@ -185,6 +180,20 @@ class TestAdaptiveScalar:
             assert budget <= result.rhs_evals <= budget + 5, budget
 
 
+# The audit event of every process this interpreter starts from here on, in order;
+# multiprocessing's fork start method raises os.fork.
+PROCESS_STARTS = []
+
+
+def _record_process_start(event, args):
+    if event in ("os.fork", "os.forkpty", "os.posix_spawn", "os.spawn", "os.system",
+                 "subprocess.Popen"):
+        PROCESS_STARTS.append(event)
+
+
+sys.addaudithook(_record_process_start)
+
+
 class TestFlowRuns:
     @pytest.fixture()
     def short_cnot(self, benchmark_system, cnot):
@@ -213,21 +222,19 @@ class TestFlowRuns:
         result = integrate_flow(sys, grid, target, 1, cfg)
         assert result.stop_reason == "horizon"
         rows = accepted(result)
-        assert not np.isnan(rows["dJ_ds"]).any()
-        assert (rows["dJ_ds"] <= 0).all()
+        # J never rose, so no accepted row carries a rate.
+        assert (np.diff(rows["J"]) <= 0).all()
+        assert np.isnan(result.steps["dJ_ds"]).all()
         assert rows["J"][-1] < rows["J"][0]
         assert result.max_unitarity_defect is not None
         assert result.max_unitarity_defect <= 1e-10
 
-    @pytest.mark.parametrize("track, cpus", [(True, 2), (True, 1), (False, 2)],
-                             ids=["tracked", "tracked_one_cpu", "untracked"])
-    def test_descent_rate_formed_once_per_row(self, short_cnot, monkeypatch, track, cpus):
-        # With a CPU to spare, a tracked run's rates come from its descent
-        # helper, which replays the evaluation at each recorded row (s = 0 and
-        # each accepted step), and this process forms none. With one CPU they
-        # are formed here, once per row, from the evaluation already made. Either
-        # way this process propagates once per evaluation, and the rows are the
-        # inline rates; only a tracked run with a CPU to spare starts a process.
+    @pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
+    def test_descent_rate_formed_once_per_row(self, benchmark_system, swap, monkeypatch, track):
+        # swap T=5 L=300 order 0 first raises J on the step s = 31 -> 156, after 25
+        # evaluations. A tracked run forms dJ/ds at both ends of each rise, once per
+        # row, from the evaluation records it holds: this process propagates once
+        # per evaluation and starts no process, tracked or not.
         calls = {"rate": 0, "propagate": 0}
         amplitudes = []  # the grid of every evaluation, in call order
         rate, evaluate = gateflow.gradient.descent_rate, gateflow.flow.flow_evaluation
@@ -242,26 +249,27 @@ class TestFlowRuns:
             amplitudes.append(grid.amplitudes)
             return evaluate(sys, grid, *args, **kwargs)
 
-        monkeypatch.setattr("gateflow.flow.usable_cpus", lambda: cpus)
         monkeypatch.setattr("gateflow.flow.descent_rate", counting("rate", rate))
         monkeypatch.setattr("gateflow.gradient.descent_rate", counting("rate", rate))
         monkeypatch.setattr("gateflow.gradient.propagate",
                             counting("propagate", gateflow.gradient.propagate))
         monkeypatch.setattr("gateflow.flow.flow_evaluation", recording)
-        sys, grid, target = short_cnot
-        cfg = FlowConfig(s_max=20.0, j_stop=1e-30, track_descent=track)
-        children = {p.pid for p in multiprocessing.active_children()}
-        result = integrate_flow(sys, grid, target, 1, cfg)
+        grid = build_initial_grid(ExperimentSpec(gate="swap", t_final=5.0, n_slices=300))
+        cfg = FlowConfig(s_max=200.0, j_stop=1e-30, track_descent=track)
+        starts, children = len(PROCESS_STARTS), set(multiprocessing.active_children())
+        result = integrate_flow(benchmark_system, grid, swap, 0, cfg)
+        assert PROCESS_STARTS[starts:] == []
+        assert set(multiprocessing.active_children()) == children
         assert result.rejected_steps > 0
-        inline = result.accepted_steps + 1 if track and cpus == 1 else 0
-        assert calls == {"rate": inline, "propagate": result.rhs_evals}
-        if track:
-            # Row evals = e holds the point of evaluation e, call e - 1.
-            for row in accepted(result):
-                ev = evaluate(sys, grid.with_amplitudes(amplitudes[row["evals"] - 1]), target, 1)
-                assert row["dJ_ds"] == rate(ev)
-        if not track or cpus == 1:
-            assert {p.pid for p in multiprocessing.active_children()} == children
+        rated = result.steps[~np.isnan(result.steps["dJ_ds"])]
+        assert [tuple(row[["s", "evals"]]) for row in rated] == ([(31.0, 19), (156.0, 25)]
+                                                                 if track else [])
+        assert calls == {"rate": len(rated), "propagate": result.rhs_evals}
+        # Row evals = e holds the point of evaluation e, call e - 1.
+        for row in rated:
+            ev = evaluate(benchmark_system, grid.with_amplitudes(amplitudes[row["evals"] - 1]),
+                          swap, 0)
+            assert row["dJ_ds"] == rate(ev)
 
     def test_diagnostics_off_by_default(self, short_cnot):
         sys, grid, target = short_cnot
@@ -329,16 +337,16 @@ class TestFlowRuns:
             integrate_flow(sys, grid, gate_target("cnot"), 1, cfg)
 
 
-# (rhs_evals, accepted steps, rejected steps) of each bench_runs case.
+# (rhs_evals, accepted steps, rejected steps, rows with a dJ/ds) of each bench_runs case.
 BENCH_COUNTS = {
-    "cnot_t5_m0": (523, 75, 12),
-    "cnot_t5_m1": (337, 51, 5),
-    "swap_t5_m0": (979, 149, 14),
-    "swap_t5_m1": (295, 37, 12),
-    "cnot_t10_m0": (913, 137, 15),
-    "cnot_t10_m1": (787, 124, 7),
-    "cnot_t05_m0": (343, 56, 1),
-    "cnot_t05_m1": (331, 53, 2),
+    "cnot_t5_m0": (523, 75, 12, 0),
+    "cnot_t5_m1": (337, 51, 5, 0),
+    "swap_t5_m0": (979, 149, 14, 72),
+    "swap_t5_m1": (295, 37, 12, 0),
+    "cnot_t10_m0": (913, 137, 15, 86),
+    "cnot_t10_m1": (787, 124, 7, 31),
+    "cnot_t05_m0": (343, 56, 1, 0),
+    "cnot_t05_m1": (331, 53, 2, 0),
 }
 
 
@@ -346,20 +354,25 @@ BENCH_COUNTS = {
 def test_bench_run_counts(bench_runs, case):
     result = bench_runs[case][1]
     counts = (result.rhs_evals, result.accepted_steps, result.rejected_steps)
-    assert counts == BENCH_COUNTS[case]
+    assert counts == BENCH_COUNTS[case][:3]
     assert result.rhs_evals == 1 + 6 * (result.accepted_steps + result.rejected_steps)
 
 
 @pytest.mark.parametrize("case", list(BENCH_CASES))
 def test_bench_run_record(bench_runs, case):
     # Every attempt after the start point costs six evaluations; a rejected
-    # one records its J but no descent rate.
+    # one records its J but no descent rate. The rows with a rate are exactly
+    # the two ends of each accepted step that raised J.
     steps = bench_runs[case][1].steps
     rejected = steps[~steps["accepted"]]
     assert len(rejected) == BENCH_COUNTS[case][2]
     assert steps["evals"][0] == 1 and (np.diff(steps["evals"]) == 6).all()
     assert np.isnan(rejected["dJ_ds"]).all()
-    assert not np.isnan(accepted(bench_runs[case][1])["dJ_ds"]).any()
+    rows = np.flatnonzero(steps["accepted"])
+    rises = np.diff(steps["J"][rows]) > 0
+    ends = np.union1d(rows[:-1][rises], rows[1:][rises])
+    assert np.array_equal(np.flatnonzero(~np.isnan(steps["dJ_ds"])), ends)
+    assert len(ends) == BENCH_COUNTS[case][3]
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
@@ -486,165 +499,3 @@ def test_evaluations_do_not_refault_the_heap():
     assert evals >= 300
     if platform.libc_ver()[0] == "glibc":
         assert faults < evals, f"{faults} minor faults over {evals} evaluations"
-
-
-def descent_helpers():
-    """This process's running descent helpers."""
-    return [p for p in multiprocessing.active_children() if p.name == "gateflow-descent"]
-
-
-class TestDescentHelper:
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        # The helper serves a process with a CPU to spare, on any test machine.
-        monkeypatch.setattr("gateflow.flow.usable_cpus", lambda: 2)
-        monkeypatch.setattr("gateflow.experiments.usable_cpus", lambda: 2)
-
-    @pytest.fixture()
-    def spec(self):
-        return ExperimentSpec(gate="cnot", t_final=5.0, n_slices=150, order=1,
-                              cfg=FlowConfig(s_max=20.0, j_stop=1e-30, track_descent=True))
-
-    def test_one_helper_serves_every_run(self, spec):
-        helpers = []
-        for _ in range(2):
-            execute_experiment(spec)
-            helpers.append([p.pid for p in descent_helpers()])
-        assert len(helpers[0]) == 1
-        assert helpers[1] == helpers[0]
-
-    def test_a_patched_rate_reaches_a_fresh_helper(self, spec, monkeypatch):
-        # A forked helper keeps the functions it had, so replacing one it
-        # replays gets the next run a new helper that has the replacement.
-        execute_experiment(spec)
-        [helper] = descent_helpers()
-        monkeypatch.setattr("gateflow.flow.descent_rate", lambda ev: 7.0)
-        assert (accepted(execute_experiment(spec)[1])["dJ_ds"] == 7.0).all()
-        assert not helper.is_alive()
-
-    def failing_at(self, call, failure):
-        """A flow_evaluation whose call-th call in this process runs failure(ev)
-        after recording the helper serving the run in self.served; the helper's
-        own calls go through."""
-        evaluate, calls, parent = gateflow.flow.flow_evaluation, itertools.count(), os.getpid()
-
-        def failing(*args, **kwargs):
-            ev = evaluate(*args, **kwargs)
-            if os.getpid() != parent or next(calls) != call:
-                return ev
-            self.served = gateflow.flow._helper[0]
-            return failure(ev)
-        return failing
-
-    def interrupt(self, ev):
-        raise KeyboardInterrupt
-
-    @pytest.mark.parametrize("failure", ["non_finite", "interrupt"])
-    def test_a_run_that_raises_ends_its_helper(self, spec, monkeypatch, failure):
-        # The failed run leaves its helper mid-run; the next run gets a fresh one.
-        before = execute_experiment(spec)[1]
-        with monkeypatch.context() as m:
-            m.setattr("gateflow.flow.flow_evaluation", self.failing_at(30, {
-                "non_finite": lambda ev: ev._replace(values=np.full_like(ev.values, np.inf)),
-                "interrupt": self.interrupt}[failure]))
-            with pytest.raises(ValueError if failure == "non_finite" else KeyboardInterrupt):
-                execute_experiment(spec)
-        assert not self.served.is_alive()
-        after = execute_experiment(spec)[1]
-        assert [p.pid for p in descent_helpers()] not in ([], [self.served.pid])
-        assert after.steps.tobytes() == before.steps.tobytes()
-
-    def test_a_lost_helper_fails_the_run(self, spec, monkeypatch):
-        def kill_helper(ev):
-            os.kill(self.served.pid, signal.SIGKILL)
-            return ev
-
-        with monkeypatch.context() as m:
-            m.setattr("gateflow.flow.flow_evaluation", self.failing_at(30, kill_helper))
-            with pytest.raises(ValueError, match=r"^cnot T=5 L=150 order=1: "
-                                                 r"descent helper process ended abruptly$"):
-                execute_experiment(spec)
-        assert not np.isnan(accepted(execute_experiment(spec)[1])["dJ_ds"]).any()
-        assert [p.pid for p in descent_helpers()] not in ([], [self.served.pid])
-
-    def test_pool_workers_form_rows_inline(self, spec, tmp_path):
-        # Workers forked from a process with a helper inherit no record of it.
-        # Their siblings hold the other CPUs, so they form their rows inline,
-        # bit for bit the helper's, and leave their parent's helper alone.
-        serial = execute_experiment(spec)[1].steps.tobytes()
-        [helper] = descent_helpers()
-        records = compare_methods([spec, spec], tmp_path / "r.csv", parallel=2)
-        assert [r.rhs_evals for r in records] == [execute_experiment(spec)[0].rhs_evals] * 2
-        assert descent_helpers() == [helper]
-        with multiprocessing.Pool(1) as pool:
-            # A daemonic worker may start no child at all.
-            pooled = pool.apply(execute_experiment, (spec,))[1]
-        assert pooled.steps.tobytes() == serial
-        assert descent_helpers() == [helper]
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_starts_its_own_helper(self, spec):
-        # A child forked outside multiprocessing is a top-level process too. It
-        # inherits no record of its parent's helper, so it starts its own.
-        serial = execute_experiment(spec)[1].steps.tobytes()
-        [helper] = descent_helpers()
-        read, write = os.pipe()
-        child = os.fork()
-        if child == 0:  # report, then leave at once, whatever happened
-            try:
-                own = gateflow.flow._helper is None
-                steps = execute_experiment(spec)[1].steps.tobytes()
-                own = own and gateflow.flow._helper[0].pid != helper.pid
-                os.write(write, b"1" if own and steps == serial else b"0")
-            finally:
-                os._exit(0)
-        os.close(write)
-        try:
-            assert os.read(read, 1) == b"1"
-        finally:
-            os.close(read)
-            os.waitpid(child, 0)
-        assert descent_helpers() == [helper]
-
-
-# One tracked run in a fresh interpreter, which then prints its descent helper's
-# pid and waits to be killed.
-ORPHAN_SCRIPT = """
-import sys
-from multiprocessing import active_children
-import numpy as np
-import gateflow.flow
-from gateflow import ControlGrid, FlowConfig, build_two_spin_benchmark, gate_target, integrate_flow
-
-gateflow.flow.usable_cpus = lambda: 2  # a helper even on one CPU
-grid = ControlGrid(t_final=5.0, amplitudes=np.zeros((2, 150)))
-cfg = FlowConfig(s_max=5.0, track_descent=True)
-integrate_flow(build_two_spin_benchmark(), grid, gate_target("cnot"), 1, cfg)
-print(*[p.pid for p in active_children()], flush=True)
-sys.stdin.read()
-"""
-
-
-def running(pid):
-    """Whether pid names a process that has not ended: a zombie has."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rpartition(")")[2].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-def test_descent_helper_ends_with_its_parent():
-    # The helper holds no copy of its parent's end of the pipe, so the parent's
-    # death, even by SIGKILL, is EOF to the helper.
-    with subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT], env=checkout_env(), text=True,
-                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as parent:
-        try:
-            [helper] = map(int, parent.stdout.readline().split())
-        finally:
-            parent.kill()
-    deadline = time.monotonic() + 5.0
-    while running(helper) and time.monotonic() < deadline:
-        time.sleep(0.02)
-    assert not running(helper)
