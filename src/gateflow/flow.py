@@ -111,9 +111,9 @@ def integrate_flow(sys, grid0, target, order, cfg):
     evaluation budget or a step underflow stops it. A non-finite velocity
     raises ValueError naming its control and slice.
 
-    A tracked run keeps the evaluation record of its last accepted point, and
-    each accepted step that raises J gets dJ/ds formed from the records at both
-    of its ends; every other row's dJ_ds is NaN."""
+    Every run keeps the evaluation record of its last accepted point, and each
+    step starts from it. A tracked run forms dJ/ds from the records at both ends
+    of each accepted step that raises J; every other row's dJ_ds is NaN."""
     # When glibc frees an mmapped block above its mmap threshold, it raises
     # that threshold to the block's size and its trim threshold to twice that
     # (mallopt(3)): here 4 MB and 8 MB, so evaluations stop returning the heap
@@ -137,16 +137,15 @@ def integrate_flow(sys, grid0, target, order, cfg):
             max_defect = max(max_defect, ev.unitarity_defect)
         return ev.values
 
-    y = grid0.amplitudes
-    k1 = f(y)
+    f(grid0.amplitudes)
     rows = [(0.0, 0.0, 0.0, True, ev.objective, evals, np.nan)]
-    # The last accepted point's row and, in a tracked run, its evaluation record.
-    start, last = 0, ev if cfg.track_descent else None
-    s, h, j, reason = 0.0, cfg.h_init, ev.objective, None
+    # The last accepted point's row and evaluation record: its grid, velocities and J
+    # are the next step's start.
+    s, h, start, last, reason = 0.0, cfg.h_init, 0, ev, None
     while reason is None:
-        # Tested before every step, the first included. j is the last accepted
-        # point's J: a rejected attempt cannot stop the run.
-        if j <= cfg.j_stop:
+        # Tested before every step, the first included. last is the last accepted
+        # point: a rejected attempt cannot stop the run.
+        if last.objective <= cfg.j_stop:
             reason = STOP_J_REACHED
         elif cfg.s_max - s <= H_MIN:
             reason = STOP_HORIZON
@@ -156,23 +155,22 @@ def integrate_flow(sys, grid0, target, order, cfg):
             reason = STOP_UNDERFLOW
         else:
             h = min(h, cfg.s_max - s)
-            y_new, err, k_last = dormand_prince_step(f, y, h, k1)
+            y5, err, _ = dormand_prince_step(f, last.grid.amplitudes, h, last.values)
             # Not tol * (1 + ...), which rounds differently and so changes runs' bytes.
-            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y_new))
+            scale = cfg.tol + cfg.tol * np.maximum(np.abs(last.grid.amplitudes), np.abs(y5))
             # A subnormal tol can overflow the ratio: inf rejects the step, as it should.
             with np.errstate(over="ignore"):
                 err_norm = float(np.abs(err / scale).max())
             accepted = err_norm <= 1.0
-            rises = cfg.track_descent and accepted and ev.objective > j
+            rises = cfg.track_descent and accepted and ev.objective > last.objective
             if rises and np.isnan(rows[start][-1]):
                 rows[start] = rows[start][:-1] + (descent_rate(last),)
             rows.append((s + h, h, err_norm, accepted, ev.objective, evals,
                          descent_rate(ev) if rises else np.nan))
             if accepted:
-                s, y, k1, j = s + h, y_new, k_last, ev.objective
-                start, last = len(rows) - 1, ev if cfg.track_descent else None
+                s, start, last = s + h, len(rows) - 1, ev
             factor = SAFETY * err_norm ** -0.2 if err_norm > 0 else MAX_GROW
             h *= min(MAX_GROW, max(MIN_SHRINK, factor))
-    return FlowResult(final_grid=grid0.with_amplitudes(y), steps=np.array(rows, STEP_DTYPE),
+    return FlowResult(final_grid=last.grid, steps=np.array(rows, STEP_DTYPE),
                       stop_reason=reason, s_stop=min(s, cfg.s_max),
                       max_unitarity_defect=max_defect if cfg.check_unitarity else None)

@@ -26,9 +26,9 @@ from oracles import final_propagator
 
 def decay(sys, grid, target, order=1, *, check_unitarity=False):
     """Stand-in for flow_evaluation: dy/ds = -y on a one-entry grid, with
-    |y| as the objective."""
+    |y| as the objective. Like the real one, it carries the grid it was given."""
     amps = grid.amplitudes
-    return RhsEvaluation(values=-amps, objective=abs(amps[0, 0]))
+    return RhsEvaluation(values=-amps, objective=abs(amps[0, 0]), grid=grid)
 
 
 @pytest.fixture
@@ -159,7 +159,8 @@ class TestAdaptiveScalar:
         # attempt, which its error norm rejects, lands where J is below j_stop.
         def dip(sys, grid, target, order=1, *, check_unitarity=False):
             y = grid.amplitudes[0, 0]
-            return RhsEvaluation(values=-grid.amplitudes, objective=y if abs(y) <= 1 else 0.0)
+            return RhsEvaluation(values=-grid.amplitudes, objective=y if abs(y) <= 1 else 0.0,
+                                 grid=grid)
 
         monkeypatch.setattr("gateflow.flow.flow_evaluation", dip)
         cfg = FlowConfig(s_max=20.0, j_stop=1e-30, h_init=5.0)
@@ -168,6 +169,26 @@ class TestAdaptiveScalar:
         assert not first["accepted"] and first["J"] <= cfg.j_stop
         assert (result.stop_reason, result.s_stop) == ("horizon", 20.0)
         assert (accepted(result)["J"] > cfg.j_stop).all()
+
+    @pytest.mark.parametrize("budget", [13, 31], ids=["ends_rejected", "ends_accepted"])
+    def test_final_grid_is_the_last_accepted_evaluations(self, monkeypatch, budget):
+        # The reported grid is the one whose J the record reports last, the grid
+        # of the evaluation counted at the last accepted row, not a rebuild. With
+        # h_init = 5 the first two attempts are rejected: a budget of 13 stops
+        # there, on the start point, and one of 31 after three accepted steps.
+        seen = []
+
+        def recording(sys, grid, *args, **kwargs):
+            seen.append(grid)
+            return decay(sys, grid, *args, **kwargs)
+
+        monkeypatch.setattr("gateflow.flow.flow_evaluation", recording)
+        cfg = FlowConfig(s_max=100.0, tol=1e-6, j_stop=1e-30, h_init=5.0, max_rhs_evals=budget)
+        result = integrate_flow(None, ControlGrid(t_final=1.0, amplitudes=[[1.0]]), None, 1, cfg)
+        assert result.steps["accepted"][-1] == (budget == 31)
+        last = accepted(result)[-1]
+        assert result.final_grid is seen[last["evals"] - 1]
+        assert result.final_grid.amplitudes[0, 0] == last["J"]
 
     def test_eval_budget_stop(self, run_decay):
         # The budget is tested before every step, the first included, and a
